@@ -54,10 +54,14 @@ class BallGraph:
     edges: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self) -> None:
+        if not self.distances:
+            raise ValueError("'vertices' is empty: a ball holds at least its origin")
         if self.distances[0] != 0:
             raise ValueError("origin must sit at distance 0")
         for v, nbrs in enumerate(self.edges):
             for letter, w in nbrs:
+                if not 0 <= w < len(self.edges):
+                    raise ValueError(f"'edges' of vertex {v} point to {w}, not a vertex")
                 if self.step(w, -letter) != v:
                     raise ValueError("edge labels must be consistent under inversion")
 

@@ -571,12 +571,14 @@ def _delta_top(
 
 def _top_level_check(
     classes, signs, top: list[int], lower_groups: list[list[int]],
-    ms, bases, powers, memo,
+    ms, bases, gbases, powers, memo, tightest,
 ) -> tuple[list[int], list[int]]:
     """Check the nominal and guaranteed top-level ratio bounds at every m.
 
     Returns (ms violating the nominal bound, ms violating the guaranteed
-    one); see :func:`ratio_checks` for the two inequalities.
+    one); see :func:`ratio_checks` for the two inequalities.  ``tightest[j]``
+    is raised to this structure's guaranteed ratio at ``ms[j]``, kept as an
+    integer pair (numerator, denominator) and compared by cross-multiplying.
     """
     key_full = _merged_key(classes, signs, lower_groups + [top])
     if key_full is None:
@@ -605,8 +607,12 @@ def _top_level_check(
         lhs = full[j] * powers[j][delta]
         if lhs > lowc[j] * bases[j]:
             nominal.append(m)
-            if lhs > lowc[j] * 2 * m * (2 * m - 1) ** 2:
-                guaranteed.append(m)
+        cap = lowc[j] * gbases[j]
+        if lhs > cap:
+            guaranteed.append(m)
+        num, den = tightest[j]
+        if lhs * den > num * cap:
+            tightest[j] = (lhs, cap)
     return nominal, guaranteed
 
 
@@ -664,13 +670,19 @@ def ratio_sweep(max_faces: int = 3, ms: Sequence[int] = (1, 2, 3)) -> dict:
     (2m-1)^(-delta) bound.  These exist, and every one lies in the
     within-word forcing family described in :func:`ratio_checks`, though
     most members of that family do not violate.  ``guaranteed_violations``
-    collects failures of the provable 2m(2m-1)^(2-delta) form and stays empty.
+    collects failures of the provable 2m(2m-1)^(2-delta) form, checked on
+    every structure, and stays empty.  ``guaranteed_tightest`` maps each m to
+    the largest ratio of a top level's side of that bound to its other side,
+    full*(2m-1)^delta / (lower*2m(2m-1)^2), as a fraction string; the bound
+    holds everywhere exactly when no ratio exceeds 1.
     """
     if max_faces > 3:
         raise ValueError("sweep supports at most 3 faces")
     bases = [triangle_word_count(m) for m in ms]
+    gbases = [2 * m * (2 * m - 1) ** 2 for m in ms]
     powers = [[(2 * m - 1) ** d for d in range(4)] for m in ms]
     memo: dict = {}
+    tightest = [(0, 1) for _ in ms]
     report = {
         "ms": list(ms),
         "structures": 0,
@@ -692,21 +704,25 @@ def ratio_sweep(max_faces: int = 3, ms: Sequence[int] = (1, 2, 3)) -> dict:
                 n_structures += 1
                 report["checks"] += len(ms)
                 nominal, guaranteed = _top_level_check(
-                    classes, signs, top, lowers, ms, bases, powers, memo
+                    classes, signs, top, lowers, ms, bases, gbases, powers, memo,
+                    tightest,
                 )
-                if nominal:
+                if nominal or guaranteed:
                     record = {
                         "classes": list(classes),
                         "signs": list(signs),
                         "top": top,
                         "lower_groups": lowers,
-                        "ms": nominal,
                     }
-                    report["violations"].append(record)
+                    if nominal:
+                        report["violations"].append(dict(record, ms=nominal))
                     if guaranteed:
                         report["guaranteed_violations"].append(
                             dict(record, ms=guaranteed)
                         )
         report["per_face_count"][k] = n_structures
         report["structures"] += n_structures
+    report["guaranteed_tightest"] = {
+        m: str(Fraction(num, den)) for m, (num, den) in zip(ms, tightest)
+    }
     return report

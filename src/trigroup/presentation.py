@@ -93,6 +93,10 @@ class TriangularPresentation:
     relators: tuple[Word, ...]
 
     def __post_init__(self) -> None:
+        if self.m < 1:
+            raise ValueError(f"m = {self.m}: the rank m must be at least 1")
+        if not 0 < self.density < 1:
+            raise ValueError(f"d = {self.density}: the density d must lie in (0, 1)")
         for w in self.relators:
             if len(w) != 3 or not is_cyclically_reduced(w):
                 raise ValueError(f"relator {w} is not a cyclically reduced triangle word")

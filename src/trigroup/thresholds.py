@@ -2,9 +2,10 @@
 
 Everything here is arithmetic in the field Q(sqrt(41)): the critical density
 is 11/12 - sqrt(41)/12, and every downstream comparison (choice of k, choice
-of L, final bound comparison) is decided exactly by rationalizing to
-a + b*sqrt(41) and comparing squares.  Reported decimals are produced
-separately at 50-digit precision; float entry points use plain float
+of L, final bound comparison) is decided exactly on numbers a + b*sqrt(41)
+with rational a and b, by comparing a^2 with 41*b^2.  Reported decimals are
+computed separately with :mod:`decimal` and correctly rounded to the
+requested number of significant digits; float entry points use plain float
 arithmetic so the two routes stay independent checks of one another.
 """
 
@@ -12,10 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Mapping, Sequence
-
-import sympy
 
 from .complexes import VanKampenDiagram, ref_edge
 
@@ -28,30 +28,119 @@ GEODESIC_A = "geodesic1"
 GEODESIC_B = "geodesic2"
 CONNECTOR = "connector"
 
-_SQ41 = sympy.sqrt(41)
-_D_CRIT = sympy.Rational(11, 12) - _SQ41 / 12
+# digits carried beyond the requested ones before the first rounding attempt
+_GUARD_DIGITS = 20
 
 
-def _sign41(expr) -> int:
-    """Exact sign of an element of Q(sqrt(41))."""
-    e = sympy.expand(sympy.radsimp(sympy.together(sympy.sympify(expr))))
-    b = sympy.Rational(e.coeff(_SQ41))
-    a = sympy.Rational(sympy.expand(e - b * _SQ41))
-    if b == 0:
-        return 0 if a == 0 else (1 if a > 0 else -1)
-    if a == 0:
-        return 1 if b > 0 else -1
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    # opposite signs: compare a^2 against 41 b^2 on the positive term's side
-    if a * a == 41 * b * b:
-        raise ArithmeticError("sqrt(41) is irrational; exact tie impossible")
-    bigger_rational = a * a > 41 * b * b
-    if a > 0:
-        return 1 if bigger_rational else -1
-    return -1 if bigger_rational else 1
+@dataclass(frozen=True)
+class _Q41:
+    """The number a + b*sqrt(41), with a and b rational."""
+
+    a: Fraction
+    b: Fraction = Fraction(0)
+
+    @staticmethod
+    def of(x) -> "_Q41":
+        return x if isinstance(x, _Q41) else _Q41(Fraction(x))
+
+    def __add__(self, other) -> "_Q41":
+        o = _Q41.of(other)
+        return _Q41(self.a + o.a, self.b + o.b)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "_Q41":
+        return _Q41(-self.a, -self.b)
+
+    def __sub__(self, other) -> "_Q41":
+        return self + -_Q41.of(other)
+
+    def __rsub__(self, other) -> "_Q41":
+        return _Q41.of(other) - self
+
+    def __mul__(self, other) -> "_Q41":
+        o = _Q41.of(other)
+        return _Q41(self.a * o.a + 41 * self.b * o.b, self.a * o.b + self.b * o.a)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "_Q41":
+        # multiply by the conjugate; the norm a^2 - 41b^2 vanishes only at 0
+        o = _Q41.of(other)
+        norm = o.a * o.a - 41 * o.b * o.b
+        return self * _Q41(o.a / norm, -o.b / norm)
+
+    def __rtruediv__(self, other) -> "_Q41":
+        return _Q41.of(other) / self
+
+    def sign(self) -> int:
+        """Exact sign: with a and b of opposite signs, the term with the
+        larger square wins (a^2 = 41b^2 is impossible unless both are 0)."""
+        sa = (self.a > 0) - (self.a < 0)
+        sb = (self.b > 0) - (self.b < 0)
+        if sa * sb >= 0:  # equal signs, or one term is zero
+            return sa or sb
+        return sa if self.a * self.a > 41 * self.b * self.b else sb
+
+    def floor(self) -> int:
+        """Exact floor, from an integer square root and one exact sign test."""
+        p, q = self.b.numerator, self.b.denominator
+        root = math.isqrt(41 * p * p) // q  # floor(|b| sqrt(41))
+        # b sqrt(41) is irrational for b != 0, so its floor is -root - 1 when b < 0
+        n = math.floor(self.a) + (root if p >= 0 else -root - 1)
+        return n + 1 if (self - (n + 1)).sign() >= 0 else n
+
+    def rounded(self, digits: int) -> Decimal:
+        """Correctly rounded to ``digits`` significant digits.
+
+        The value is bracketed with ``_GUARD_DIGITS`` digits to spare, and
+        the working precision doubles until both ends of the bracket round
+        alike, which ends because an irrational number is never a tie.
+        """
+        if self.b == 0:
+            raise ValueError("decimal expansion needs an irrational number")
+        target = Context(prec=digits)
+        prec = digits + _GUARD_DIGITS
+        while True:
+            with localcontext(Context(prec=prec)):
+                a = Decimal(self.a.numerator) / self.a.denominator
+                t = Decimal(self.b.numerator) / self.b.denominator * Decimal(41).sqrt()
+                approx = a + t
+                # five roundings of half a unit each move approx by under
+                # 25*10^-prec of the terms' size; 10^(2-prec) also covers
+                # rounding the bracket ends (copy_abs, unlike abs(), is exact)
+                err = (a.copy_abs() + t.copy_abs()).scaleb(2 - prec)
+                low, high = target.plus(approx - err), target.plus(approx + err)
+            if low == high:
+                return low
+            prec *= 2
+
+
+def _decimal_str(x: _Q41, digits: int) -> str:
+    """``x`` to ``digits`` significant digits, in the layout of mpmath's
+    printer that the reports have always used: fixed point exactly when
+    min(-(digits//3), -5) < exponent < digits, otherwise d.ddd...e+N;
+    trailing zeros are kept."""
+    r = x.rounded(digits)
+    sign, coeff, _ = r.as_tuple()
+    mant = "".join(map(str, coeff)).ljust(digits, "0")
+    exp = r.adjusted()
+    if min(-(digits // 3), -5) < exp < digits:
+        if exp < 0:
+            text = "0." + "0" * (-exp - 1) + mant
+        else:
+            text = mant[: exp + 1] + "." + mant[exp + 1 :]
+    else:
+        text = f"{mant[0]}.{mant[1:]}e{exp:+d}"
+    return "-" * sign + text
+
+
+def _float(x: _Q41) -> float:
+    """The float nearest the 30-digit decimal value of ``x``."""
+    return float(x.rounded(30))
+
+
+_D_CRIT = _Q41(Fraction(11, 12), Fraction(-1, 12))
 
 
 def _as_fraction(x, name: str) -> Fraction:
@@ -70,17 +159,19 @@ def _rhs_exact(dp):
     return 2 - 3 * dp
 
 
-def _d_prime_exact(d0: Fraction):
-    return (sympy.Rational(d0) + _D_CRIT) / 2
+def _d_prime_exact(d0: Fraction) -> _Q41:
+    return (d0 + _D_CRIT) / 2
 
 
 def d_crit() -> float:
     """The density below which the whole pipeline can be closed."""
-    return float(sympy.N(_D_CRIT, 30))
+    return _float(_D_CRIT)
 
 
 def d_crit_digits(digits: int = 50) -> str:
-    return str(sympy.N(_D_CRIT, digits))
+    if digits < 1:
+        raise ValueError("digits must be positive")
+    return _decimal_str(_D_CRIT, digits)
 
 
 def lhs(dp) -> float | Fraction:
@@ -106,7 +197,7 @@ def rhs(dp) -> float | Fraction:
 
 
 def _require_subcritical(d0: Fraction) -> None:
-    if _sign41(_D_CRIT - sympy.Rational(d0)) <= 0:
+    if (_D_CRIT - d0).sign() <= 0:
         raise ValueError(f"d0 = {d0} is not below the critical density")
 
 
@@ -114,20 +205,26 @@ def d_prime(d0) -> float:
     """Midpoint of d0 and the critical density."""
     d0 = _as_fraction(d0, "d0")
     _require_subcritical(d0)
-    return float(sympy.N(_d_prime_exact(d0), 30))
+    return _float(_d_prime_exact(d0))
 
 
 def min_k(d0) -> int:
-    """Smallest k >= 1 with lhs(d') < rhs(d') - 1/k, d' the midpoint."""
+    """Smallest k >= 1 with lhs(d') < rhs(d') - 1/k, d' the midpoint.
+
+    That is k = floor(1/gap) + 1 for gap = rhs(d') - lhs(d'), computed and
+    then confirmed exactly: gap > 1/k and, for k >= 2, gap <= 1/(k-1).
+    """
     d0 = _as_fraction(d0, "d0")
     _require_subcritical(d0)
     dp = _d_prime_exact(d0)
     gap = _rhs_exact(dp) - _lhs_exact(dp)
-    k = 1
-    while _sign41(gap - sympy.Rational(1, k)) <= 0:
-        k += 1
-        if k > 10**6:
-            raise ArithmeticError("no k found; gap should be positive")
+    if gap.sign() <= 0:
+        raise ArithmeticError("gap should be positive below the critical density")
+    k = (1 / gap).floor() + 1
+    if (gap - Fraction(1, k)).sign() <= 0 or (
+        k >= 2 and (gap - Fraction(1, k - 1)).sign() > 0
+    ):
+        raise ArithmeticError(f"k = {k} is not the least k with gap > 1/k")
     return k
 
 
@@ -166,7 +263,8 @@ class ConstantsReport:
     def __post_init__(self) -> None:
         if self.k < 1 or self.L < 1 or self.N < 1:
             raise ValueError("k, L, N must be positive")
-        if not (self.upper_bound < self.lower_bound):
+        # rounding is monotone: an exact upper < lower can round to equal floats
+        if not (self.upper_bound <= self.lower_bound):
             raise ValueError("the closing inequality failed at the chosen parameters")
         for name in ("d_crit", "d_prime", "lower_bound", "upper_bound"):
             if not math.isfinite(getattr(self, name)):
@@ -218,28 +316,20 @@ def constants_pipeline(
 
     dp = _d_prime_exact(d0)
     lhs_dp = _lhs_exact(dp)
-    lower_coeff = (
-        2 * pairs * sympy.Rational(3, 2) * (1 - 2 * dp)
-        + sympy.Rational((k + 1) * (k - 2), 2)
-    )
+    lower_coeff = 2 * pairs * Fraction(3, 2) * (1 - 2 * dp) + Fraction((k + 1) * (k - 2), 2)
     upper_coeff = 2 * pairs * lhs_dp
     # margin(L) = lower(L) - upper(L) = (lower_coeff - upper_coeff)*L + A2 - pairs*A1
     alpha = lower_coeff - upper_coeff
-    if _sign41(alpha) <= 0:
+    if alpha.sign() <= 0:
         raise ArithmeticError("per-L margin should grow; k selection is broken")
     floor_L = math.ceil(4 * long_constant * delta + 4 * delta + 2)
-    L = max(floor_L, int(sympy.N(sympy.Rational(A3) / alpha, 30)) if A3 > 0 else floor_L)
+    # margin(L) = alpha*L - A3 > 0 exactly when L > A3/alpha
+    L = max(floor_L, (A3 / alpha).floor() + 1) if A3 > 0 else floor_L
 
-    def closes(candidate: int) -> bool:
-        return _sign41(alpha * candidate - sympy.Rational(A3)) > 0
-
-    while not closes(L):
-        L += 1
-    while L > floor_L and closes(L - 1):
-        L -= 1
-
-    lower_exact = lower_coeff * L + sympy.Rational(A2)
-    upper_exact = upper_coeff * L + pairs * sympy.Rational(A1)
+    lower_exact = lower_coeff * L + A2
+    upper_exact = upper_coeff * L + pairs * A1
+    if (lower_exact - upper_exact).sign() <= 0:
+        raise ArithmeticError("the closing inequality failed at the chosen L")
 
     reach = Fraction(L) + 2 * long_constant * delta
     n_exact = k * reach * reach
@@ -247,17 +337,17 @@ def constants_pipeline(
 
     precise = {
         "d_crit": d_crit_digits(digits),
-        "d_prime": str(sympy.N(dp, digits)),
-        "lhs_d_prime": str(sympy.N(lhs_dp, digits)),
-        "rhs_d_prime": str(sympy.N(_rhs_exact(dp), digits)),
-        "lower_bound": str(sympy.N(lower_exact, digits)),
-        "upper_bound": str(sympy.N(upper_exact, digits)),
+        "d_prime": _decimal_str(dp, digits),
+        "lhs_d_prime": _decimal_str(lhs_dp, digits),
+        "rhs_d_prime": _decimal_str(_rhs_exact(dp), digits),
+        "lower_bound": _decimal_str(lower_exact, digits),
+        "upper_bound": _decimal_str(upper_exact, digits),
         "N_exact": str(n_exact),
     }
     return ConstantsReport(
         d0=d0,
         d_crit=d_crit(),
-        d_prime=float(sympy.N(dp, 30)),
+        d_prime=_float(dp),
         delta=delta,
         k=k,
         A1=A1,
@@ -266,8 +356,8 @@ def constants_pipeline(
         long_constant=long_constant,
         L=L,
         N=N,
-        lower_bound=float(sympy.N(lower_exact, 30)),
-        upper_bound=float(sympy.N(upper_exact, 30)),
+        lower_bound=_float(lower_exact),
+        upper_bound=_float(upper_exact),
         precise=precise,
     )
 

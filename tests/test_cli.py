@@ -2,10 +2,14 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import trigroup
 from trigroup.cayley import ball_from_json_dict, build_ball
 from trigroup.cli import main
 from trigroup.complexes import abstract_from_walks, dumps_complex
@@ -215,6 +219,17 @@ class TestSweep:
         assert doc["csv"] == csv_path.read_text()
 
 
+class TestEnumDiagramsValidation:
+    @pytest.mark.parametrize("field, value", [("m", 0), ("d", "3/2"), ("d", "0")])
+    def test_bad_presentation_field(self, tmp_path, capsys, field, value):
+        doc = {"m": 2, "d": "1/5", "seed": 0, "relators": []}
+        doc[field] = value
+        bad = tmp_path / "pres.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["enum-diagrams", "--presentation", str(bad)]) == 2
+        assert f"{field} = " in capsys.readouterr().err
+
+
 class TestBall:
     def test_output_loads_as_ball(self, ball_file, pres_file):
         data = json.loads(open(ball_file).read())
@@ -245,6 +260,31 @@ class TestDeltaEst:
         bad.write_text('{"vertices": []}')
         assert main(["delta-est", "--graph", str(bad)]) == 2
         assert "format tag" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("vertices, named", [
+        ([], "'vertices'"),
+        ([{"distance": 0, "closed": False, "edges": {"a": 5}}], "'edges'"),
+    ])
+    def test_malformed_vertices(self, tmp_path, capsys, vertices, named):
+        bad = tmp_path / "malformed.json"
+        bad.write_text(json.dumps({
+            "format": "ballgraph", "m": 2, "density": "1/5", "seed": None,
+            "relators": [], "radius": 0, "vertices": vertices,
+        }))
+        assert main(["delta-est", "--graph", str(bad)]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("m", 0, "m"), ("density", "3/2", "d"), ("density", "0", "d"),
+    ])
+    def test_presentation_fields_validated(self, tmp_path, capsys, ball_file,
+                                           field, value, named):
+        data = json.loads(open(ball_file).read())
+        data[field] = value
+        bad = tmp_path / "badpres.json"
+        bad.write_text(json.dumps(data))
+        assert main(["delta-est", "--graph", str(bad)]) == 2
+        assert f"{named} = " in capsys.readouterr().err
 
 
 class TestFig1Demo:
@@ -303,6 +343,16 @@ class TestPlumbing:
     def test_workers_positive(self, capsys):
         assert main(["words", "--m", "2", "--workers", "0"]) == 2
         assert "--workers" in capsys.readouterr().err
+
+    def test_cli_import_leaves_out_sympy(self):
+        # Q(sqrt(41)) arithmetic runs on the standard library alone
+        src = os.path.dirname(os.path.dirname(trigroup.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        probe = "import sys, trigroup.cli; print('sympy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_stdout_when_no_out_flag(self, capsys):
         assert main(["words", "--m", "2"]) == 0

@@ -400,6 +400,8 @@ class TestSweep:
     def test_sweep_two_faces(self):
         report = ratio_sweep(max_faces=2, ms=(1, 2, 3))
         assert report["guaranteed_violations"] == []
+        # the one (e, e, e) face meets the guaranteed bound with equality
+        assert report["guaranteed_tightest"] == {1: "1", 2: "1", 3: "1"}
         assert report["per_face_count"][1] == 11
         assert report["structures"] > report["per_face_count"][1]
         # the nominal bound fails only inside the within-word forcing family

@@ -134,6 +134,11 @@ class TestSampling:
             TriangularPresentation(2, Fraction(1, 3), 0, ((1, -1, 2),))
         with pytest.raises(ValueError):
             TriangularPresentation(1, Fraction(1, 3), 0, ((1, 2, 1),))
+        with pytest.raises(ValueError, match=r"\bm\b"):
+            TriangularPresentation(0, Fraction(1, 3), 0, ())
+        for d in (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 5)):
+            with pytest.raises(ValueError, match=r"\bd\b"):
+                TriangularPresentation(2, d, 0, ())
 
     def test_distinctness_failure_rate_decreases_in_rank(self):
         # collisions up to symmetry get rarer as the support grows

@@ -1,10 +1,14 @@
 """Critical density, derived constants, boundary partition."""
 
 import math
+import time
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trigroup.complexes import VanKampenDiagram
 from trigroup.enumeration import DiagramBudget, enumerate_reduced_diagrams
@@ -27,6 +31,7 @@ from trigroup.thresholds import (
     min_k,
     partition_boundary,
     rhs,
+    _Q41,
 )
 
 D35 = Fraction(7, 20)
@@ -40,6 +45,91 @@ def mp_oracle():
         l = 4 * (3 * dp - 1) / (3 * (1 - 2 * dp))
         r = 2 - 3 * dp
         return dc, dp, l, r
+
+
+def sqrt41_convergents(count):
+    """The first continued-fraction convergents p/q of sqrt(41) = [6; 2, 2, 12]."""
+    out = []
+    p0, q0, p1, q1 = 1, 0, 6, 1
+    for i in range(1, count + 1):
+        out.append((p1, q1))
+        a = 12 if i % 3 == 0 else 2
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+    return out
+
+
+# p - q*sqrt(41) is within 1/q of zero; with p < 10^30 the terms cancel to
+# about 60 digits, well inside mpmath's 100
+CONVERGENTS = [(p, q) for p, q in sqrt41_convergents(40) if p < 10**30]
+rationals = st.fractions(max_denominator=10**6).filter(lambda x: abs(x) < 10**12)
+
+
+@st.composite
+def q41_numbers(draw):
+    if draw(st.booleans()):
+        return _Q41(draw(rationals), draw(rationals))
+    p, q = draw(st.sampled_from(CONVERGENTS))
+    scale = draw(rationals.filter(lambda x: x != 0))
+    return _Q41(scale * p, -scale * q)
+
+
+class TestQ41:
+    def test_convergents(self):
+        assert (2049, 320) in CONVERGENTS
+        assert len(CONVERGENTS) > 20
+        assert all(abs(p * p - 41 * q * q) in (1, 5) for p, q in CONVERGENTS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(q41_numbers())
+    def test_sign_and_floor_against_mpmath(self, x):
+        with mpmath.workdps(100):
+            value = mpmath.mpf(x.a.numerator) / x.a.denominator + (
+                mpmath.mpf(x.b.numerator) / x.b.denominator * mpmath.sqrt(41)
+            )
+            assert x.sign() == mpmath.sign(value)
+            assert x.floor() == int(mpmath.floor(value))
+
+    def test_near_tie(self):
+        x = _Q41(Fraction(2049), Fraction(-320))  # 2049^2 = 41*320^2 + 1
+        assert x.sign() == 1 and (-x).sign() == -1
+        assert x.floor() == 0 and (-x).floor() == -1
+        assert _Q41(Fraction(0)).sign() == 0
+
+    def test_rounding_near_a_tie(self):
+        # 1/8 -+ (2049 - 320*sqrt(41))/10^30 lies 2.4e-34 from the tie 0.125;
+        # 20 guard digits cannot tell the side, the bracket must widen
+        c = Fraction(1, 10**30)
+        above = _Q41(Fraction(1, 8) + 2049 * c, -320 * c)
+        assert above.rounded(2) == Decimal("0.13")
+        assert (Fraction(1, 4) - above).rounded(2) == Decimal("0.12")
+
+    def test_field_operations(self):
+        x = _Q41(Fraction(3, 7), Fraction(-2, 5))
+        y = _Q41(Fraction(-11, 4), Fraction(1, 9))
+        assert (x * y) / y == x
+        assert (x + y) - y == x
+        assert 1 / (1 / x) == x
+        assert 2 - x == -(x - 2)
+        assert _Q41(Fraction(6), Fraction(1)) * _Q41(Fraction(6), Fraction(-1)) == _Q41(Fraction(-5))
+
+
+def mp_precise(r, digits):
+    """The report's decimal fields from mpmath at twice the digits, plus 40
+    for the cancellation near lhs(d') = 0, correctly rounded to ``digits``
+    and laid out by mpmath's own printer."""
+    with mpmath.workdps(2 * digits + 40):
+        frac = lambda x: mpmath.mpf(x.numerator) / x.denominator
+        dc = mpmath.mpf(11) / 12 - mpmath.sqrt(41) / 12
+        dp = (frac(r.d0) + dc) / 2
+        l = 4 * (3 * dp - 1) / (3 * (1 - 2 * dp))
+        pairs = r.k * (r.k + 1) // 2
+        lower_coeff = 3 * pairs * (1 - 2 * dp) + mpmath.mpf((r.k + 1) * (r.k - 2)) / 2
+        lower = lower_coeff * r.L + frac(r.A2)
+        upper = 2 * pairs * l * r.L + pairs * frac(r.A1)
+        values = {"d_crit": dc, "d_prime": dp, "lhs_d_prime": l, "rhs_d_prime": 2 - 3 * dp,
+                  "lower_bound": lower, "upper_bound": upper}
+        return {key: mpmath.libmp.to_str(v._mpf_, digits, strip_zeros=False)
+                for key, v in values.items()}
 
 
 class TestDCrit:
@@ -117,6 +207,20 @@ class TestMinK:
             if k >= 2:
                 assert gap - 1.0 / (k - 1) <= 1e-15
 
+    def test_close_to_the_critical_density(self):
+        # closed form, not a scan: k runs to 910,612 just below d_crit
+        start = time.perf_counter()
+        cases = {Fraction("0.3830729"): 910612, Fraction("0.383"): 1002}
+        for d0, expected in cases.items():
+            assert min_k(d0) == expected
+        assert time.perf_counter() - start < 1.0
+        with mpmath.workdps(50):
+            for d0, k in cases.items():
+                dc = mpmath.mpf(11) / 12 - mpmath.sqrt(41) / 12
+                dp = (mpmath.mpf(d0.numerator) / d0.denominator + dc) / 2
+                gap = (2 - 3 * dp) - 4 * (3 * dp - 1) / (3 * (1 - 2 * dp))
+                assert mpmath.mpf(1) / k < gap <= mpmath.mpf(1) / (k - 1)
+
     def test_nondecreasing(self):
         grid = [Fraction(n, 100) for n in range(1, 39)]
         ks = [min_k(d0) for d0 in grid]
@@ -182,6 +286,34 @@ class TestPipeline:
         assert abs(float(r.precise["lower_bound"]) - r.lower_bound) < 1e-12 * r.lower_bound
         assert abs(float(r.precise["upper_bound"]) - r.upper_bound) < 1e-12 * r.upper_bound
 
+    def test_pinned_report(self):
+        # the decimals reported since the first release, byte for byte
+        r = constants_pipeline(D35)
+        assert r.precise == {
+            "N_exact": "110778702732",
+            "d_crit": "0.38307298021392927612598186044818222795663165561492",
+            "d_prime": "0.36653649010696463806299093022409111397831582780746",
+            "lhs_d_prime": "0.49756157020360173900863918715781879441363332447881",
+            "lower_bound": "872102.21277680313003655443042232124741119912755546",
+            "rhs_d_prime": "0.90039052967910608581102720932772665806505251657763",
+            "upper_bound": "765221.83152520807289790258605424446795568088958224",
+        }
+        assert (r.d_crit, r.d_prime) == (0.38307298021392927, 0.36653649010696465)
+        assert (r.lower_bound, r.upper_bound) == (872102.2127768032, 765221.8315252081)
+
+    @pytest.mark.parametrize("d0", [
+        Fraction(1, 10), Fraction(7, 20), Fraction(19, 50),
+        # lhs(d') changes sign near d0 = 2/3 - d_crit: tiny values of both signs
+        Fraction("0.2835936864527"), Fraction("0.2835936865"),
+    ])
+    def test_precise_fields_correctly_rounded(self, d0):
+        for digits in (1, 2, 5, 17, 50):
+            for A1, A2, long_constant in ((0, 0, 800), (10**6, 0, 1), (0, 10**9, 100)):
+                r = constants_pipeline(d0, A1, A2, long_constant, digits)
+                expected = mp_precise(r, digits)
+                got = {key: r.precise[key] for key in expected}
+                assert got == expected, (d0, digits, A1, A2, long_constant)
+
     def test_four_point_variant(self):
         r = constants_pipeline(D35, long_constant=SLIMNESS_SCALE_4POINT)
         assert r.L == 4 * 100 * 40 + 4 * 40 + 2 == 16162
@@ -200,6 +332,14 @@ class TestPipeline:
             a3 = mpmath.mpf(6 * 10**6)
             assert alpha * r.L - a3 > 0
             assert alpha * (r.L - 1) - a3 <= 0
+
+    def test_margin_below_float_resolution(self):
+        # k = 1 and a tiny per-L margin push L to ~1.8e18; the exact margin
+        # is positive while both bounds round to the same float
+        r = constants_pipeline(Fraction("0.2835936864527"), A1=10**6, long_constant=1)
+        assert r.k == 1 and r.L == 1782982151252038204
+        assert r.lower_bound == r.upper_bound
+        assert r.precise["upper_bound"] < r.precise["lower_bound"]
 
     def test_A2_lowers_nothing_below_floor(self):
         r = constants_pipeline(D35, A2=Fraction(10**9))
@@ -235,6 +375,12 @@ class TestSweep:
     def test_rows_and_monotone_k(self):
         rows = constants_sweep([Fraction(3, 10), Fraction(1, 3), D35, Fraction(19, 50)])
         assert [r["k"] for r in rows] == [2, 2, 3, 25]
+        assert [(r["d0"], r["L"], r["N"]) for r in rows] == [
+            ("3/10", 96122, 41542301768),
+            ("1/3", 115346, 59820637832),
+            ("7/20", 128162, 110778702732),
+            ("19/50", 160202, 1442425020100),
+        ]
         assert all(set(r) == {"d0", "k", "L", "N"} for r in rows)
         ls = [r["L"] for r in rows]
         assert ls == sorted(ls)
