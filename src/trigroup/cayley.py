@@ -6,6 +6,17 @@ graph keeps the radius-R part with exact distances.  A vertex is ``closed``
 when its whole star of 2m edges lands inside the emitted ball; slimness
 probing draws triangle corners from closed vertices only, so frontier
 truncation can never fake a geodesic.
+
+Adjacency is one flat tuple ``adj`` of ``V * 2m`` vertex ids: slot ``s`` of
+vertex ``v`` sits at ``v * 2m + s``, slots follow ``words.all_letters(m)``
+(a, A, b, B, ...), so the inverse of slot ``s`` is ``s ^ 1``, and -1 marks a
+missing edge.
+
+Slimness probing is local: the geodesics between two corners come from
+breadth-first balls grown around both corners until they meet, which span
+the shortest paths between them, and a side's distance to the other two
+sides comes from one multi-source search that stops once every point of the
+side is reached.
 """
 
 from __future__ import annotations
@@ -13,13 +24,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .complexes import VanKampenDiagram, close_walks
 from .presentation import TriangularPresentation, density_from_str
 from .seeding import make_rng
 from .words import (
     Word,
+    all_letters,
     rotations,
     invert_word,
     word_to_json,
@@ -30,6 +42,9 @@ from .words import (
 
 DEFAULT_RADIUS_CAP = 12
 DEFAULT_VERTEX_BUDGET = 200_000
+# the loader refuses a ballgraph whose adjacency would need more slots
+# (V * 2m) than this, rather than allocate it: about 130 MB of references
+MAX_ADJACENCY_SLOTS = 1 << 24
 
 # one relator ab^2: the group is free on b, with a identified to b^-2
 STRIP_PRESENTATION = TriangularPresentation(
@@ -37,11 +52,8 @@ STRIP_PRESENTATION = TriangularPresentation(
 )
 
 
-def _letter_order(m: int) -> list[int]:
-    out = []
-    for i in range(1, m + 1):
-        out.extend((i, -i))
-    return out
+def _slot(letter: int) -> int:
+    return 2 * (abs(letter) - 1) + (letter < 0)
 
 
 @dataclass(frozen=True)
@@ -50,34 +62,50 @@ class BallGraph:
     radius: int
     distances: tuple[int, ...]
     closed: tuple[bool, ...]
-    # per vertex: ((letter, target), ...) sorted in letter order
-    edges: tuple[tuple[tuple[int, int], ...], ...]
+    # V * 2m targets, slot order of words.all_letters; -1 for no edge
+    adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not self.distances:
             raise ValueError("'vertices' is empty: a ball holds at least its origin")
         if self.distances[0] != 0:
             raise ValueError("origin must sit at distance 0")
-        for v, nbrs in enumerate(self.edges):
-            for letter, w in nbrs:
-                if not 0 <= w < len(self.edges):
-                    raise ValueError(f"'edges' of vertex {v} point to {w}, not a vertex")
-                if self.step(w, -letter) != v:
-                    raise ValueError("edge labels must be consistent under inversion")
+        n, k = self.vertex_count, self.stride
+        if len(self.closed) != n or len(self.adj) != n * k:
+            raise ValueError(
+                f"'edges' hold {len(self.adj)} slots and 'closed' {len(self.closed)}"
+                f" flags for {n} vertices of {k} slots each"
+            )
+        adj = self.adj
+        for i, w in enumerate(adj):
+            if w == -1:
+                continue
+            v, s = divmod(i, k)
+            if not 0 <= w < n:
+                raise ValueError(f"'edges' of vertex {v} point to {w}, not a vertex")
+            if adj[w * k + (s ^ 1)] != v:
+                raise ValueError(
+                    f"'edges' of vertex {v}: edge labels must be consistent under inversion"
+                )
 
     @property
     def vertex_count(self) -> int:
         return len(self.distances)
 
-    def step(self, v: int, letter: int) -> int | None:
-        for c, w in self.edges[v]:
-            if c == letter:
-                return w
-        return None
+    @property
+    def stride(self) -> int:
+        """Slots per vertex: one per letter, 2m."""
+        return 2 * self.presentation.m
 
-    def neighbours(self, v: int) -> Iterator[int]:
-        for _, w in self.edges[v]:
-            yield w
+    def step(self, v: int, letter: int) -> int | None:
+        if not 0 < abs(letter) <= self.presentation.m:
+            return None
+        w = self.adj[v * self.stride + _slot(letter)]
+        return None if w < 0 else w
+
+    def neighbours(self, v: int) -> list[int]:
+        k = self.stride
+        return [w for w in self.adj[v * k : v * k + k] if w >= 0]
 
     def closed_vertices(self) -> list[int]:
         return [v for v in range(self.vertex_count) if self.closed[v]]
@@ -112,7 +140,7 @@ def build_ball(
         raise ValueError(
             f"radius {R} above the cap {radius_cap}; raise radius_cap explicitly"
         )
-    letters = _letter_order(p.m)
+    letters = all_letters(p.m)
     variants = _relator_variants(p.relators)
 
     parent = [0]
@@ -248,26 +276,22 @@ def build_ball(
                 new_id[w] = len(order)
                 order.append(w)
     distances = tuple(dist[v] for v in order)
-    edges = []
+    flat: list[int] = []
     closed = []
     for v in order:
-        nbrs = []
-        complete = True
+        nbrs = adj[v]
+        row = []
         for letter in letters:
-            w = adj[v].get(letter)
-            w = find(w) if w is not None else None
-            if w is not None and w in new_id:
-                nbrs.append((letter, new_id[w]))
-            else:
-                complete = False
-        edges.append(tuple(nbrs))
-        closed.append(complete)
+            w = nbrs.get(letter)
+            row.append(-1 if w is None else new_id.get(find(w), -1))
+        flat.extend(row)
+        closed.append(-1 not in row)
     return BallGraph(
         presentation=p,
         radius=R,
         distances=distances,
         closed=tuple(closed),
-        edges=tuple(edges),
+        adj=tuple(flat),
     )
 
 
@@ -278,15 +302,24 @@ def _letter_key(c: int, m: int) -> str:
     return str(c)
 
 
-def _key_letter(key: str) -> int:
-    try:
-        return int(key)
-    except ValueError:
-        return word_from_str(key)[0]
+def _key_slot(key: object, m: int) -> int:
+    """Slot named by an edge key, spelled as a letter or as its integer code."""
+    c = 0
+    if isinstance(key, str) and key.isascii():
+        digits = key[1:] if key.startswith("-") else key
+        if len(key) == 1 and key.isalpha():
+            c = word_from_str(key)[0]
+        elif digits.isdigit() and len(digits) <= len(str(m)) and str(int(key)) == key:
+            c = int(key)
+    if not 0 < abs(c) <= m:
+        raise ValueError(f"'edges' key {key!r} names no letter of rank {m}")
+    return _slot(c)
 
 
 def ball_to_json_dict(g: BallGraph) -> dict:
-    m = g.presentation.m
+    m, k = g.presentation.m, g.stride
+    keys = [_letter_key(c, m) for c in all_letters(m)]
+    adj = g.adj
     return {
         "format": "ballgraph",
         "m": m,
@@ -298,7 +331,9 @@ def ball_to_json_dict(g: BallGraph) -> dict:
             {
                 "distance": g.distances[v],
                 "closed": g.closed[v],
-                "edges": {_letter_key(c, m): w for c, w in g.edges[v]},
+                "edges": {
+                    keys[s]: w for s, w in enumerate(adj[v * k : v * k + k]) if w >= 0
+                },
             }
             for v in range(g.vertex_count)
         ],
@@ -308,27 +343,52 @@ def ball_to_json_dict(g: BallGraph) -> dict:
 def ball_from_json_dict(data: dict) -> BallGraph:
     if data.get("format") != "ballgraph":
         raise ValueError("not a ball graph file (missing format tag)")
+    m = data["m"]
+    if type(m) is not int:
+        raise ValueError(f"'m' = {m!r}: the rank must be an integer")
+    relators = data["relators"]
+    if not isinstance(relators, list):
+        raise ValueError("'relators' must be a JSON list")
+    try:
+        words = tuple(word_from_json(w) for w in relators)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"'relators': {exc}") from None
     p = TriangularPresentation(
-        m=data["m"],
-        density=density_from_str(data["density"]),
-        seed=data.get("seed"),
-        relators=tuple(word_from_json(w) for w in data["relators"]),
+        m=m, density=density_from_str(data["density"]), seed=data.get("seed"), relators=words
     )
     vertices = data["vertices"]
+    if not isinstance(vertices, list):
+        raise ValueError("'vertices' must be a JSON list")
+    n, k = len(vertices), 2 * m
+    if n * k > MAX_ADJACENCY_SLOTS:
+        raise ValueError(
+            f"'m' = {m} with {n} vertices needs {n * k} adjacency slots,"
+            f" above the limit {MAX_ADJACENCY_SLOTS}"
+        )
+    adj = [-1] * (n * k)
+    slots: dict[str, int] = {}
+    for v, vertex in enumerate(vertices):
+        if not isinstance(vertex, dict):
+            raise ValueError(f"'vertices' entry {v} is not a JSON object")
+        edges = vertex["edges"]
+        if not isinstance(edges, dict):
+            raise ValueError(f"'edges' of vertex {v} is not a JSON object")
+        base = v * k
+        for key, w in edges.items():
+            s = slots.get(key)
+            if s is None:
+                s = slots[key] = _key_slot(key, m)
+            if type(w) is not int or not 0 <= w < n:
+                raise ValueError(f"'edges' of vertex {v} point to {w!r}, not a vertex")
+            if adj[base + s] != -1:
+                raise ValueError(f"'edges' of vertex {v} name letter {key!r} twice")
+            adj[base + s] = w
     return BallGraph(
         presentation=p,
         radius=data["radius"],
-        distances=tuple(v["distance"] for v in vertices),
-        closed=tuple(bool(v["closed"]) for v in vertices),
-        edges=tuple(
-            tuple(
-                sorted(
-                    ((_key_letter(c), w) for c, w in v["edges"].items()),
-                    key=lambda cw: (abs(cw[0]), cw[0] < 0),
-                )
-            )
-            for v in vertices
-        ),
+        distances=tuple(vertex["distance"] for vertex in vertices),
+        closed=tuple(bool(vertex["closed"]) for vertex in vertices),
+        adj=tuple(adj),
     )
 
 
@@ -336,38 +396,78 @@ def ball_from_json_dict(data: dict) -> BallGraph:
 # slimness estimation
 
 
-def _distances_from(g: BallGraph, start: int) -> list[int]:
-    dist = [-1] * g.vertex_count
-    dist[start] = 0
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in g.neighbours(v):
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        frontier = nxt
+def _expand(g: BallGraph, frontier: list[int], dist: dict[int, int], level: int) -> list[int]:
+    """Label the unlabelled neighbours of ``frontier`` with ``level``."""
+    adj, k = g.adj, g.stride
+    nxt = []
+    for v in frontier:
+        for w in adj[v * k : v * k + k]:
+            if w >= 0 and w not in dist:
+                dist[w] = level
+                nxt.append(w)
+    return nxt
+
+
+def _search(g: BallGraph, sources: Iterable[int], targets: Iterable[int]) -> dict[int, int]:
+    """Distance to the nearest source for every vertex of the levels up to
+    the one that completes the last reachable target."""
+    dist = dict.fromkeys(sources, 0)
+    missing = [t for t in targets if t not in dist]
+    frontier = list(dist)
+    level = 0
+    while missing and frontier:
+        level += 1
+        frontier = _expand(g, frontier, dist, level)
+        missing = [t for t in missing if t not in dist]
     return dist
 
 
-class _DistCache:
-    """Per-source BFS maps, computed on demand (the ball is undirected)."""
+def _interval(g: BallGraph, x: int, y: int) -> dict[int, int]:
+    """``d(w, y)`` for every vertex w on a shortest x-y path; empty when y
+    is out of reach.
 
-    def __init__(self, g: BallGraph) -> None:
-        self.g = g
-        self.maps: dict[int, list[int]] = {}
+    Balls around both ends grow a level at a time, the smaller frontier
+    first, until they meet at distance d = rx + ry; the shortest paths are
+    then traced from the meeting level back through both balls.  The search
+    covers two balls of radius about d/2 instead of one of radius d.
+    """
+    if x == y:
+        return {x: 0}
+    dist, frontier, radius = [{x: 0}, {y: 0}], [[x], [y]], [0, 0]
+    while True:
+        s = 0 if len(frontier[0]) <= len(frontier[1]) else 1
+        if not frontier[s]:
+            return {}
+        radius[s] += 1
+        frontier[s] = _expand(g, frontier[s], dist[s], radius[s])
+        meet = [w for w in frontier[s] if w in dist[1 - s]]
+        if meet:
+            break
+    to_x, to_y = dist
+    rx, d = radius[0], radius[0] + radius[1]
 
-    def __getitem__(self, v: int) -> list[int]:
-        if v not in self.maps:
-            self.maps[v] = _distances_from(self.g, v)
-        return self.maps[v]
+    def around(layer: list[int]) -> set[int]:
+        return {w for v in layer for w in g.neighbours(v)}
+
+    # level i holds the path vertices at distance i from x and d - i from y;
+    # meet is level rx, and a neighbour of level i lies in level i - 1 when
+    # it sits at distance i - 1 from x, in level i + 1 at d - i - 1 from y
+    out = dict.fromkeys(meet, d - rx)
+    layer = meet
+    for i in range(rx - 1, -1, -1):
+        layer = [w for w in around(layer) if to_x.get(w) == i]
+        out.update(dict.fromkeys(layer, d - i))
+    layer = meet
+    for i in range(rx + 1, d + 1):
+        layer = [w for w in around(layer) if to_y.get(w) == d - i]
+        out.update(dict.fromkeys(layer, d - i))
+    return out
 
 
-def _geodesics(g: BallGraph, dist_maps, x: int, y: int, cap: int) -> list[tuple[int, ...]]:
+def _geodesics(g: BallGraph, x: int, y: int, cap: int) -> list[tuple[int, ...]]:
     """Up to ``cap`` shortest x-y paths, in deterministic order."""
-    to_y = dist_maps[y]
-    if to_y[x] < 0:
+    to_y = _interval(g, x, y)
+    if x not in to_y:
         return []
     out: list[tuple[int, ...]] = []
 
@@ -379,7 +479,7 @@ def _geodesics(g: BallGraph, dist_maps, x: int, y: int, cap: int) -> list[tuple[
             out.append(tuple(path))
             return
         for w in sorted(set(g.neighbours(u))):
-            if to_y[w] == to_y[u] - 1:
+            if to_y.get(w) == to_y[u] - 1:
                 walk(path + [w])
                 if len(out) >= cap:
                     return
@@ -388,14 +488,17 @@ def _geodesics(g: BallGraph, dist_maps, x: int, y: int, cap: int) -> list[tuple[
     return out
 
 
-def _slimness_defect(sides, dist_maps) -> int:
-    worst = 0
-    for i, side in enumerate(sides):
-        others = set(sides[(i + 1) % 3]) | set(sides[(i + 2) % 3])
-        for pnt in side:
-            nearest = min(dist_maps[pnt][q] for q in others)
-            worst = max(worst, nearest)
-    return worst
+def _farthest(g: BallGraph, points: Sequence[int], sources: Sequence[int]) -> int:
+    """Largest distance from a point of ``points`` to its nearest source."""
+    dist = _search(g, sources, points)
+    return max(dist[pnt] for pnt in points)
+
+
+def _slimness_defect(g: BallGraph, sides: Sequence[tuple[int, ...]]) -> int:
+    return max(
+        _farthest(g, side, sides[(i + 1) % 3] + sides[(i + 2) % 3])
+        for i, side in enumerate(sides)
+    )
 
 
 def slim_delta_estimate(
@@ -417,7 +520,6 @@ def slim_delta_estimate(
         raise ValueError("insufficient closed region: need at least 3 closed vertices")
     if samples < 1:
         raise ValueError("samples must be positive")
-    dist_maps = _DistCache(g)
 
     total = len(closed) * (len(closed) - 1) * (len(closed) - 2) // 6
     if total <= samples:
@@ -428,19 +530,12 @@ def slim_delta_estimate(
 
     estimate = 0
     for x, y, z in triples:
+        sides = [_geodesics(g, a, b, side_cap) for a, b in ((x, y), (y, z), (z, x))]
         best: int | None = None
-        combos = 0
-        for gxy in _geodesics(g, dist_maps, x, y, side_cap):
-            for gyz in _geodesics(g, dist_maps, y, z, side_cap):
-                for gzx in _geodesics(g, dist_maps, z, x, side_cap):
-                    defect = _slimness_defect((gxy, gyz, gzx), dist_maps)
-                    best = defect if best is None else min(best, defect)
-                    combos += 1
-                    if best == 0 or combos >= combo_cap:
-                        break
-                if best == 0 or combos >= combo_cap:
-                    break
-            if best == 0 or combos >= combo_cap:
+        for realization in itertools.islice(itertools.product(*sides), combo_cap):
+            defect = _slimness_defect(g, realization)
+            best = defect if best is None else min(best, defect)
+            if best == 0:
                 break
         if best is not None:
             estimate = max(estimate, best)
@@ -494,8 +589,8 @@ def strip_diagram(t: int) -> VanKampenDiagram:
 
 
 def _path_is_geodesic(g: BallGraph, points: Sequence[int]) -> bool:
-    base = _distances_from(g, points[0])
-    return all(base[pnt] == i for i, pnt in enumerate(points))
+    base = _search(g, points[:1], points)
+    return all(base.get(pnt) == i for i, pnt in enumerate(points))
 
 
 def fig1_demo() -> dict:
@@ -523,11 +618,7 @@ def fig1_demo() -> dict:
 
     hausdorff = None
     if ok_points:
-        hausdorff = 0
-        for a_side, b_side in ((gamma, translate), (translate, gamma)):
-            for pnt in a_side:
-                dmap = _distances_from(g, pnt)
-                hausdorff = max(hausdorff, min(dmap[q] for q in b_side))
+        hausdorff = max(_farthest(g, gamma, translate), _farthest(g, translate, gamma))
 
     strips = []
     strips_ok = True

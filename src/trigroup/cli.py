@@ -240,6 +240,10 @@ def cmd_fulfil(args) -> tuple[dict, int]:
     Y = load_complex(args.complex)
     if args.m < 1:
         raise CliError("--m must be at least 1")
+    if Y.face_count == 0:
+        raise CliError(
+            f"complex file {args.complex!r}: 'faces' is empty; fulfil needs at least one face"
+        )
     if not args.exact:
         trials = args.trials if args.trials is not None else 10_000
         payload = {"mode": "montecarlo", **montecarlo_fulfillment(Y, args.m, trials, args.seed)}

@@ -48,7 +48,11 @@ def integer_root(n: int, k: int) -> int:
 
 def density_from_str(text: str) -> Fraction:
     """Parse ``"p/q"`` or an exact decimal string like ``"0.35"``."""
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (TypeError, ValueError, ArithmeticError):
+        # ArithmeticError: "1/0" and a JSON Infinity
+        raise ValueError(f"d = {text!r}: expected a rational like 1/3") from None
 
 
 def relator_count(m: int, d: Fraction) -> int:
@@ -124,7 +128,7 @@ class TriangularPresentation:
     def from_json(obj: dict) -> "TriangularPresentation":
         return TriangularPresentation(
             m=int(obj["m"]),
-            density=Fraction(obj["d"]),
+            density=density_from_str(obj["d"]),
             seed=int(obj["seed"]),
             relators=tuple(word_from_json(w) for w in obj["relators"]),
         )

@@ -1,10 +1,12 @@
 """Tests for Cayley ball construction, slimness probing, and the strip demo."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+import slim_oracle
 from trigroup.cayley import (
     STRIP_PRESENTATION,
     BallGraph,
@@ -12,6 +14,8 @@ from trigroup.cayley import (
     ball_to_json_dict,
     ball_from_json_dict,
     slim_delta_estimate,
+    _geodesics,
+    _slimness_defect,
     strip_diagram,
     fig1_demo,
 )
@@ -54,7 +58,7 @@ class TestBuildBall:
     def test_radius_zero(self):
         g = build_ball(free_presentation(2), 0)
         assert g.vertex_count == 1
-        assert g.edges == ((),)
+        assert g.adj == (-1,) * g.stride
         assert g.closed == (False,)
 
     def test_ab2_identifies_a_with_b_inverse_squared(self, ab2_ball):
@@ -125,7 +129,7 @@ class TestBallGraphValidation:
                 radius=0,
                 distances=(1,),
                 closed=(False,),
-                edges=((),),
+                adj=(-1, -1),
             )
 
     def test_inverse_consistency(self):
@@ -135,7 +139,17 @@ class TestBallGraphValidation:
                 radius=1,
                 distances=(0, 1),
                 closed=(False, False),
-                edges=(((1, 1),), ()),
+                adj=(1, -1, -1, -1),
+            )
+
+    def test_edge_outside_vertex_list(self):
+        with pytest.raises(ValueError, match="'edges' of vertex 0 point to 5, not a vertex"):
+            BallGraph(
+                presentation=free_presentation(1),
+                radius=0,
+                distances=(0,),
+                closed=(False,),
+                adj=(5, -1),
             )
 
 
@@ -189,6 +203,94 @@ class TestSlimness:
     def test_samples_positive(self, ab2_ball):
         with pytest.raises(ValueError, match="positive"):
             slim_delta_estimate(ab2_ball, 0, 1)
+
+
+def _oracle_corpus():
+    # (presentation, radius, samples, sample seed): the first six are the
+    # existing slimness cases plus their larger relatives, the last four
+    # have a nonzero estimate
+    two_relators = TriangularPresentation(
+        m=3, density=Fraction(1, 5), seed=None, relators=((1, 2, 3), (1, 3, 2))
+    )
+    corpus = [
+        ("free-tree", free_presentation(2), 3, 2000, 7),
+        ("ab2-line", STRIP_PRESENTATION, 4, 1000, 3),
+        ("ab2-R8", STRIP_PRESENTATION, 8, 1000, 3),
+        ("m5-40", sample_presentation(5, Fraction(1, 5), 11), 3, 40, 12),
+        ("m5-60", sample_presentation(5, Fraction(1, 5), 11), 3, 60, 1),
+        ("m4-R5", sample_presentation(4, Fraction(1, 6), 3), 5, 60, 1),
+    ]
+    corpus += [
+        (f"m2-seed{s}", sample_presentation(2, d, s), 4, 50, s)
+        for d, s in ((Fraction(1, 5), 2), (Fraction(1, 5), 7), (Fraction(1, 4), 6),
+                     (Fraction(1, 3), 6))
+    ]
+    corpus += [
+        ("m3-two-relators-R3", two_relators, 3, 60, 1),
+        ("m3-two-relators-R4", two_relators, 4, 60, 1),
+        ("m3-seed2-R5", sample_presentation(3, Fraction(1, 5), 2), 5, 60, 2),
+        ("m3-seed4-R5", sample_presentation(3, Fraction(1, 5), 4), 5, 60, 4),
+    ]
+    return corpus
+
+
+ORACLE_CORPUS = _oracle_corpus()
+
+
+class TestSlimnessOracle:
+    """The local probe against the whole-ball estimator it replaced."""
+
+    @pytest.mark.parametrize(
+        "p, radius, samples, seed",
+        [case[1:] for case in ORACLE_CORPUS],
+        ids=[case[0] for case in ORACLE_CORPUS],
+    )
+    def test_matches_whole_ball_estimator(self, p, radius, samples, seed):
+        g = build_ball(p, radius)
+        assert slim_delta_estimate(g, samples, seed) == slim_oracle.slim_delta_estimate(
+            g, samples, seed
+        )
+
+    def test_corpus_reaches_nonzero_estimates(self):
+        nonzero = [
+            name for name, p, radius, samples, seed in ORACLE_CORPUS
+            if slim_delta_estimate(build_ball(p, radius), samples, seed) > 0
+        ]
+        assert nonzero == [
+            "m3-two-relators-R3", "m3-two-relators-R4", "m3-seed2-R5", "m3-seed4-R5",
+        ]
+
+    def test_baseline_ball(self):
+        # m=4, d=1/6, seed 1, R=6: 32,001 vertices, 6,365 closed
+        g = build_ball(sample_presentation(4, Fraction(1, 6), 1), 6)
+        assert (g.vertex_count, len(g.closed_vertices())) == (32_001, 6_365)
+        assert slim_delta_estimate(g, 40, 3) == 1
+
+    @pytest.mark.parametrize("p, radius", [
+        (sample_presentation(4, Fraction(1, 6), 3), 5),
+        (sample_presentation(3, Fraction(1, 5), 2), 5),
+    ])
+    def test_geodesics_and_defect_match_full_maps(self, p, radius):
+        # random corner triples and random geodesic sides: the truncated
+        # corner search finds the same geodesics, and the multi-source defect
+        # equals the minimum over full breadth-first maps of the side points
+        g = build_ball(p, radius)
+        pairs = slim_oracle.PairGraph(g)
+        maps = slim_oracle._DistCache(pairs)
+        rng = random.Random(5)
+        closed = g.closed_vertices()
+        defects = []
+        for _ in range(150):
+            x, y, z = rng.sample(closed, 3)
+            sides = []
+            for a, b in ((x, y), (y, z), (z, x)):
+                found = _geodesics(g, a, b, 16)
+                assert found == slim_oracle._geodesics(pairs, maps, a, b, 16)
+                sides.append(rng.choice(found))
+            defect = _slimness_defect(g, sides)
+            assert defect == slim_oracle._slimness_defect(sides, maps)
+            defects.append(defect)
+        assert max(defects) >= 1
 
 
 class TestStripDiagram:

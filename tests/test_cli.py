@@ -1,5 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import copy
+import io
 import itertools
 import json
 import os
@@ -8,9 +11,17 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trigroup
-from trigroup.cayley import ball_from_json_dict, build_ball
+from trigroup.cayley import (
+    MAX_ADJACENCY_SLOTS,
+    STRIP_PRESENTATION,
+    ball_from_json_dict,
+    ball_to_json_dict,
+    build_ball,
+)
 from trigroup.cli import main
 from trigroup.complexes import abstract_from_walks, dumps_complex
 from trigroup.presentation import relator_count, sample_presentation
@@ -179,6 +190,13 @@ class TestFulfil:
         assert doc["trials"] == 500
         assert 0 <= doc["wilson_low"] <= doc["estimate"] <= doc["wilson_high"] <= 1
 
+    @pytest.mark.parametrize("mode", [["--exact"], ["--trials", "10"]])
+    def test_faceless_complex(self, tmp_path, capsys, mode):
+        faceless = tmp_path / "faceless.json"
+        faceless.write_text('{"vertices": 1, "edges": [], "faces": []}')
+        assert main(["fulfil", "--complex", str(faceless), "--m", "2", *mode]) == 2
+        assert "'faces'" in capsys.readouterr().err
+
     def test_m_cap(self, complex_files, capsys):
         assert main(["fulfil", "--complex", complex_files["shared"],
                      "--m", "5", "--exact"]) == 2
@@ -220,7 +238,9 @@ class TestSweep:
 
 
 class TestEnumDiagramsValidation:
-    @pytest.mark.parametrize("field, value", [("m", 0), ("d", "3/2"), ("d", "0")])
+    @pytest.mark.parametrize("field, value", [
+        ("m", 0), ("d", "3/2"), ("d", "0"), ("d", "1/0"), ("d", "x"),
+    ])
     def test_bad_presentation_field(self, tmp_path, capsys, field, value):
         doc = {"m": 2, "d": "1/5", "seed": 0, "relators": []}
         doc[field] = value
@@ -264,6 +284,22 @@ class TestDeltaEst:
     @pytest.mark.parametrize("vertices, named", [
         ([], "'vertices'"),
         ([{"distance": 0, "closed": False, "edges": {"a": 5}}], "'edges'"),
+        # edges not a JSON object
+        ([{"distance": 0, "closed": False, "edges": []}], "'edges'"),
+        ([{"distance": 0, "closed": False, "edges": "a"}], "'edges'"),
+        # keys naming no letter of rank 2, in either spelling
+        ([{"distance": 0, "closed": False, "edges": {"c": 0}}], "'edges'"),
+        ([{"distance": 0, "closed": False, "edges": {"3": 0}}], "'edges'"),
+        ([{"distance": 0, "closed": False, "edges": {"0": 0}}], "'edges'"),
+        ([{"distance": 0, "closed": False, "edges": {"ab": 0}}], "'edges'"),
+        ([{"distance": 0, "closed": False, "edges": {"+1": 0}}], "'edges'"),
+        # two keys naming the same slot
+        ([{"distance": 0, "closed": False, "edges": {"a": 0, "1": 0}}], "'edges'"),
+        ([{"distance": 0, "closed": False, "edges": {"B": 0, "-2": 0}}], "'edges'"),
+        # a target that is not a vertex id
+        ([{"distance": 0, "closed": False, "edges": {"a": -1}}], "'edges'"),
+        ([{"distance": 0, "closed": False, "edges": {"a": "0"}}], "'edges'"),
+        (["vertex"], "'vertices'"),
     ])
     def test_malformed_vertices(self, tmp_path, capsys, vertices, named):
         bad = tmp_path / "malformed.json"
@@ -276,6 +312,8 @@ class TestDeltaEst:
 
     @pytest.mark.parametrize("field, value, named", [
         ("m", 0, "m"), ("density", "3/2", "d"), ("density", "0", "d"),
+        ("density", "1/0", "d"), ("density", float("inf"), "d"),
+        ("m", 2.5, "'m'"), ("m", MAX_ADJACENCY_SLOTS, "'m'"),
     ])
     def test_presentation_fields_validated(self, tmp_path, capsys, ball_file,
                                            field, value, named):
@@ -285,6 +323,89 @@ class TestDeltaEst:
         bad.write_text(json.dumps(data))
         assert main(["delta-est", "--graph", str(bad)]) == 2
         assert f"{named} = " in capsys.readouterr().err
+
+
+# a valid ballgraph small enough to fuzz: the ab2 line at radius 2, nine
+# vertices of which five are closed
+FUZZ_BASE = ball_to_json_dict(build_ball(STRIP_PRESENTATION, 2))
+FUZZ_FIELDS = ["format", "m", "density", "seed", "relators", "radius", "vertices"]
+VERTEX_FIELDS = ["distance", "closed", "edges"]
+EDGE_KEYS = ["a", "A", "b", "B", "1", "-1", "2", "-2", "c", "Z", "3", "-3", "0",
+             "-0", "01", "+1", " 1", "ab", "", "--1", "\u0661"]
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40), st.floats(allow_nan=True),
+    st.text(max_size=3), st.lists(st.integers(-3, 9), max_size=3),
+    st.dictionaries(st.sampled_from(EDGE_KEYS), st.integers(-3, 12), max_size=3),
+)
+MUTATIONS = st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(FUZZ_FIELDS)),
+    st.tuples(st.just("set"), st.sampled_from(FUZZ_FIELDS), JUNK),
+    st.tuples(st.just("drop-in-vertex"), st.integers(0, 8), st.sampled_from(VERTEX_FIELDS)),
+    st.tuples(st.just("set-in-vertex"), st.integers(0, 8), st.sampled_from(VERTEX_FIELDS),
+              JUNK),
+    st.tuples(st.just("set-vertex"), st.integers(0, 8), JUNK),
+    st.tuples(st.just("edge"), st.integers(0, 8), st.sampled_from(EDGE_KEYS),
+              st.one_of(st.integers(-3, 12), JUNK)),
+    st.tuples(st.just("drop-edge"), st.integers(0, 8), st.sampled_from(EDGE_KEYS)),
+)
+
+
+def _mutate(data: dict, op: tuple) -> None:
+    kind, *rest = op
+    if kind == "drop":
+        data.pop(rest[0], None)
+        return
+    if kind == "set":
+        data[rest[0]] = rest[1]
+        return
+    vertices = data.get("vertices")
+    if not isinstance(vertices, list) or not vertices:
+        return
+    i = rest[0] % len(vertices)
+    if kind == "set-vertex":
+        vertices[i] = rest[1]
+        return
+    vertex = vertices[i]
+    if not isinstance(vertex, dict):
+        return
+    if kind == "drop-in-vertex":
+        vertex.pop(rest[1], None)
+    elif kind == "set-in-vertex":
+        vertex[rest[1]] = rest[2]
+    elif isinstance(vertex.get("edges"), dict):
+        if kind == "edge":
+            vertex["edges"][rest[1]] = rest[2]
+        else:
+            vertex["edges"].pop(rest[1], None)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("ballgraph-fuzz")
+
+
+class TestBallgraphFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(ops=st.lists(MUTATIONS, min_size=1, max_size=4))
+    def test_mutated_ballgraph_exits_cleanly(self, fuzz_dir, ops):
+        data = copy.deepcopy(FUZZ_BASE)
+        for op in ops:
+            _mutate(data, op)
+        graph = fuzz_dir / "mutated.json"
+        graph.write_text(json.dumps(data))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            status = main(["delta-est", "--graph", str(graph), "--samples", "20",
+                           "--out", str(fuzz_dir / "report.json")])
+        assert status in (0, 2)
+        if status == 2:
+            assert err.getvalue().startswith("error:")
+
+    def test_unmutated_base_passes(self, fuzz_dir):
+        graph = fuzz_dir / "base.json"
+        graph.write_text(json.dumps(FUZZ_BASE))
+        assert main(["delta-est", "--graph", str(graph), "--samples", "20",
+                     "--out", str(fuzz_dir / "base-report.json")]) == 0
 
 
 class TestFig1Demo:
