@@ -206,9 +206,9 @@ class TestSlimness:
 
 
 def _oracle_corpus():
-    # (presentation, radius, samples, sample seed): the first six are the
-    # existing slimness cases plus their larger relatives, the last four
-    # have a nonzero estimate
+    # (name, presentation, radius, samples, sample seed): the existing
+    # slimness cases, two larger balls and four m=2 balls, all with estimate
+    # 0, then four balls whose estimate is 1
     two_relators = TriangularPresentation(
         m=3, density=Fraction(1, 5), seed=None, relators=((1, 2, 3), (1, 3, 2))
     )

@@ -293,9 +293,11 @@ class TestDeltaEst:
         ([{"distance": 0, "closed": False, "edges": {"0": 0}}], "'edges'"),
         ([{"distance": 0, "closed": False, "edges": {"ab": 0}}], "'edges'"),
         ([{"distance": 0, "closed": False, "edges": {"+1": 0}}], "'edges'"),
-        # two keys naming the same slot
-        ([{"distance": 0, "closed": False, "edges": {"a": 0, "1": 0}}], "'edges'"),
-        ([{"distance": 0, "closed": False, "edges": {"B": 0, "-2": 0}}], "'edges'"),
+        # two keys naming the same slot, even with the same target
+        ([{"distance": 0, "closed": False, "edges": {"a": 1, "1": 1}},
+          {"distance": 1, "closed": False, "edges": {"A": 0}}], "'edges'"),
+        ([{"distance": 0, "closed": False, "edges": {"B": 1, "-2": 1}},
+          {"distance": 1, "closed": False, "edges": {"b": 0}}], "'edges'"),
         # a target that is not a vertex id
         ([{"distance": 0, "closed": False, "edges": {"a": -1}}], "'edges'"),
         ([{"distance": 0, "closed": False, "edges": {"a": "0"}}], "'edges'"),
