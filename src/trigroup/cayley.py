@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .complexes import VanKampenDiagram, close_walks
-from .presentation import TriangularPresentation, density_from_str
+from .presentation import TriangularPresentation, density_from_str, json_int, json_list
 from .seeding import make_rng
 from .words import (
     Word,
@@ -343,12 +343,8 @@ def ball_to_json_dict(g: BallGraph) -> dict:
 def ball_from_json_dict(data: dict) -> BallGraph:
     if data.get("format") != "ballgraph":
         raise ValueError("not a ball graph file (missing format tag)")
-    m = data["m"]
-    if type(m) is not int:
-        raise ValueError(f"'m' = {m!r}: the rank must be an integer")
-    relators = data["relators"]
-    if not isinstance(relators, list):
-        raise ValueError("'relators' must be a JSON list")
+    m = json_int(data["m"], "'m'")
+    relators = json_list(data["relators"], "'relators'")
     try:
         words = tuple(word_from_json(w) for w in relators)
     except (TypeError, ValueError) as exc:
@@ -356,9 +352,7 @@ def ball_from_json_dict(data: dict) -> BallGraph:
     p = TriangularPresentation(
         m=m, density=density_from_str(data["density"]), seed=data.get("seed"), relators=words
     )
-    vertices = data["vertices"]
-    if not isinstance(vertices, list):
-        raise ValueError("'vertices' must be a JSON list")
+    vertices = json_list(data["vertices"], "'vertices'")
     n, k = len(vertices), 2 * m
     if n * k > MAX_ADJACENCY_SLOTS:
         raise ValueError(
@@ -383,11 +377,16 @@ def ball_from_json_dict(data: dict) -> BallGraph:
             if adj[base + s] != -1:
                 raise ValueError(f"'edges' of vertex {v} name letter {key!r} twice")
             adj[base + s] = w
+        closed = vertex["closed"]
+        if closed is not (len(edges) == k):
+            raise ValueError(
+                f"'closed' of vertex {v} is {closed!r} with {len(edges)} of its {k} edges"
+            )
     return BallGraph(
         presentation=p,
         radius=data["radius"],
         distances=tuple(vertex["distance"] for vertex in vertices),
-        closed=tuple(bool(vertex["closed"]) for vertex in vertices),
+        closed=tuple(vertex["closed"] for vertex in vertices),
         adj=tuple(adj),
     )
 

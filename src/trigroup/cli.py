@@ -44,10 +44,11 @@ from .complexes import (
 )
 from .enumeration import DEFAULT_FACE_CAP, DiagramBudget, isoperimetric_report
 from .fulfillment import (
-    EXACT_M_CAP,
-    exact_probabilities,
+    FulfillmentProbe,
     montecarlo_fulfillment,
     ratio_checks,
+    structure_counts,
+    structure_of,
 )
 from .presentation import TriangularPresentation, sample_presentation
 from .seeding import make_rng
@@ -58,6 +59,9 @@ SEED_ENV = "TRIGROUP_SEED"
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+
+#: ``fulfil --exact`` sums up to 2^(3n) inclusion-exclusion terms for n labels.
+EXACT_LABEL_CAP = 6
 
 
 class CliError(Exception):
@@ -123,11 +127,6 @@ def load_presentation(path: str) -> TriangularPresentation:
 def load_complex(path: str):
     data = _load_json(path, "complex")
     _require_fields(data, ("vertices", "edges", "faces"), "complex", path)
-    for i, fc in enumerate(data["faces"]):
-        if not isinstance(fc, dict) or "index" not in fc or "boundary" not in fc:
-            raise CliError(
-                f"complex file {path!r}: face {i} needs fields 'index' and 'boundary'"
-            )
     try:
         return complex_from_json(data)
     except (ValueError, TypeError) as exc:
@@ -248,20 +247,16 @@ def cmd_fulfil(args) -> tuple[dict, int]:
         trials = args.trials if args.trials is not None else 10_000
         payload = {"mode": "montecarlo", **montecarlo_fulfillment(Y, args.m, trials, args.seed)}
         return payload, EXIT_OK
-    if args.m > args.max_m:
+    n = len(set(Y.labels))
+    if n > EXACT_LABEL_CAP:
         raise CliError(
-            f"m={args.m} above the exact-oracle cap {args.max_m};"
-            f" pass --max-m {args.m} to override"
+            f"complex file {args.complex!r}: {n} labels, above the cap of {EXACT_LABEL_CAP}"
         )
     try:
-        probe = exact_probabilities(Y, args.m, allow_large=args.max_m > EXACT_M_CAP)
+        counts = structure_counts(structure_of(Y), (args.m,))
     except ValueError as exc:
-        raise CliError(
-            str(exc).replace(
-                "pass allow_large to override",
-                f"raise --max-m above {EXACT_M_CAP} to override",
-            )
-        )
+        raise CliError(f"complex file {args.complex!r}: {exc}")
+    probe = FulfillmentProbe(complex=Y, m=args.m, counts=tuple(c for (c,) in counts))
     checks = ratio_checks(probe)
     levels = [
         {
@@ -444,9 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--complex", required=True, metavar="FILE")
     s.add_argument("--m", type=int, required=True)
     mode = s.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", help="exhaustive support scan")
+    mode.add_argument("--exact", action="store_true", help="closed-form exact counts")
     mode.add_argument("--trials", type=int, help="Monte Carlo sample count")
-    s.add_argument("--max-m", type=int, default=EXACT_M_CAP, help="exact-oracle cap")
     s.set_defaults(func=cmd_fulfil)
 
     s = sub.add_parser(

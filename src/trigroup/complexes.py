@@ -9,7 +9,7 @@ integer labels.  On top of the structure this module computes:
 * ``cancel`` - the total excess ``sum (deg(e) - 1)+``;
 * ``red`` - the reducedness defect: for each edge and each label, the number
   of tied least-position occurrences beyond the first;
-* ``forced_letter_count`` - per face, how many of its letters are already
+* ``forced_counts`` - per face, how many of its letters are already
   determined by lower labels, earlier faces of the same label, or earlier
   positions of its own walk (the complement of the min-label/least-position
   indicator pair);
@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .presentation import TriangularPresentation
+from .presentation import TriangularPresentation, json_int, json_list
 from .words import Word, invert_word
 
 Walk = tuple[int, ...]
@@ -234,31 +234,41 @@ def red(Y: AbstractLabelledComplex) -> int:
     return sum(red_contributions(Y))
 
 
-def forced_letter_count(Y: AbstractLabelledComplex, f: int) -> int:
-    """Letters of face ``f`` already pinned down when its label is processed.
+def forced_counts(walks: Sequence[Sequence[int]], labels: Sequence[int]) -> list[int]:
+    """Forced-letter count of every face; ``walks[f]`` lists the edge ids
+    (unsigned) along face ``f``, whose label is ``labels[f]``.
 
-    A position is free exactly when ``f`` both realizes the minimal label of
-    its edge and is (one of) the earliest same-label visitors of it; repeated
-    visits within the walk are never free.
+    A letter is free exactly when its face realizes the minimal label of its
+    edge and is (one of) the earliest visitors of the edge with that label,
+    i.e. when its (label, position) is the least over the edge's visits;
+    repeated visits within a walk are never free.
     """
-    inc = _least_positions(Y)
-    free = 0
-    for e in {ref_edge(r) for r in Y.faces[f]}:
-        by_face = inc[e]
-        if Y.labels[f] != min(Y.labels[g] for g in by_face):
-            continue
-        mine = by_face[f]
-        if all(mine <= pos for g, pos in by_face.items() if Y.labels[g] == Y.labels[f]):
-            free += 1
-    return len(Y.faces[f]) - free
+    least: dict[int, tuple[int, int]] = {}  # edge -> least (label, position)
+    for walk, label in zip(walks, labels):
+        for t, e in enumerate(walk):
+            if e not in least or (label, t) < least[e]:
+                least[e] = (label, t)
+    return [
+        len(walk) - sum(least[e] == (label, t) for t, e in enumerate(walk))
+        for walk, label in zip(walks, labels)
+    ]
+
+
+def _complex_forced_counts(Y: AbstractLabelledComplex) -> list[int]:
+    return forced_counts([[ref_edge(r) for r in walk] for walk in Y.faces], Y.labels)
+
+
+def forced_letter_count(Y: AbstractLabelledComplex, f: int) -> int:
+    """Letters of face ``f`` already pinned down when its label is processed
+    (see :func:`forced_counts`)."""
+    return _complex_forced_counts(Y)[f]
 
 
 def label_forcing_levels(Y: AbstractLabelledComplex) -> list[tuple[int, int]]:
     """For each label value ``i``: the max forced-letter count among its faces."""
     levels: dict[int, int] = {}
-    for f in range(Y.face_count):
-        i = Y.labels[f]
-        levels[i] = max(levels.get(i, 0), forced_letter_count(Y, f))
+    for i, forced in zip(Y.labels, _complex_forced_counts(Y)):
+        levels[i] = max(levels.get(i, 0), forced)
     return sorted(levels.items())
 
 
@@ -276,7 +286,7 @@ def chain_report(Y: AbstractLabelledComplex) -> dict:
         raise ValueError("chain inequality needs every edge inside a face")
     r = red(Y)
     c = cancel(Y)
-    forced = sum(forced_letter_count(Y, f) for f in range(Y.face_count))
+    forced = sum(_complex_forced_counts(Y))
     return {"red": r, "cancel": c, "forced_sum": forced, "holds": r + forced >= c}
 
 
@@ -379,12 +389,6 @@ class SignedUnionFind:
         self.parent[rb] = ra
         self.sign[rb] = sa * rel * sb
         return True
-
-    def clone(self) -> "SignedUnionFind":
-        other = SignedUnionFind(0)
-        other.parent = self.parent.copy()
-        other.sign = self.sign.copy()
-        return other
 
 
 def close_walks(edge_count: int, walks: Iterable[Walk]) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -565,14 +569,30 @@ def complex_to_json(Y: AbstractLabelledComplex) -> dict:
 
 
 def complex_from_json(obj: dict) -> AbstractLabelledComplex:
+    """Parse :func:`complex_to_json` output; a malformed field raises a
+    ValueError that names it."""
+
+    def ints(value: object, field: str) -> tuple[int, ...]:
+        return tuple(json_int(x, field) for x in json_list(value, field))
+
+    edges = tuple(ints(pair, "'edges' entry") for pair in json_list(obj["edges"], "'edges'"))
+    if any(len(pair) != 2 for pair in edges):
+        raise ValueError("'edges' entries must be [tail, head] pairs")
+    faces = json_list(obj["faces"], "'faces'")
+    for i, fc in enumerate(faces):
+        if not isinstance(fc, dict) or "index" not in fc or "boundary" not in fc:
+            raise ValueError(f"face {i} needs fields 'index' and 'boundary'")
+    vertex_count = json_int(obj["vertices"], "'vertices'")
+    if vertex_count < 0:
+        raise ValueError(f"'vertices' = {vertex_count}: expected a count >= 0")
     common = dict(
-        vertex_count=int(obj["vertices"]),
-        edges=tuple((int(t), int(h)) for t, h in obj["edges"]),
-        faces=tuple(tuple(int(r) for r in fc["boundary"]) for fc in obj["faces"]),
-        labels=tuple(int(fc["index"]) for fc in obj["faces"]),
+        vertex_count=vertex_count,
+        edges=edges,
+        faces=tuple(ints(fc["boundary"], f"'boundary' of face {i}") for i, fc in enumerate(faces)),
+        labels=tuple(json_int(fc["index"], f"'index' of face {i}") for i, fc in enumerate(faces)),
     )
     if "letters" in obj:
-        return LabelledComplex(letters=tuple(int(c) for c in obj["letters"]), **common)
+        return LabelledComplex(letters=ints(obj["letters"], "'letters'"), **common)
     return AbstractLabelledComplex(**common)
 
 

@@ -6,10 +6,12 @@ oriented edge (opposite orientations carrying mutually inverse letters).  For
 words drawn i.i.d. uniformly from the cyclically reduced support this module
 computes the per-level probabilities
 
-* exhaustively (``exact_probabilities``, feasible for m <= 3 and <= 3 labels),
 * in closed form by inclusion-exclusion over the cyclic-reduction constraints
-  (``structure_counts``), which scales to a sweep over *all* incidence
-  structures with a bounded number of faces,
+  (``structure_counts`` on the complex's incidence structure, see
+  ``structure_of``), which serves ``fulfil --exact`` and scales to a sweep
+  over *all* incidence structures with a bounded number of faces,
+* exhaustively (``exact_probabilities``, feasible for m <= 3 and <= 3
+  labels), kept as the independent oracle the closed form is tested against,
 
 and checks two per-level ratio bounds, where delta_i is the forced-letter
 level from :func:`trigroup.complexes.label_forcing_levels`:
@@ -25,7 +27,6 @@ final exponential bound and the Monte Carlo confidence interval.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, log
@@ -37,6 +38,7 @@ from .complexes import (
     abstract_from_walks,
     all_edges_in_faces,
     cancel,
+    forced_counts,
     label_forcing_levels,
     red,
     ref_edge,
@@ -58,7 +60,7 @@ EXACT_LEVEL_CAP = 3
 
 def _label_levels(Y: AbstractLabelledComplex) -> int:
     n = max(Y.labels)
-    if set(Y.labels) != set(range(1, n + 1)):
+    if len(set(Y.labels)) != n:  # labels are positive, so this means 1..n
         raise ValueError("face labels must cover 1..n")
     return n
 
@@ -332,23 +334,28 @@ def structure_to_complex(fs: FaceStructure) -> AbstractLabelledComplex:
     return abstract_from_walks(walks, fs.labels)
 
 
-def random_structure(rng: random.Random, faces: int) -> FaceStructure:
-    slots = 3 * faces
-    k = rng.randint(1, slots)
-    raw = [rng.randrange(k) for _ in range(slots)]
+def structure_of(Y: AbstractLabelledComplex) -> FaceStructure:
+    """The incidence structure of ``Y``; inverse to :func:`structure_to_complex`.
+
+    Edges become classes numbered in order of first appearance along the
+    walks, each oriented so that its first traversal is forward.  Vertices
+    are dropped: they never change a count.  Every face must be a triangle.
+    """
     rename: dict[int, int] = {}
-    classes, signs = [], []
-    for c in raw:
-        if c not in rename:
-            rename[c] = len(rename)
-            signs.append(1)
-        else:
-            signs.append(rng.choice((1, -1)))
-        classes.append(rename[c])
-    n = rng.randint(1, faces)
-    labels = list(range(1, n + 1)) + [rng.randint(1, n) for _ in range(faces - n)]
-    rng.shuffle(labels)
-    return FaceStructure(tuple(classes), tuple(signs), tuple(labels))
+    flip: dict[int, int] = {}
+    classes: list[int] = []
+    signs: list[int] = []
+    for f, walk in enumerate(Y.faces):
+        if len(walk) != 3:
+            raise ValueError(f"face {f} has {len(walk)} sides; words are triangles")
+        for ref in walk:
+            e, sign = ref_edge(ref), (1 if ref > 0 else -1)
+            if e not in rename:
+                rename[e] = len(rename)
+                flip[e] = sign
+            classes.append(rename[e])
+            signs.append(sign * flip[e])
+    return FaceStructure(tuple(classes), tuple(signs), Y.labels)
 
 
 def count_letter_assignments(
@@ -458,25 +465,24 @@ def structure_counts(
     if memo is None:
         memo = {}
     n = max(fs.labels)
-    if set(fs.labels) != set(range(1, n + 1)):
+    if min(fs.labels) < 1 or len(set(fs.labels)) != n:
         raise ValueError("labels must cover 1..n")
     sizes = [2 * m for m in ms]
-    out: list[tuple[int, ...]] = [tuple(1 for _ in ms)]
-    for level in range(1, n + 1):
-        groups = [
-            [f for f in range(fs.face_count) if fs.labels[f] == j]
-            for j in range(1, level + 1)
-        ]
-        key = _merged_key(fs.classes, fs.signs, groups)
-        if key is None:
-            out.append(tuple(0 for _ in ms))
-            continue
-        cached = memo.get(key)
-        if cached is None:
-            cached = count_letter_assignments(key[0], key[1], sizes)
-            memo[key] = cached
-        out.append(cached)
-    return out
+    groups = [[f for f in range(fs.face_count) if fs.labels[f] == j] for j in range(1, n + 1)]
+    return [_group_counts(fs.classes, fs.signs, groups[:i], sizes, memo) for i in range(n + 1)]
+
+
+def _group_counts(classes, signs, groups, sizes, memo) -> tuple[int, ...]:
+    """Consistent word tuples, one word per group of faces, at each alphabet
+    size; memoized on the merged key."""
+    if not groups:
+        return (1,) * len(sizes)  # the empty tuple
+    key = _merged_key(classes, signs, groups)
+    if key is None:
+        return (0,) * len(sizes)
+    if key not in memo:
+        memo[key] = count_letter_assignments(key[0], key[1], sizes)
+    return memo[key]
 
 
 # ---------------------------------------------------------------------------
@@ -541,34 +547,6 @@ def _permuted_encoding(
     return tuple(out_c), tuple(out_s)
 
 
-def _delta_top(
-    classes: Sequence[int],
-    top_faces: Sequence[int],
-    lower_faces: Sequence[int],
-) -> int:
-    """Max forced-letter count over the top-level faces.
-
-    A slot class is free for face f exactly when no lower face contains it
-    and f is among the earliest top faces to reach it.
-    """
-    lower = {classes[3 * f + t] for f in lower_faces for t in range(3)}
-    least: dict[int, dict[int, int]] = {}
-    for f in top_faces:
-        for t in range(3):
-            least.setdefault(classes[3 * f + t], {}).setdefault(f, t)
-    worst = 0
-    for f in top_faces:
-        free = 0
-        for c in {classes[3 * f + t] for t in range(3)}:
-            if c in lower:
-                continue
-            mine = least[c][f]
-            if all(mine <= pos for pos in least[c].values()):
-                free += 1
-        worst = max(worst, 3 - free)
-    return worst
-
-
 def _top_level_check(
     classes, signs, top: list[int], lower_groups: list[list[int]],
     ms, bases, gbases, powers, memo, tightest,
@@ -580,27 +558,15 @@ def _top_level_check(
     is raised to this structure's guaranteed ratio at ``ms[j]``, kept as an
     integer pair (numerator, denominator) and compared by cross-multiplying.
     """
-    key_full = _merged_key(classes, signs, lower_groups + [top])
-    if key_full is None:
+    sizes = [2 * m for m in ms]
+    groups = lower_groups + [top]
+    full = _group_counts(classes, signs, groups, sizes, memo)
+    if not any(full):
         return [], []  # zero consistent tuples at the top level
-    full = memo.get(key_full)
-    if full is None:
-        full = count_letter_assignments(key_full[0], key_full[1], [2 * m for m in ms])
-        memo[key_full] = full
-    if lower_groups:
-        key_low = _merged_key(classes, signs, lower_groups)
-        if key_low is None:
-            lowc = tuple(0 for _ in ms)
-        else:
-            lowc = memo.get(key_low)
-            if lowc is None:
-                lowc = count_letter_assignments(
-                    key_low[0], key_low[1], [2 * m for m in ms]
-                )
-                memo[key_low] = lowc
-    else:
-        lowc = tuple(1 for _ in ms)
-    delta = _delta_top(classes, top, [f for g in lower_groups for f in g])
+    lowc = _group_counts(classes, signs, lower_groups, sizes, memo)
+    walks = [classes[3 * f : 3 * f + 3] for group in groups for f in group]
+    labels = [level for level, group in enumerate(groups, 1) for _ in group]
+    delta = max(forced_counts(walks, labels)[-len(top) :])  # the top faces come last
     nominal: list[int] = []
     guaranteed: list[int] = []
     for j, m in enumerate(ms):

@@ -55,6 +55,20 @@ def density_from_str(text: str) -> Fraction:
         raise ValueError(f"d = {text!r}: expected a rational like 1/3") from None
 
 
+def json_int(value: object, field: str) -> int:
+    """``value`` if it is a JSON integer; anything else, 2.5 or Infinity
+    included, is a ValueError naming ``field`` (never truncated)."""
+    if type(value) is not int:
+        raise ValueError(f"{field} = {value!r}: expected an integer")
+    return value
+
+
+def json_list(value: object, field: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{field} = {value!r}: expected a JSON list")
+    return value
+
+
 def relator_count(m: int, d: Fraction) -> int:
     """floor((2m-1)**(3d)), exactly.
 
@@ -126,11 +140,16 @@ class TriangularPresentation:
 
     @staticmethod
     def from_json(obj: dict) -> "TriangularPresentation":
+        relators = json_list(obj["relators"], "relators")
+        try:
+            words = tuple(word_from_json(w) for w in relators)
+        except ValueError as exc:
+            raise ValueError(f"relators: {exc}") from None
         return TriangularPresentation(
-            m=int(obj["m"]),
+            m=json_int(obj["m"], "m"),
             density=density_from_str(obj["d"]),
-            seed=int(obj["seed"]),
-            relators=tuple(word_from_json(w) for w in obj["relators"]),
+            seed=json_int(obj["seed"], "seed"),
+            relators=words,
         )
 
     def dumps(self) -> str:

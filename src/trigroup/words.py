@@ -231,8 +231,8 @@ def word_to_json(codes: Sequence[int], m: int) -> object:
 def word_from_json(obj: object) -> Word:
     if isinstance(obj, str):
         return word_from_str(obj)
-    if isinstance(obj, list):
-        return tuple(int(c) for c in obj)
+    if isinstance(obj, list) and all(type(c) is int for c in obj):
+        return tuple(obj)
     raise ValueError(f"bad word serialization: {obj!r}")
 
 

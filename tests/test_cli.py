@@ -23,7 +23,8 @@ from trigroup.cayley import (
     build_ball,
 )
 from trigroup.cli import main
-from trigroup.complexes import abstract_from_walks, dumps_complex
+from trigroup.complexes import abstract_from_walks, complex_from_json, dumps_complex
+from trigroup.fulfillment import exact_probabilities
 from trigroup.presentation import relator_count, sample_presentation
 from trigroup.thresholds import constants_sweep
 
@@ -142,6 +143,31 @@ class TestComplexDiagnostics:
         assert main(["red", "--complex", str(bad)]) == 2
         assert "'index'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path, value, named", [
+        (("faces",), 5, "'faces'"),
+        (("vertices",), float("inf"), "'vertices'"),
+        (("vertices",), 2.5, "'vertices'"),
+        (("vertices",), -3, "'vertices'"),
+        (("edges",), 5, "'edges'"),
+        (("edges",), [[0, 1, 2]], "'edges'"),
+        (("edges", 0, 1), float("inf"), "'edges'"),
+        (("faces", 0, "index"), 1.7, "'index' of face 0"),
+        (("faces", 1, "boundary"), [-1, 4.0, 5], "'boundary' of face 1"),
+        (("faces", 1, "boundary"), "abc", "'boundary' of face 1"),
+        (("letters",), [1, 2, 1.5, 2, 1], "'letters'"),
+    ])
+    def test_malformed_fields_named(self, tmp_path, capsys, complex_files, path, value,
+                                    named):
+        data = json.loads(open(complex_files["shared"]).read())
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        bad = tmp_path / "malformed.json"
+        bad.write_text(json.dumps(data))
+        assert main(["cancel", "--complex", str(bad)]) == 2
+        assert named in capsys.readouterr().err
+
 
 class TestEnumDiagrams:
     def test_report(self, tmp_path, pres_file):
@@ -197,10 +223,31 @@ class TestFulfil:
         assert main(["fulfil", "--complex", str(faceless), "--m", "2", *mode]) == 2
         assert "'faces'" in capsys.readouterr().err
 
-    def test_m_cap(self, complex_files, capsys):
-        assert main(["fulfil", "--complex", complex_files["shared"],
-                     "--m", "5", "--exact"]) == 2
-        assert "--max-m 5" in capsys.readouterr().err
+    def test_m_cap(self, tmp_path, complex_files):
+        # exact counting has no cap on m, and --max-m is gone from fulfil
+        status, doc = run_json(tmp_path, "fulfil", "--complex", complex_files["shared"],
+                               "--m", "5", "--exact")
+        assert status == 0
+        shared = complex_from_json(json.loads(open(complex_files["shared"]).read()))
+        brute = exact_probabilities(shared, 5, allow_large=True).counts
+        assert [lvl["count"] for lvl in doc["levels"]] == list(brute[1:])
+        assert "max_m" not in doc["meta"]["config"]
+
+    def test_label_cap(self, tmp_path, capsys):
+        # a chain of faces, each sharing one edge with the next
+        for n, status in ((6, 0), (7, 2)):
+            walks = [(2 * i + 1, 2 * i + 2, 2 * i + 3) for i in range(n)]
+            chain = tmp_path / f"chain{n}.json"
+            chain.write_text(dumps_complex(abstract_from_walks(walks, range(1, n + 1))))
+            assert main(["fulfil", "--complex", str(chain), "--m", "2", "--exact",
+                         "--out", str(tmp_path / "out.json")]) == status
+        assert "7 labels" in capsys.readouterr().err
+
+    def test_non_triangle_face(self, tmp_path, capsys):
+        digon = tmp_path / "digon.json"
+        digon.write_text(dumps_complex(abstract_from_walks([(1, 2)], [1])))
+        assert main(["fulfil", "--complex", str(digon), "--m", "2", "--exact"]) == 2
+        assert "face 0" in capsys.readouterr().err
 
 
 class TestPipeline:
@@ -240,6 +287,7 @@ class TestSweep:
 class TestEnumDiagramsValidation:
     @pytest.mark.parametrize("field, value", [
         ("m", 0), ("d", "3/2"), ("d", "0"), ("d", "1/0"), ("d", "x"),
+        ("m", 2.5), ("m", float("inf")), ("seed", float("inf")), ("relators", 5),
     ])
     def test_bad_presentation_field(self, tmp_path, capsys, field, value):
         doc = {"m": 2, "d": "1/5", "seed": 0, "relators": []}
@@ -311,6 +359,17 @@ class TestDeltaEst:
         }))
         assert main(["delta-est", "--graph", str(bad)]) == 2
         assert named in capsys.readouterr().err
+
+    def test_closed_flags_checked(self, tmp_path, capsys):
+        # the ab2 ball at R=2 with all 9 vertices marked closed: 4 rim
+        # vertices have partial stars
+        data = copy.deepcopy(FUZZ_BASE)
+        for vertex in data["vertices"]:
+            vertex["closed"] = True
+        bad = tmp_path / "allclosed.json"
+        bad.write_text(json.dumps(data))
+        assert main(["delta-est", "--graph", str(bad)]) == 2
+        assert "'closed' of vertex" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value, named", [
         ("m", 0, "m"), ("density", "3/2", "d"), ("density", "0", "d"),
@@ -408,6 +467,110 @@ class TestBallgraphFuzz:
         graph.write_text(json.dumps(FUZZ_BASE))
         assert main(["delta-est", "--graph", str(graph), "--samples", "20",
                      "--out", str(fuzz_dir / "base-report.json")]) == 0
+
+
+# the complex and presentation loaders, fuzzed the same way: the shared-edge
+# pair, lettered so that every field is present, and a three-relator
+# presentation
+COMPLEX_BASE = json.loads(dumps_complex(abstract_from_walks([(1, 2, 3), (-1, 4, 5)], [1, 2])))
+COMPLEX_BASE["letters"] = [1, 2, 1, -2, 1]
+PRESENTATION_BASE = sample_presentation(3, Fraction(1, 4), 7).to_json()
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 9), st.floats(allow_nan=True),
+    st.sampled_from([float("inf"), 1.5]), st.text(alphabet="abcABCx/0123", max_size=4),
+)
+JSON_JUNK = st.one_of(
+    SCALARS, st.lists(SCALARS, max_size=4), st.lists(st.integers(-6, 6), max_size=4),
+    st.dictionaries(st.sampled_from(["index", "boundary", "x"]), SCALARS, max_size=2),
+)
+# (path into the document, new value), each paired with a flag that drops the
+# key instead; a path that misses is skipped
+COMPLEX_MUTATIONS = st.one_of(
+    st.tuples(st.sampled_from(["vertices", "edges", "faces", "letters"]).map(lambda k: (k,)),
+              JSON_JUNK),
+    st.tuples(st.tuples(st.just("edges"), st.integers(0, 4)), JSON_JUNK),
+    st.tuples(st.tuples(st.just("edges"), st.integers(0, 4), st.integers(0, 1)),
+              st.one_of(st.integers(-1, 6), SCALARS)),
+    st.tuples(st.tuples(st.just("faces"), st.integers(0, 1)), JSON_JUNK),
+    st.tuples(st.tuples(st.just("faces"), st.integers(0, 1),
+                        st.sampled_from(["index", "boundary"])),
+              st.one_of(st.integers(-1, 8), JSON_JUNK)),
+    st.tuples(st.tuples(st.just("faces"), st.integers(0, 1), st.just("boundary"),
+                        st.integers(0, 2)),
+              st.one_of(st.integers(-6, 6), SCALARS)),
+    st.tuples(st.tuples(st.just("letters"), st.integers(0, 4)),
+              st.one_of(st.integers(-3, 3), SCALARS)),
+)
+PRESENTATION_MUTATIONS = st.one_of(
+    st.tuples(st.sampled_from(["m", "d", "seed", "relators"]).map(lambda k: (k,)),
+              JSON_JUNK),
+    st.tuples(st.tuples(st.just("relators"), st.integers(0, 2)), JSON_JUNK),
+)
+
+
+def _apply(data: dict, path: tuple, value, drop: bool) -> None:
+    node = data
+    for key in path[:-1]:
+        try:
+            node = node[key]
+        except (KeyError, IndexError, TypeError):
+            return
+    key = path[-1]
+    if isinstance(node, dict) or (isinstance(node, list) and isinstance(key, int)
+                                  and key < len(node)):
+        if drop and isinstance(node, dict):
+            node.pop(key, None)
+        else:
+            node[key] = value
+
+
+def _run_mutated(tmp_dir, base: dict, ops, kind: str, calls) -> None:
+    data = copy.deepcopy(base)
+    for (path, value), drop in ops:
+        _apply(data, path, value, drop)
+    path = tmp_dir / f"{kind}.json"
+    path.write_text(json.dumps(data))
+    out = tmp_dir / "report.json"
+    for argv, check in calls:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            status = main([*argv, str(path), "--out", str(out)])
+        assert status in (0, 1, 2), argv
+        if status == 2:
+            assert err.getvalue().startswith("error:"), argv
+        if status == 1:  # a failed check, reported as such
+            assert not check(json.loads(out.read_text())), argv
+
+
+COMPLEX_CALLS = [
+    (["cancel", "--complex"], None),
+    (["red", "--complex"], None),
+    (["fulfil", "--m", "2", "--exact", "--complex"], lambda r: r["all_hold"]),
+]
+PRESENTATION_CALLS = [
+    (["enum-diagrams", "--max-faces", "1", "--presentation"],
+     lambda r: r["identity_holds"] and r["equivalence_holds"]),
+]
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(ops=st.lists(st.tuples(COMPLEX_MUTATIONS, st.booleans()), min_size=1, max_size=4))
+    def test_mutated_complex_exits_cleanly(self, fuzz_dir, ops):
+        _run_mutated(fuzz_dir, COMPLEX_BASE, ops, "complex", COMPLEX_CALLS)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=st.lists(st.tuples(PRESENTATION_MUTATIONS, st.booleans()), min_size=1, max_size=3))
+    def test_mutated_presentation_exits_cleanly(self, fuzz_dir, ops):
+        _run_mutated(fuzz_dir, PRESENTATION_BASE, ops, "presentation", PRESENTATION_CALLS)
+
+    def test_unmutated_bases_pass(self, fuzz_dir):
+        for base, kind, calls in ((COMPLEX_BASE, "complex", COMPLEX_CALLS),
+                                  (PRESENTATION_BASE, "presentation", PRESENTATION_CALLS)):
+            path = fuzz_dir / f"{kind}-base.json"
+            path.write_text(json.dumps(base))
+            for argv, _ in calls:
+                assert main([*argv, str(path), "--out", str(fuzz_dir / "base.json")]) == 0
 
 
 class TestFig1Demo:

@@ -19,6 +19,7 @@ from trigroup.complexes import (
     complex_to_json,
     dumps_complex,
     edge_degree,
+    forced_counts,
     forced_letter_count,
     glue_complexes,
     is_least_position,
@@ -28,6 +29,7 @@ from trigroup.complexes import (
     random_abstract_complex,
     red,
     red_contributions,
+    ref_edge,
     side_trace,
     SignedUnionFind,
 )
@@ -207,6 +209,23 @@ class TestForcedLetters:
             for f in range(Y.face_count):
                 assert 0 <= forced_letter_count(Y, f) <= len(Y.faces[f])
 
+    def test_kernel_matches_indicator_predicates(self):
+        # forced = walk length minus the edges whose min-label and
+        # least-position indicators both hold for the face
+        rng = make_rng(82, "forced-oracle")
+        for _ in range(300):
+            Y = random_abstract_complex(rng)
+            got = forced_counts([[ref_edge(r) for r in w] for w in Y.faces], Y.labels)
+            want = [
+                len(walk) - sum(
+                    1 for e in {ref_edge(r) for r in walk}
+                    if is_min_label(Y, e, f) and is_least_position(Y, e, f)
+                )
+                for f, walk in enumerate(Y.faces)
+            ]
+            assert got == want, Y
+            assert got == [forced_letter_count(Y, f) for f in range(Y.face_count)]
+
 
 class TestChainInequality:
     def test_holds_on_fuzz(self):
@@ -236,13 +255,6 @@ class TestSignedUnionFind:
         uf = SignedUnionFind(3)
         assert uf.union(0, 1, 1)
         assert not uf.union(0, 1, -1)
-
-    def test_clone_isolated(self):
-        uf = SignedUnionFind(3)
-        uf.union(0, 1, -1)
-        other = uf.clone()
-        other.union(1, 2, 1)
-        assert uf.find(2) == (2, 1)
 
 
 def make_diagram(pres, walks, labels, letters, boundary):

@@ -9,6 +9,8 @@ from trigroup.complexes import (
     AbstractLabelledComplex,
     abstract_from_walks,
     forced_letter_count,
+    label_forcing_levels,
+    random_abstract_complex,
 )
 from trigroup.fulfillment import (
     FaceStructure,
@@ -20,13 +22,18 @@ from trigroup.fulfillment import (
     forcing_bounds,
     montecarlo_fulfillment,
     partial_label,
-    random_structure,
     ratio_checks,
     ratio_sweep,
     structure_counts,
+    structure_of,
     structure_to_complex,
 )
-from trigroup.fulfillment import _FACE_PERMS, _iter_signed_partitions, _permuted_encoding
+from trigroup.fulfillment import (
+    _FACE_PERMS,
+    _iter_signed_partitions,
+    _permuted_encoding,
+    _top_level_check,
+)
 from trigroup.presentation import TriangularPresentation
 from trigroup.seeding import make_rng
 from trigroup.words import enumerate_triangle_words, triangle_word_count
@@ -353,14 +360,40 @@ class TestCountingKernel:
     def test_matches_exhaustive_enumeration(self):
         for i in range(30):
             rng = make_rng(97, "xval", i)
-            faces = rng.choice((1, 2, 2, 3))
-            fs = random_structure(rng, faces)
-            ms = (1,) if faces == 3 and i % 3 else (1, 2)
+            fs = structure_of(random_abstract_complex(rng, 3))
+            ms = (1,) if fs.face_count == 3 and i % 3 else (1, 2)
             fast = structure_counts(fs, ms)
             Y = structure_to_complex(fs)
             for j, m in enumerate(ms):
                 probe = exact_probabilities(Y, m)
                 assert tuple(level[j] for level in fast) == probe.counts, fs
+
+    def test_closed_form_beyond_the_exhaustive_caps(self):
+        # the brute force needs allow_large above m = 3 or 3 labels
+        chain6 = build([(1, 2, 3), (-3, 4, 5), (-5, 6, 7), (-7, 8, 9), (-9, 10, 11),
+                        (-11, 1, 12)], (1, 2, 3, 4, 5, 6))
+        fan6 = build([(1, 2, 3), (-1, 4, 5), (-4, 6, 7), (2, 8, 9), (-8, -6, 10),
+                      (3, 11, 1)], (6, 5, 4, 3, 2, 1))
+        cases = [(Y, m) for Y in (SINGLE, REPEAT, SHARED, DOUBLED) for m in (4, 5)]
+        cases += [(build([(1, 1, 1)], (1,)), 5), (build([(1, 2, 3), (2, 1, 4)], (1, 1)), 5)]
+        cases += [(chain6, 1), (fan6, 1)]
+        for Y, m in cases:
+            got = tuple(c for (c,) in structure_counts(structure_of(Y), (m,)))
+            assert got == exact_probabilities(Y, m, allow_large=True).counts, (Y, m)
+
+    def test_structure_of_inverts_structure_to_complex(self):
+        for i in range(100):
+            rng = make_rng(98, "inverse", i)
+            fs = structure_of(random_abstract_complex(rng, 4))
+            assert structure_of(structure_to_complex(fs)) == fs
+        # renaming and reorienting edges gives the same structure
+        Y = build([(-4, 2, 1), (4, -5, 6)], (2, 1))
+        assert structure_of(Y) == FaceStructure((0, 1, 2, 0, 3, 4), (1, 1, 1, -1, 1, 1), (2, 1))
+
+    def test_structure_of_needs_triangles(self):
+        Y = build([(1, 2, 3), (1, 2)], (1, 2))
+        with pytest.raises(ValueError, match="face 1 has 2 sides"):
+            structure_of(Y)
 
     def test_structure_validation(self):
         with pytest.raises(ValueError, match="order"):
@@ -448,17 +481,26 @@ class TestSweep:
         with pytest.raises(ValueError):
             ratio_sweep(max_faces=4)
 
-    def test_delta_top_matches_functionals(self):
-        # the sweep's top-level forced count must agree with the complex one
-        from trigroup.complexes import label_forcing_levels
-        from trigroup.fulfillment import _delta_top
-
+    def test_top_level_check_matches_functionals(self):
+        # the sweep's top-level check, fed one random structure, must give the
+        # ratio that structure_counts and the complex's forcing levels give
+        ms = (1, 2, 3)
+        bases = [triangle_word_count(m) for m in ms]
+        gbases = [2 * m * (2 * m - 1) ** 2 for m in ms]
+        powers = [[(2 * m - 1) ** d for d in range(4)] for m in ms]
         for i in range(60):
             rng = make_rng(31, "dt", i)
-            fs = random_structure(rng, rng.choice((1, 2, 3)))
+            fs = structure_of(random_abstract_complex(rng, 3))
             n = max(fs.labels)
-            top = [f for f in range(fs.face_count) if fs.labels[f] == n]
-            lower = [f for f in range(fs.face_count) if fs.labels[f] < n]
-            via_sweep = _delta_top(fs.classes, top, lower)
-            levels = dict(label_forcing_levels(structure_to_complex(fs)))
-            assert via_sweep == levels[n], fs
+            groups = [[f for f in range(fs.face_count) if fs.labels[f] == j]
+                      for j in range(1, n + 1)]
+            tightest = [(0, 1) for _ in ms]
+            nominal, _ = _top_level_check(fs.classes, fs.signs, groups[-1], groups[:-1],
+                                          ms, bases, gbases, powers, {}, tightest)
+            counts = structure_counts(fs, ms)
+            delta = dict(label_forcing_levels(structure_to_complex(fs)))[n]
+            for j, m in enumerate(ms):
+                lhs = counts[n][j] * (2 * m - 1) ** delta
+                assert (m in nominal) == (lhs > counts[n - 1][j] * bases[j]), fs
+                ratio = Fraction(lhs, counts[n - 1][j] * gbases[j]) if lhs else 0
+                assert Fraction(*tightest[j]) == ratio, fs
