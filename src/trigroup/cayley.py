@@ -26,8 +26,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .complexes import VanKampenDiagram, close_walks
-from .presentation import TriangularPresentation, density_from_str, json_int, json_list
+from .complexes import UnionFind, VanKampenDiagram, close_walks
+from .presentation import (
+    TriangularPresentation,
+    density_from_str,
+    json_count,
+    json_int,
+    json_list,
+)
 from .seeding import make_rng
 from .words import (
     Word,
@@ -143,30 +149,23 @@ def build_ball(
     letters = all_letters(p.m)
     variants = _relator_variants(p.relators)
 
-    parent = [0]
+    uf = UnionFind(1)
+    find, parent = uf.find, uf.parent
     adj: list[dict[int, int]] = [{}]
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     def alive() -> list[int]:
-        return [v for v in range(len(parent)) if parent[v] == v]
+        return [v for v in range(len(adj)) if parent[v] == v]
 
     pending: list[tuple[int, int]] = []
 
-    def merge_all() -> bool:
-        did = False
+    def merge_all() -> None:
+        """Merge the pending pairs, moving each absorbed root's edges onto
+        the kept root; edges that collide there queue a further merge."""
         while pending:
-            x, y = pending.pop()
-            rx, ry = find(x), find(y)
-            if rx == ry:
+            gone = uf.union(*pending.pop())
+            if gone < 0:
                 continue
-            keep, gone = min(rx, ry), max(rx, ry)
-            parent[gone] = keep
-            did = True
+            keep = find(gone)
             for letter, tgt in adj[gone].items():
                 have = adj[keep].get(letter)
                 if have is None:
@@ -174,7 +173,6 @@ def build_ball(
                 else:
                     pending.append((find(have), find(tgt)))
             adj[gone] = {}
-        return did
 
     def add_edge(v: int, letter: int, w: int) -> bool:
         v, w = find(v), find(w)
@@ -203,7 +201,8 @@ def build_ball(
                     w = adj[v].get(letter)
                     if w is None:
                         continue
-                    w = find(w)
+                    if parent[w] != w:
+                        w = find(w)
                     if w not in dist:
                         dist[w] = dist[v] + 1
                         nxt.append(w)
@@ -225,14 +224,12 @@ def build_ball(
             for letter in letters:
                 if find(v) != v or letter in adj[v]:
                     continue
-                if len(parent) >= max_vertices:
+                if len(adj) >= max_vertices:
                     raise ValueError(
                         f"vertex budget {max_vertices} exceeded at radius {R}"
                     )
-                w = len(parent)
-                parent.append(w)
                 adj.append({})
-                add_edge(v, letter, w)
+                add_edge(v, letter, uf.add())
                 changed = True
         # closure: complete or fold every relator cycle based inside R
         dist = bfs_distances()
@@ -367,6 +364,11 @@ def ball_from_json_dict(data: dict) -> BallGraph:
         edges = vertex["edges"]
         if not isinstance(edges, dict):
             raise ValueError(f"'edges' of vertex {v} is not a JSON object")
+        distance = vertex["distance"]  # json_count, inlined for large balls
+        if type(distance) is not int or distance < 0:
+            raise ValueError(
+                f"'distance' of vertex {v} = {distance!r}: expected an integer >= 0"
+            )
         base = v * k
         for key, w in edges.items():
             s = slots.get(key)
@@ -384,7 +386,7 @@ def ball_from_json_dict(data: dict) -> BallGraph:
             )
     return BallGraph(
         presentation=p,
-        radius=data["radius"],
+        radius=json_count(data["radius"], "'radius'"),
         distances=tuple(vertex["distance"] for vertex in vertices),
         closed=tuple(vertex["closed"] for vertex in vertices),
         adj=tuple(adj),

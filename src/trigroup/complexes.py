@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .presentation import TriangularPresentation, json_int, json_list
+from .presentation import TriangularPresentation, json_count, json_int, json_list
 from .words import Word, invert_word
 
 Walk = tuple[int, ...]
@@ -339,56 +339,93 @@ def is_reduced_diagram(D: VanKampenDiagram) -> bool:
 # construction helpers
 
 
-class _UnionFind:
+class UnionFind:
+    """Disjoint sets of 0..n-1 with path halving; a merge keeps the smaller
+    root, so the root of every class is its least member.  ``parent[x] == x``
+    exactly when ``x`` is a root, which hot loops may test without a call."""
+
     def __init__(self, n: int) -> None:
         self.parent = list(range(n))
 
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
+    def add(self) -> int:
+        """A new singleton; returns its id."""
+        x = len(self.parent)
+        self.parent.append(x)
         return x
 
-    def union(self, a: int, b: int) -> None:
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> int:
+        """Join the classes of a and b; returns the absorbed root, or -1 when
+        they were already joined."""
         ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+        if ra == rb:
+            return -1
+        if rb < ra:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return rb
 
 
 class SignedUnionFind:
-    """Union-find whose elements carry orientations.
+    """Union-find whose elements carry orientations, with undo.
 
     ``union(a, b, -1)`` identifies ``a`` with the reverse of ``b``; a merge
     that would force an element equal to its own reverse fails.  ``find``
-    returns ``(root, sign of x relative to root)``.
+    returns ``(root, sign of x relative to root)``.  Union by size without
+    path compression keeps every merge a single link, so ``undo`` can cut
+    the latest one.
     """
 
     def __init__(self, n: int) -> None:
         self.parent = list(range(n))
         self.sign = [1] * n
+        self.size = [1] * n
+        self.absorbed: list[int] = []  # roots absorbed by successful merges
 
     def find(self, x: int) -> tuple[int, int]:
-        path = []
-        while self.parent[x] != x:
-            path.append(x)
-            x = self.parent[x]
-        root = x
-        cum = 1  # sign of the previous node's original parent rel. root
-        for y in reversed(path):
-            cum = self.sign[y] * cum
-            self.parent[y] = root
-            self.sign[y] = cum
-        return root, self.sign[path[0]] if path else 1
+        parent, sign = self.parent, self.sign
+        s = 1
+        while parent[x] != x:
+            s *= sign[x]
+            x = parent[x]
+        return x, s
 
     def union(self, a: int, b: int, rel: int) -> bool:
         """Identify a with rel*b; False when this forces a self-reversal."""
-        ra, sa = self.find(a)
-        rb, sb = self.find(b)
-        if ra == rb:
+        parent, sign = self.parent, self.sign
+        sa = sb = 1
+        # find(a) and find(b), inlined: the inclusion-exclusion counter
+        # calls this in its innermost loop
+        while parent[a] != a:
+            sa *= sign[a]
+            a = parent[a]
+        while parent[b] != b:
+            sb *= sign[b]
+            b = parent[b]
+        if a == b:
             return sa * rel * sb == 1
-        self.parent[rb] = ra
-        self.sign[rb] = sa * rel * sb
+        size = self.size
+        if size[a] < size[b]:
+            a, b = b, a
+        # x = sa*a and y = sb*b for the original x, y, so x = rel*y links the
+        # roots by sa*rel*sb, in either direction
+        parent[b] = a
+        sign[b] = sa * rel * sb
+        size[a] += size[b]
+        self.absorbed.append(b)
         return True
+
+    def undo(self) -> None:
+        """Reverse the latest successful merge not yet undone."""
+        rb = self.absorbed.pop()
+        self.size[self.parent[rb]] -= self.size[rb]
+        self.parent[rb] = rb  # a root's sign is never read
 
 
 def close_walks(edge_count: int, walks: Iterable[Walk]) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -397,7 +434,7 @@ def close_walks(edge_count: int, walks: Iterable[Walk]) -> tuple[int, tuple[tupl
     Endpoint slots 2e (tail) and 2e+1 (head) are merged wherever consecutive
     walk steps must share a vertex; unconstrained endpoints stay distinct.
     """
-    uf = _UnionFind(2 * edge_count)
+    uf = UnionFind(2 * edge_count)
 
     def tail_slot(ref: int) -> int:
         e = ref_edge(ref)
@@ -483,7 +520,7 @@ def glue_complexes(
         return ref_edge(ref) + edge_base[part]
 
     suf = SignedUnionFind(edge_base[-1])
-    uf_v = _UnionFind(vert_base[-1])
+    uf_v = UnionFind(vert_base[-1])
 
     total_edges: list[tuple[int, int]] = []
     total_letters: list[int] = []
@@ -582,11 +619,8 @@ def complex_from_json(obj: dict) -> AbstractLabelledComplex:
     for i, fc in enumerate(faces):
         if not isinstance(fc, dict) or "index" not in fc or "boundary" not in fc:
             raise ValueError(f"face {i} needs fields 'index' and 'boundary'")
-    vertex_count = json_int(obj["vertices"], "'vertices'")
-    if vertex_count < 0:
-        raise ValueError(f"'vertices' = {vertex_count}: expected a count >= 0")
     common = dict(
-        vertex_count=vertex_count,
+        vertex_count=json_count(obj["vertices"], "'vertices'"),
         edges=edges,
         faces=tuple(ints(fc["boundary"], f"'boundary' of face {i}") for i, fc in enumerate(faces)),
         labels=tuple(json_int(fc["index"], f"'index' of face {i}") for i, fc in enumerate(faces)),

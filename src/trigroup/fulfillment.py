@@ -116,10 +116,6 @@ def partial_label(Y: AbstractLabelledComplex, words: Sequence[Word]) -> PartialL
     )
 
 
-def is_consistent(pl: PartialLabelling) -> bool:
-    return pl.is_consistent()
-
-
 def fulfils(
     Y: AbstractLabelledComplex,
     positions: Sequence[int],
@@ -341,21 +337,15 @@ def structure_of(Y: AbstractLabelledComplex) -> FaceStructure:
     walks, each oriented so that its first traversal is forward.  Vertices
     are dropped: they never change a count.  Every face must be a triangle.
     """
-    rename: dict[int, int] = {}
-    flip: dict[int, int] = {}
-    classes: list[int] = []
-    signs: list[int] = []
     for f, walk in enumerate(Y.faces):
         if len(walk) != 3:
             raise ValueError(f"face {f} has {len(walk)} sides; words are triangles")
-        for ref in walk:
-            e, sign = ref_edge(ref), (1 if ref > 0 else -1)
-            if e not in rename:
-                rename[e] = len(rename)
-                flip[e] = sign
-            classes.append(rename[e])
-            signs.append(sign * flip[e])
-    return FaceStructure(tuple(classes), tuple(signs), Y.labels)
+    refs = [ref for walk in Y.faces for ref in walk]
+    classes, signs = _permuted_encoding(
+        [ref_edge(ref) for ref in refs], [1 if ref > 0 else -1 for ref in refs],
+        range(Y.face_count),
+    )
+    return FaceStructure(classes, signs, Y.labels)
 
 
 def count_letter_assignments(
@@ -372,35 +362,23 @@ def count_letter_assignments(
     """
     pows = [[x**c for c in range(n_classes + 1)] for x in sizes]
     totals = [0] * len(sizes)
-    parent = list(range(n_classes))
-    sgn = [1] * n_classes
-
-    def find(x: int) -> tuple[int, int]:
-        s = 1
-        while parent[x] != x:
-            s *= sgn[x]
-            x = parent[x]
-        return x, s
+    uf = SignedUnionFind(n_classes)
+    union, undo, absorbed = uf.union, uf.undo, uf.absorbed
+    last = len(constraints)
 
     def rec(i: int, parity: int, comp: int) -> None:
-        if i == len(constraints):
+        if i == last:
             for j in range(len(sizes)):
                 totals[j] += parity * pows[j][comp]
             return
-        a, b, t = constraints[i]
-        ra, sa = find(a)
-        rb, sb = find(b)
-        if ra == rb:
-            if sa * sb == t:
-                return  # implied: including or excluding cancels pairwise
-            rec(i + 1, parity, comp)  # contradictory: include branch is empty
-            return
-        rec(i + 1, parity, comp)
-        parent[rb] = ra
-        sgn[rb] = sa * t * sb
-        rec(i + 1, -parity, comp - 1)
-        parent[rb] = rb
-        sgn[rb] = 1
+        merges = len(absorbed)
+        if not union(*constraints[i]):
+            rec(i + 1, parity, comp)  # contradictory: the include branch is empty
+        elif len(absorbed) > merges:
+            rec(i + 1, -parity, comp - 1)  # include the constraint's equality
+            undo()
+            rec(i + 1, parity, comp)  # exclude it
+        # else implied: including and excluding cancel pairwise
 
     rec(0, 1, n_classes)
     return tuple(totals)

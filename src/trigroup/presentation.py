@@ -47,11 +47,16 @@ def integer_root(n: int, k: int) -> int:
 
 
 def density_from_str(text: str) -> Fraction:
-    """Parse ``"p/q"`` or an exact decimal string like ``"0.35"``."""
+    """Parse ``"p/q"`` or an exact decimal string like ``"0.35"``.
+
+    Only strings are read: a JSON number such as 0.35 arrives as a binary
+    float whose exact value is not 7/20, so it is refused.
+    """
+    if not isinstance(text, str):
+        raise ValueError(f"d = {text!r}: expected a string like \"1/3\"")
     try:
         return Fraction(text)
-    except (TypeError, ValueError, ArithmeticError):
-        # ArithmeticError: "1/0" and a JSON Infinity
+    except (ValueError, ZeroDivisionError):  # ZeroDivisionError: "1/0"
         raise ValueError(f"d = {text!r}: expected a rational like 1/3") from None
 
 
@@ -61,6 +66,14 @@ def json_int(value: object, field: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{field} = {value!r}: expected an integer")
     return value
+
+
+def json_count(value: object, field: str) -> int:
+    """:func:`json_int` for a count or distance, which must be >= 0."""
+    n = json_int(value, field)
+    if n < 0:
+        raise ValueError(f"{field} = {n}: expected an integer >= 0")
+    return n
 
 
 def json_list(value: object, field: str) -> list:
@@ -123,12 +136,6 @@ class TriangularPresentation:
 
     def __len__(self) -> int:
         return len(self.relators)
-
-    def is_generic(self) -> bool:
-        """Relators pairwise distinct up to symmetry and free of proper powers."""
-        return relators_distinct_up_to_symmetry(self.relators) and not has_proper_power(
-            self.relators
-        )
 
     def to_json(self) -> dict:
         return {

@@ -197,6 +197,8 @@ def rhs(dp) -> float | Fraction:
 
 
 def _require_subcritical(d0: Fraction) -> None:
+    if d0 <= 0:
+        raise ValueError(f"d0 = {d0}: a density must be positive")
     if (_D_CRIT - d0).sign() <= 0:
         raise ValueError(f"d0 = {d0} is not below the critical density")
 

@@ -269,6 +269,14 @@ class TestPipeline:
         assert main(["pipeline", "--d0", "2/5"]) == 2
         assert "critical density" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["pipeline", "--d0", "-1"], ["pipeline", "--d0", "0"],
+        ["sweep", "--d0-grid", "0,7/20"],
+    ])
+    def test_nonpositive_d0_rejected(self, capsys, argv):
+        assert main(argv) == 2
+        assert "d0 = " in capsys.readouterr().err
+
 
 class TestSweep:
     def test_rows_and_csv(self, tmp_path):
@@ -288,6 +296,7 @@ class TestEnumDiagramsValidation:
     @pytest.mark.parametrize("field, value", [
         ("m", 0), ("d", "3/2"), ("d", "0"), ("d", "1/0"), ("d", "x"),
         ("m", 2.5), ("m", float("inf")), ("seed", float("inf")), ("relators", 5),
+        ("d", 0.35),
     ])
     def test_bad_presentation_field(self, tmp_path, capsys, field, value):
         doc = {"m": 2, "d": "1/5", "seed": 0, "relators": []}
@@ -350,6 +359,10 @@ class TestDeltaEst:
         ([{"distance": 0, "closed": False, "edges": {"a": -1}}], "'edges'"),
         ([{"distance": 0, "closed": False, "edges": {"a": "0"}}], "'edges'"),
         (["vertex"], "'vertices'"),
+        # distances that are not counts
+        *(([{"distance": 0, "closed": False, "edges": {"a": 1}},
+            {"distance": d, "closed": False, "edges": {"A": 0}}], "'distance' of vertex 1")
+          for d in ("a", -3, 1.5)),
     ])
     def test_malformed_vertices(self, tmp_path, capsys, vertices, named):
         bad = tmp_path / "malformed.json"
@@ -375,6 +388,9 @@ class TestDeltaEst:
         ("m", 0, "m"), ("density", "3/2", "d"), ("density", "0", "d"),
         ("density", "1/0", "d"), ("density", float("inf"), "d"),
         ("m", 2.5, "'m'"), ("m", MAX_ADJACENCY_SLOTS, "'m'"),
+        # a JSON number is a binary float, never the exact density
+        ("density", 0.2, "d"),
+        ("radius", "x", "'radius'"), ("radius", -5, "'radius'"), ("radius", 2.5, "'radius'"),
     ])
     def test_presentation_fields_validated(self, tmp_path, capsys, ball_file,
                                            field, value, named):

@@ -32,6 +32,7 @@ from trigroup.complexes import (
     ref_edge,
     side_trace,
     SignedUnionFind,
+    UnionFind,
 )
 from trigroup.presentation import TriangularPresentation
 from trigroup.seeding import make_rng
@@ -255,6 +256,87 @@ class TestSignedUnionFind:
         uf = SignedUnionFind(3)
         assert uf.union(0, 1, 1)
         assert not uf.union(0, 1, -1)
+
+    def test_union_by_size_records_absorbed_root(self):
+        uf = SignedUnionFind(4)
+        assert uf.union(1, 2, 1) and uf.absorbed == [2]
+        assert uf.union(3, 1, -1) and uf.absorbed == [2, 3]  # the larger class keeps root 1
+        assert uf.union(3, 2, -1)  # already joined, consistently: nothing recorded
+        assert uf.absorbed == [2, 3]
+        assert uf.find(3) == (1, -1)
+
+    def test_undo_restores_the_forest(self):
+        uf = SignedUnionFind(3)
+        uf.union(0, 1, -1)
+        uf.union(1, 2, -1)
+        uf.undo()
+        assert uf.find(2) == (2, 1) and uf.find(1) == (0, -1)
+        uf.undo()
+        assert [uf.find(x) for x in range(3)] == [(0, 1), (1, 1), (2, 1)]
+        assert uf.size == [1, 1, 1]
+        with pytest.raises(IndexError):
+            uf.undo()
+
+    def test_matches_rebuilt_forest_after_unions_and_undos(self):
+        # the surviving merges, replayed on a fresh forest, give the same
+        # classes and the same relative signs
+        rng = make_rng(83, "signed-uf")
+        for _ in range(20):
+            n = rng.randint(1, 9)
+            uf = SignedUnionFind(n)
+            merges: list[tuple[int, int, int]] = []
+            for _ in range(40):
+                if merges and rng.random() < 0.3:
+                    uf.undo()
+                    merges.pop()
+                else:
+                    a, b, rel = rng.randrange(n), rng.randrange(n), rng.choice((1, -1))
+                    before = len(uf.absorbed)
+                    ok = uf.union(a, b, rel)
+                    if len(uf.absorbed) > before:
+                        assert ok
+                        merges.append((a, b, rel))
+                fresh = SignedUnionFind(n)
+                for merge in merges:
+                    assert fresh.union(*merge)
+                for x in range(n):
+                    for y in range(n):
+                        (rx, sx), (ry, sy) = uf.find(x), uf.find(y)
+                        (fx, tx), (fy, ty) = fresh.find(x), fresh.find(y)
+                        assert (rx == ry) == (fx == fy)
+                        if rx == ry:
+                            assert sx * sy == tx * ty
+
+
+class TestUnionFind:
+    def test_add_and_union_return_values(self):
+        uf = UnionFind(0)
+        assert [uf.add() for _ in range(4)] == [0, 1, 2, 3]
+        assert uf.union(3, 1) == 3  # the smaller root survives
+        assert uf.union(2, 3) == 2
+        assert uf.union(1, 2) == -1
+        assert uf.union(0, 3) == 1
+        assert [uf.find(x) for x in range(4)] == [0, 0, 0, 0]
+        assert uf.add() == 4 and uf.find(4) == 4
+
+    def test_root_is_least_member(self):
+        rng = make_rng(84, "uf")
+        for _ in range(10):
+            n = 12
+            uf = UnionFind(n)
+            classes = [{x} for x in range(n)]
+            for _ in range(15):
+                a, b = rng.randrange(n), rng.randrange(n)
+                ca = next(c for c in classes if a in c)
+                cb = next(c for c in classes if b in c)
+                gone = uf.union(a, b)
+                if ca is cb:
+                    assert gone == -1
+                    continue
+                assert gone == max(min(ca), min(cb))
+                classes.remove(cb)
+                ca |= cb
+                assert all(uf.find(x) == min(c) for c in classes for x in c)
 
 
 def make_diagram(pres, walks, labels, letters, boundary):

@@ -18,7 +18,6 @@ from trigroup.fulfillment import (
     exact_probabilities,
     final_probability_bound,
     fulfils,
-    is_consistent,
     forcing_bounds,
     montecarlo_fulfillment,
     partial_label,
@@ -65,30 +64,30 @@ class TestPartialLabel:
             (1, 1): frozenset({2}),
             (2, 1): frozenset({3}),
         }
-        assert is_consistent(pl)
+        assert pl.is_consistent()
 
     def test_repeated_edge_matching(self):
         pl = partial_label(REPEAT, [(1, 1, 2)])
         assert pl.assigned[(0, 1)] == frozenset({1})
         assert pl.assigned[(1, 1)] == frozenset({2})
-        assert is_consistent(pl)
+        assert pl.is_consistent()
 
     def test_repeated_edge_clash(self):
         pl = partial_label(REPEAT, [(1, 2, 3)])
         assert pl.assigned[(0, 1)] == frozenset({1, 2})
-        assert not is_consistent(pl)
+        assert not pl.is_consistent()
 
     def test_opposite_orientations_inverse(self):
         Y = build([(1, 2, 3), (-1, 4, 5)], (1, 2))
         ok = partial_label(Y, [(1, 2, 3), (-1, 2, 3)])
-        assert is_consistent(ok)
+        assert ok.is_consistent()
         bad = partial_label(Y, [(1, 2, 3), (2, 2, 3)])
-        assert not is_consistent(bad)
+        assert not bad.is_consistent()
 
     def test_prefix_only(self):
         pl = partial_label(SHARED, [(1, 2, 3)])
         assert (3, 1) not in pl.assigned  # the label-2 face is untouched
-        assert is_consistent(pl)
+        assert pl.is_consistent()
 
     def test_length_mismatch(self):
         square = AbstractLabelledComplex(

@@ -74,6 +74,9 @@ class TestRelatorCount:
     def test_density_parse(self):
         assert density_from_str("0.35") == Fraction(7, 20)
         assert density_from_str("1/3") == Fraction(1, 3)
+        for number in (0.35, 1, Fraction(1, 3), None):  # only strings are exact input
+            with pytest.raises(ValueError, match="d = "):
+                density_from_str(number)
 
 
 class TestSymmetryChecks:
