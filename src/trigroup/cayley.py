@@ -384,13 +384,43 @@ def ball_from_json_dict(data: dict) -> BallGraph:
             raise ValueError(
                 f"'closed' of vertex {v} is {closed!r} with {len(edges)} of its {k} edges"
             )
-    return BallGraph(
+    g = BallGraph(
         presentation=p,
         radius=json_count(data["radius"], "'radius'"),
         distances=tuple(vertex["distance"] for vertex in vertices),
         closed=tuple(vertex["closed"] for vertex in vertices),
         adj=tuple(adj),
     )
+    _check_distances(g)
+    return g
+
+
+def _check_distances(g: BallGraph) -> None:
+    """Refuse stored distances that one breadth-first search from vertex 0
+    does not reproduce, and a radius below the largest of them."""
+    adj, k = g.adj, g.stride
+    dist = [-1] * g.vertex_count
+    dist[0] = 0
+    frontier = [0]
+    level = 0
+    while frontier:
+        level += 1
+        nxt = []
+        for v in frontier:
+            for w in adj[v * k : v * k + k]:
+                if w >= 0 and dist[w] < 0:
+                    dist[w] = level
+                    nxt.append(w)
+        frontier = nxt
+    if dist != list(g.distances):
+        v, found = next((v, d) for v, d in enumerate(dist) if d != g.distances[v])
+        actual = "unreachable" if found < 0 else f"at distance {found}"
+        raise ValueError(
+            f"'distance' of vertex {v} = {g.distances[v]}, but it is {actual}"
+            " from vertex 0"
+        )
+    if g.radius < level - 1:
+        raise ValueError(f"'radius' = {g.radius}: below the largest distance {level - 1}")
 
 
 # ---------------------------------------------------------------------------

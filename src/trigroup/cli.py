@@ -37,7 +37,7 @@ from .complexes import (
     chain_report,
     complex_from_json,
     complex_to_json,
-    edge_degree,
+    edge_degrees,
     random_abstract_complex,
     red,
     red_contributions,
@@ -200,7 +200,7 @@ def cmd_words(args) -> tuple[dict, int]:
 
 def cmd_cancel(args) -> tuple[dict, int]:
     Y = load_complex(args.complex)
-    degrees = [edge_degree(Y, e) for e in range(Y.edge_count)]
+    degrees = edge_degrees(Y)
     payload = {
         "vertices": Y.vertex_count,
         "edge_count": Y.edge_count,

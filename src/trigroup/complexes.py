@@ -5,7 +5,8 @@ A face's boundary walk is a tuple of signed 1-based edge references
 the data, so rotating it gives a different complex.  Faces carry positive
 integer labels.  On top of the structure this module computes:
 
-* ``edge_degree`` - occurrences of an edge over all walks, with multiplicity;
+* ``edge_degrees`` - occurrences of each edge over all walks, with
+  multiplicity;
 * ``cancel`` - the total excess ``sum (deg(e) - 1)+``;
 * ``red`` - the reducedness defect: for each edge and each label, the number
   of tied least-position occurrences beyond the first;
@@ -140,7 +141,7 @@ class VanKampenDiagram(LabelledComplex):
                 raise ValueError(f"face {f} labelled with unknown relator position")
             if self.face_word(f) != rels[pos]:
                 raise ValueError(f"face {f} walk does not spell its relator")
-        degs = [edge_degree(self, e) for e in range(self.edge_count)]
+        degs = edge_degrees(self)
         if any(d > 2 for d in degs):
             raise ValueError("an edge of a planar diagram lies in at most two face sides")
         if any(d == 0 for d in degs):
@@ -173,18 +174,18 @@ class VanKampenDiagram(LabelledComplex):
 # functionals
 
 
-def edge_degree(Y: TwoComplex, e: int) -> int:
-    """Occurrences of edge ``e`` over all face walks, either orientation."""
-    return sum(1 for walk in Y.faces for r in walk if ref_edge(r) == e)
-
-
-def cancel(Y: TwoComplex) -> int:
-    """Total edge excess sum((deg(e) - 1)+); counts forced identifications."""
+def edge_degrees(Y: TwoComplex) -> list[int]:
+    """Occurrences of each edge over all face walks, either orientation."""
     degs = [0] * Y.edge_count
     for walk in Y.faces:
         for r in walk:
             degs[ref_edge(r)] += 1
-    return sum(d - 1 for d in degs if d > 1)
+    return degs
+
+
+def cancel(Y: TwoComplex) -> int:
+    """Total edge excess sum((deg(e) - 1)+); counts forced identifications."""
+    return sum(d - 1 for d in edge_degrees(Y) if d > 1)
 
 
 def _least_positions(Y: AbstractLabelledComplex) -> dict[int, dict[int, int]]:

@@ -11,13 +11,18 @@ is lost).
 Duplicates are removed by a rooted canonical form: the encoding is minimized
 over all boundary basepoints and both directions, which also identifies
 mirror images, and faces are numbered boundary-first with ties explored
-exhaustively.  Output is deterministic: by face count, then canonical form.
+exhaustively.  The minimization is level-synchronous: every root advances
+one face position at a time, and only the partial encodings whose next face
+key equals that position's minimum go on, so a losing root is dropped at its
+first worse key instead of being encoded to full depth.  Output is
+deterministic: by face count, then canonical form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, Sequence
 
 from .complexes import (
@@ -120,71 +125,103 @@ def _attach(
 # canonical form
 
 
-def _translate(walk: Walk, rot: int, ids: dict) -> tuple[tuple[int, ...], dict]:
-    """Rewrite a face walk in canonical edge ids, minting provisional ids
-    (in traversal order, first crossing taken as the forward orientation)."""
-    local: dict[int, tuple[int, int]] = {}
-    out = []
-    nxt = len(ids) + 1
-    for j in range(3):
-        r = walk[(rot + j) % 3]
-        e = abs(r)
-        hit = ids.get(e) or local.get(e)
-        if hit is None:
-            local[e] = (nxt, 1 if r > 0 else -1)
-            out.append(nxt)
-            nxt += 1
-        else:
-            nid, sg = hit
-            out.append(nid * sg * (1 if r > 0 else -1))
-    return tuple(out), local
-
-
-def _encode_faces(ids: dict, remaining: tuple[int, ...], faces) -> tuple:
-    if not remaining:
-        return ()
-    candidates = []
-    for f in remaining:
-        walk, label = faces[f]
-        for rot in range(3):
-            if abs(walk[rot]) not in ids:
-                continue
-            key, local = _translate(walk, rot, ids)
-            candidates.append(((key, label), f, local))
-    best_key = min(c[0] for c in candidates)
-    best = None
-    for ckey, f, local in candidates:
-        if ckey != best_key:
-            continue
-        sub_ids = dict(ids)
-        sub_ids.update(local)
-        enc = (ckey,) + _encode_faces(
-            sub_ids, tuple(g for g in remaining if g != f), faces
-        )
-        if best is None or enc < best:
-            best = enc
-    return best
-
-
 def _canonical(state: _State) -> tuple:
+    """The least encoding over all 2·|∂D| roots, found level by level.
+
+    A root (a basepoint and a direction) numbers the boundary edges
+    1..|∂D| in its traversal order, the first crossing fixing each edge's
+    orientation.  The encoding is ``(|∂D|, k_1, ..., k_F)``, where
+    ``k_i = ((x, y, z), label)`` is the least key of an unencoded face read
+    from a rotation whose first edge already has an id, new edges being
+    minted in traversal order.  Every encoding has the same length, so the
+    minimum is fixed position by position: all roots advance together, and
+    only the partial encodings whose next key equals that position's minimum
+    go on, ties kept exhaustively.  A losing root drops out at its first
+    worse key.
+
+    The boundary crosses each edge once, so a face rotation starting on the
+    boundary edge at position i reaches the least first entry, -|∂D|, from
+    exactly one root: i-1 backwards when the face crosses the edge in the
+    boundary's direction, i+1 forwards otherwise.  Only those roots are built.
+    """
     _, faces, boundary = state
     B = len(boundary)
-    best = None
-    for direction in (1, -1):
-        for root in range(B):
-            if direction == 1:
-                bwalk = tuple(boundary[(root + j) % B] for j in range(B))
-            else:
-                bwalk = tuple(-boundary[(root - j) % B] for j in range(B))
-            ids: dict[int, tuple[int, int]] = {}
-            for ref in bwalk:
-                e = abs(ref)
-                if e not in ids:
-                    ids[e] = (len(ids) + 1, 1 if ref > 0 else -1)
-            enc = (B,) + _encode_faces(ids, tuple(range(len(faces))), faces)
-            if best is None or enc < best:
-                best = enc
-    return best
+    edges = [abs(r) for r in boundary]
+    where = {e: i for i, e in enumerate(edges)}
+    if len(where) != B:
+        raise ValueError("the boundary crosses an edge twice")
+    # every (face bit, label, rotated walk, its edges), computed once
+    turns = []
+    for f, ((a, b, c), label) in enumerate(faces):
+        ea, eb, ec = abs(a), abs(b), abs(c)
+        bit = 1 << f
+        turns += (
+            (bit, label, a, b, c, ea, eb, ec),
+            (bit, label, b, c, a, eb, ec, ea),
+            (bit, label, c, a, b, ec, ea, eb),
+        )
+    # the boundary read forwards and backwards, twice over, so that every
+    # root is one slice: edges, and the sign of each first crossing
+    signs = [1 if r > 0 else -1 for r in boundary]
+    fwd_edges, fwd_signs = edges * 2, signs * 2
+    back_edges, back_signs = edges[::-1] * 2, [-s for s in reversed(signs)] * 2
+    counts = range(1, B + 1)
+    # partial encodings to extend: (edge -> signed id, bitmask of encoded
+    # faces, the face rotation that extends them)
+    pairs = []
+    for turn in turns:
+        i = where.get(turn[5])
+        if i is None:
+            continue
+        if (turn[2] > 0) == (boundary[i] > 0):
+            j = B - i  # backwards from i-1
+            ids = dict(zip(back_edges[j : j + B], map(mul, counts, back_signs[j : j + B])))
+        else:
+            j = i + 1  # forwards from i+1
+            ids = dict(zip(fwd_edges[j : j + B], map(mul, counts, fwd_signs[j : j + B])))
+        pairs.append((ids, 0, turn))
+    encoding: list = [B]
+    for _ in faces:
+        best = None
+        ties: list = []
+        for ids, used, turn in pairs:
+            _, label, a, b, c, ea, eb, ec = turn
+            sa = ids.get(ea)
+            if sa is None:
+                continue
+            x = sa if a > 0 else -sa
+            if best is not None and x > best[0]:
+                continue
+            # an edge without an id gets the next one, signed by this crossing
+            n = len(ids)
+            sb = ids.get(eb)
+            if sb is None:
+                n += 1
+                sb = n if b > 0 else -n
+            sc = sb if ec == eb else ids.get(ec)
+            if sc is None:
+                n += 1
+                sc = n if c > 0 else -n
+            key = (x, sb if b > 0 else -sb, sc if c > 0 else -sc, label)
+            if best is None or key < best:
+                best = key
+                ties = [(ids, used, turn)]
+            elif key == best:
+                ties.append((ids, used, turn))
+        encoding.append((best[:3], best[3]))
+        if len(encoding) > len(faces):
+            break
+        pairs = []
+        for ids, used, (bit, _, _, b, c, _, eb, ec) in ties:
+            if eb not in ids or ec not in ids:
+                ids = dict(ids)
+                if eb not in ids:
+                    ids[eb] = len(ids) + 1 if b > 0 else -len(ids) - 1
+                if ec not in ids:
+                    ids[ec] = len(ids) + 1 if c > 0 else -len(ids) - 1
+            used |= bit
+            pairs.extend((ids, used, t) for t in turns if not used & t[0])
+    return tuple(encoding)
 
 
 def _to_diagram(state: _State, presentation: TriangularPresentation) -> VanKampenDiagram:
@@ -286,6 +323,8 @@ def isoperimetric_report(budget: DiagramBudget, cap: int = DEFAULT_FACE_CAP) -> 
     """
     d = budget.presentation.density
     eps = budget.epsilon
+    cancel_rate = 3 * (d + eps)
+    boundary_rate = 3 * (1 - 2 * d - 2 * eps)
     rows = []
     violations = 0
     identity_ok = True
@@ -293,8 +332,8 @@ def isoperimetric_report(budget: DiagramBudget, cap: int = DEFAULT_FACE_CAP) -> 
     for D in enumerate_reduced_diagrams(budget, cap):
         c = cancel(D)
         area, rim = D.area, D.boundary_length
-        cancel_ok = c <= 3 * (d + eps) * area
-        boundary_ok = rim >= 3 * (1 - 2 * d - 2 * eps) * area
+        cancel_ok = c <= cancel_rate * area
+        boundary_ok = rim >= boundary_rate * area
         if not cancel_ok:
             violations += 1
         identity_ok = identity_ok and 3 * area == rim + 2 * c

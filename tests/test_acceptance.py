@@ -5,7 +5,9 @@ Each test prints ``[criterion NN] PASS/FAIL ...`` straight to the terminal
 full scoreboard.  Criterion 6 pins a finding: the nominal per-level ratio
 bound is false, and the criterion checks the counterexamples that an
 exhaustive scan finds (count and smallest case in its verdict line), while
-the corrected form of the bound holds everywhere.
+the corrected form of the bound holds everywhere.  Criterion 10 cannot fail
+at its two-face budget, so a companion test without a verdict line pins the
+violations of one fixed presentation at three faces.
 """
 
 import itertools
@@ -32,6 +34,7 @@ from trigroup.enumeration import (
     DiagramBudget,
     enumerate_reduced_diagrams,
     euler_check,
+    isoperimetric_report,
     sampled_violation_trend,
 )
 from trigroup.fulfillment import exact_probabilities, ratio_checks, ratio_sweep
@@ -324,6 +327,18 @@ def test_criterion_10_isoperimetric_trend(capsys):
              f"(p={pvalue:.3f})", elapsed)
     assert nonincreasing
     assert elapsed < 600.0
+
+
+def test_criterion_10_companion_can_fail():
+    # criterion 10 runs at two faces, where |bD| < 0.72|D| is impossible, so
+    # it cannot fail; at three faces one fixed presentation does violate the
+    # bound, and the violations are pinned exactly
+    p = sample_presentation(10, Fraction(17, 50), 0)
+    rep = isoperimetric_report(DiagramBudget(3, p, Fraction(1, 25)))
+    bad = [row for row in rep["diagrams"] if not row["cancel_ok"]]
+    assert rep["identity_holds"] and rep["equivalence_holds"]
+    assert rep["violations"] == len(bad) == 10
+    assert all(row["area"] == 3 and row["boundary_length"] == 1 for row in bad)
 
 
 def test_criterion_11_sampler_uniformity(capsys):

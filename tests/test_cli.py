@@ -373,6 +373,38 @@ class TestDeltaEst:
         assert main(["delta-est", "--graph", str(bad)]) == 2
         assert named in capsys.readouterr().err
 
+    def test_distances_pinned_by_graph(self, tmp_path, capsys, ball_file):
+        # the m=3, d=1/4, seed 7 ball at R=2 (largest distance 1), edited to
+        # radius 9 with every non-origin vertex at distance 7
+        data = json.loads(open(ball_file).read())
+        data["radius"] = 9
+        for vertex in data["vertices"][1:]:
+            vertex["distance"] = 7
+        bad = tmp_path / "faraway.json"
+        bad.write_text(json.dumps(data))
+        assert main(["delta-est", "--graph", str(bad)]) == 2
+        assert "'distance' of vertex 1 = 7" in capsys.readouterr().err
+
+    def test_unreachable_vertex_refused(self, tmp_path, capsys):
+        vertices = [{"distance": 0, "closed": False, "edges": {}},
+                    {"distance": 1, "closed": False, "edges": {}}]
+        bad = tmp_path / "island.json"
+        bad.write_text(json.dumps({
+            "format": "ballgraph", "m": 2, "density": "1/5", "seed": None,
+            "relators": [], "radius": 1, "vertices": vertices,
+        }))
+        assert main(["delta-est", "--graph", str(bad)]) == 2
+        assert "'distance' of vertex 1 = 1, but it is unreachable" in capsys.readouterr().err
+
+    def test_radius_below_largest_distance(self, tmp_path, capsys, ball_file):
+        data = json.loads(open(ball_file).read())
+        assert max(v["distance"] for v in data["vertices"]) == 1
+        data["radius"] = 0
+        bad = tmp_path / "shrunk.json"
+        bad.write_text(json.dumps(data))
+        assert main(["delta-est", "--graph", str(bad)]) == 2
+        assert "'radius' = 0: below the largest distance 1" in capsys.readouterr().err
+
     def test_closed_flags_checked(self, tmp_path, capsys):
         # the ab2 ball at R=2 with all 9 vertices marked closed: 4 rim
         # vertices have partial stars

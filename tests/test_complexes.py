@@ -18,7 +18,7 @@ from trigroup.complexes import (
     complex_from_json,
     complex_to_json,
     dumps_complex,
-    edge_degree,
+    edge_degrees,
     forced_counts,
     forced_letter_count,
     glue_complexes,
@@ -62,8 +62,7 @@ class TestStructure:
         # e1 twice in a row forces tail = head, and the corner identifications
         # collapse everything to one vertex
         assert Y.vertex_count == 1
-        assert edge_degree(Y, 0) == 2
-        assert edge_degree(Y, 1) == 1
+        assert edge_degrees(Y) == [2, 1]
 
     def test_bad_reference_rejected(self):
         with pytest.raises(ValueError):
@@ -94,7 +93,7 @@ class TestCancel:
 
     def test_degree_counts_multiplicity_and_orientation(self):
         Y = make_abstract([(1, 1, 2), (-1, 3, 4)], (1, 2))
-        assert edge_degree(Y, 0) == 3
+        assert edge_degrees(Y) == [3, 1, 1, 1]
         assert cancel(Y) == 2
 
     def test_cancel_ignores_labels(self):

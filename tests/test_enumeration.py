@@ -1,9 +1,13 @@
 """Diagram enumeration: completeness, dedup, reducedness, reports."""
 
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trigroup import enumeration
 from trigroup.complexes import (
     abstract_from_walks,
     cancel,
@@ -18,6 +22,7 @@ from trigroup.enumeration import (
     labelled_complex_report,
     sampled_violation_trend,
     _attach,
+    _canonical,
 )
 from trigroup.presentation import (
     TriangularPresentation,
@@ -25,6 +30,8 @@ from trigroup.presentation import (
     relators_distinct_up_to_symmetry,
     sample_presentation,
 )
+
+import canon_oracle
 
 
 def pres(relators, m=5):
@@ -318,3 +325,100 @@ class TestTrend:
             assert row["presentations"] == 3
             assert 0 <= row["violating_diagrams"] <= row["diagrams"]
         assert rep == sampled_violation_trend(**kw)
+
+
+# ---------------------------------------------------------------------------
+# the level-synchronous canonical form against the recursive oracle
+
+
+@functools.lru_cache(maxsize=None)
+def canonicalised_states(p, max_faces):
+    """Every state the enumerator canonicalises for ``p`` up to ``max_faces``."""
+    states = []
+    real = enumeration._canonical
+
+    def record(state):
+        states.append(state)
+        return real(state)
+
+    enumeration._canonical = record
+    try:
+        for _ in enumerate_reduced_diagrams(DiagramBudget(max_faces, p)):
+            pass
+    finally:
+        enumeration._canonical = real
+    return tuple(states)
+
+
+ORACLE_CORPORA = {
+    "m3-d1/4-seed7": (sample_presentation(3, Fraction(1, 4), 7), 5),
+    "m10-d17/50-seed0": (sample_presentation(10, Fraction(17, 50), 0), 3),
+    "tight": (TIGHT, 4),
+}
+
+
+def relabelled(state, names, flips, order, turns, shift):
+    """``state`` with edge e renamed ``names[e-1]`` (reversed where ``flips``
+    says so), its faces listed in ``order``, face walks rotated by ``turns``
+    and the boundary rotated by ``shift``."""
+    letters, faces, boundary = state
+
+    def ref(r):
+        e = abs(r)
+        sign = (1 if r > 0 else -1) * (-1 if flips[e - 1] else 1)
+        return sign * names[e - 1]
+
+    new_letters = [0] * len(letters)
+    for e, c in enumerate(letters, start=1):
+        new_letters[names[e - 1] - 1] = -c if flips[e - 1] else c
+    new_faces = []
+    for f, t in zip(order, turns):
+        walk, label = faces[f]
+        new_faces.append((tuple(ref(walk[(t + j) % 3]) for j in range(3)), label))
+    B = len(boundary)
+    return (
+        tuple(new_letters),
+        tuple(new_faces),
+        tuple(ref(boundary[(shift + j) % B]) for j in range(B)),
+    )
+
+
+def small_states():
+    return canonicalised_states(TIGHT, 3) + canonicalised_states(
+        sample_presentation(3, Fraction(1, 4), 7), 3
+    )
+
+
+class TestCanonicalForm:
+    @pytest.mark.parametrize("corpus", sorted(ORACLE_CORPORA))
+    def test_matches_recursive_oracle(self, corpus):
+        p, max_faces = ORACLE_CORPORA[corpus]
+        states = canonicalised_states(p, max_faces)
+        assert states
+        mismatched = [s for s in states if _canonical(s) != canon_oracle._canonical(s)]
+        assert mismatched == []
+
+    def test_boundary_crossing_an_edge_twice_refused(self):
+        with pytest.raises(ValueError, match="twice"):
+            _canonical(((1, 2, 3), (((1, 2, 3), 1),), (1, 2, 3, -1)))
+
+    def test_call_count_on_deep_input(self):
+        # one call per one-face seed and per grown child; pruning inside a
+        # call leaves this count alone
+        p, max_faces = ORACLE_CORPORA["m10-d17/50-seed0"]
+        assert len(canonicalised_states(p, max_faces)) == 4703
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_invariant_under_relabelling(self, data):
+        states = small_states()
+        state = states[data.draw(st.integers(0, len(states) - 1), label="state")]
+        E, F, B = len(state[0]), len(state[1]), len(state[2])
+        names = data.draw(st.permutations(range(1, E + 1)), label="names")
+        flips = data.draw(st.lists(st.booleans(), min_size=E, max_size=E), label="flips")
+        order = data.draw(st.permutations(range(F)), label="order")
+        turns = data.draw(st.lists(st.integers(0, 2), min_size=F, max_size=F), label="turns")
+        shift = data.draw(st.integers(0, B - 1), label="shift")
+        moved = relabelled(state, names, flips, order, turns, shift)
+        assert _canonical(moved) == _canonical(state)
+        assert _canonical(moved) == canon_oracle._canonical(moved)
