@@ -10,7 +10,9 @@ truncation can never fake a geodesic.
 Adjacency is one flat tuple ``adj`` of ``V * 2m`` vertex ids: slot ``s`` of
 vertex ``v`` sits at ``v * 2m + s``, slots follow ``words.all_letters(m)``
 (a, A, b, B, ...), so the inverse of slot ``s`` is ``s ^ 1``, and -1 marks a
-missing edge.
+missing edge.  The fold, emission, the loader and the slimness probe share
+this one layout: the fold keeps a row of 2m slots per union-find id, and
+emission copies the rows within R through the breadth-first numbering.
 
 Slimness probing is local: the geodesics between two corners come from
 breadth-first balls grown around both corners until they meet, which span
@@ -136,6 +138,13 @@ def build_ball(
 ) -> BallGraph:
     """Radius-R ball of the Cayley graph, folded to a relator fixed point.
 
+    The fold keeps one flat row of 2m slots per union-find id, in the slot
+    order of ``BallGraph.adj``; a merge moves the absorbed row onto the kept
+    root.  ``max_vertices`` counts every id the fold allocates, absorbed
+    vertices and the frontier at R+1 included, not only emitted vertices:
+    the 1,265-vertex ball of ``sample_presentation(4, 1/6, 1)`` at R=4
+    allocates 6,949.
+
     ``_order_seed`` shuffles the order in which relator cycles are processed;
     the result must not depend on it (folding is confluent), which the tests
     assert rather than assume.
@@ -146,65 +155,49 @@ def build_ball(
         raise ValueError(
             f"radius {R} above the cap {radius_cap}; raise radius_cap explicitly"
         )
-    letters = all_letters(p.m)
-    variants = _relator_variants(p.relators)
+    k = 2 * p.m
+    blank = [-1] * k
+    cycles = [tuple(_slot(c) for c in w) for w in _relator_variants(p.relators)]
 
     uf = UnionFind(1)
     find, parent = uf.find, uf.parent
-    adj: list[dict[int, int]] = [{}]
-
-    def alive() -> list[int]:
-        return [v for v in range(len(adj)) if parent[v] == v]
-
+    rows = blank[:]  # slot s of id v at v * k + s; -1 for no edge
     pending: list[tuple[int, int]] = []
 
     def merge_all() -> None:
-        """Merge the pending pairs, moving each absorbed root's edges onto
-        the kept root; edges that collide there queue a further merge."""
+        """Merge the pending pairs, moving each absorbed root's row onto the
+        kept root; slots that collide there queue a further merge."""
         while pending:
             gone = uf.union(*pending.pop())
             if gone < 0:
                 continue
-            keep = find(gone)
-            for letter, tgt in adj[gone].items():
-                have = adj[keep].get(letter)
-                if have is None:
-                    adj[keep][letter] = tgt
+            kb, gb = find(gone) * k, gone * k
+            for s in range(k):
+                tgt = rows[gb + s]
+                if tgt < 0:
+                    continue
+                have = rows[kb + s]
+                if have < 0:
+                    rows[kb + s] = tgt
                 else:
                     pending.append((find(have), find(tgt)))
-            adj[gone] = {}
-
-    def add_edge(v: int, letter: int, w: int) -> bool:
-        v, w = find(v), find(w)
-        have = adj[v].get(letter)
-        if have is not None:
-            if find(have) != w:
-                pending.append((find(have), w))
-                merge_all()
-            return False
-        adj[v][letter] = w
-        back = adj[w].get(-letter)
-        if back is None:
-            adj[w][-letter] = v
-        elif find(back) != v:
-            pending.append((find(back), v))
-            merge_all()
-        return True
 
     def bfs_distances() -> dict[int, int]:
+        """Distances of the roots from the origin's root, in discovery order."""
         dist = {find(0): 0}
-        frontier = [find(0)]
+        frontier = list(dist)
+        d = 0
         while frontier:
+            d += 1
             nxt = []
             for v in frontier:
-                for letter in letters:
-                    w = adj[v].get(letter)
-                    if w is None:
+                for w in rows[v * k : v * k + k]:
+                    if w < 0:
                         continue
                     if parent[w] != w:
                         w = find(w)
                     if w not in dist:
-                        dist[w] = dist[v] + 1
+                        dist[w] = d
                         nxt.append(w)
             frontier = nxt
         return dist
@@ -216,41 +209,49 @@ def build_ball(
         if guard > 10_000:
             raise ArithmeticError("folding failed to stabilize")
         changed = False
-        dist = bfs_distances()
-        # expansion: everything within R gets its full star (frontier at R+1)
-        for v in sorted(dist, key=dist.get):
-            if dist[v] > R or parent[v] != v:
-                continue
-            for letter in letters:
-                if find(v) != v or letter in adj[v]:
+        # expansion: everything within R gets its full star (frontier at R+1);
+        # a fresh vertex collides with nothing, so no merge happens here
+        for v, d in bfs_distances().items():
+            if d > R:
+                break
+            for s in range(k):
+                if rows[v * k + s] >= 0:
                     continue
-                if len(adj) >= max_vertices:
+                if len(parent) >= max_vertices:
                     raise ValueError(
                         f"vertex budget {max_vertices} exceeded at radius {R}"
                     )
-                adj.append({})
-                add_edge(v, letter, uf.add())
+                w = uf.add()
+                rows.extend(blank)
+                rows[v * k + s] = w
+                rows[w * k + (s ^ 1)] = v
                 changed = True
         # closure: complete or fold every relator cycle based inside R
         dist = bfs_distances()
-        scan = [v for v in alive() if dist.get(v, R + 2) <= R]
+        scan = [v for v, d in dist.items() if d <= R]
         if rng is not None:
             rng.shuffle(scan)
         for v in scan:
-            for word in variants:
+            for s0, s1, s2 in cycles:
                 v0 = find(v)
-                x = adj[v0].get(word[0])
-                if x is None:
+                x = rows[v0 * k + s0]
+                if x < 0:
                     continue
                 x = find(x)
-                y = adj[x].get(word[1])
-                if y is None:
+                y = rows[x * k + s1]
+                if y < 0:
                     continue
                 y = find(y)
-                z = adj[y].get(word[2])
-                if z is None:
-                    if add_edge(y, word[2], v0):
-                        changed = True
+                z = rows[y * k + s2]
+                if z < 0:
+                    rows[y * k + s2] = v0
+                    back = rows[v0 * k + (s2 ^ 1)]
+                    if back < 0:
+                        rows[v0 * k + (s2 ^ 1)] = y
+                    elif find(back) != y:
+                        pending.append((find(back), y))
+                        merge_all()
+                    changed = True
                 elif find(z) != v0:
                     pending.append((find(z), v0))
                     merge_all()
@@ -258,36 +259,21 @@ def build_ball(
         if not changed:
             break
 
-    # canonical emission: breadth-first renumbering in letter order
-    dist = bfs_distances()
-    root = find(0)
-    order = [root]
-    new_id = {root: 0}
-    for v in order:
-        for letter in letters:
-            w = adj[v].get(letter)
-            if w is None:
-                continue
-            w = find(w)
-            if dist[w] <= R and w not in new_id:
-                new_id[w] = len(order)
-                order.append(w)
-    distances = tuple(dist[v] for v in order)
+    # canonical emission: the last round changed nothing, so its closure
+    # search still holds, and its discovery order within R is the
+    # breadth-first renumbering in letter order
+    order = [v for v, d in dist.items() if d <= R]
+    new_id = {v: i for i, v in enumerate(order)}
     flat: list[int] = []
-    closed = []
     for v in order:
-        nbrs = adj[v]
-        row = []
-        for letter in letters:
-            w = nbrs.get(letter)
-            row.append(-1 if w is None else new_id.get(find(w), -1))
-        flat.extend(row)
-        closed.append(-1 not in row)
+        flat.extend(
+            -1 if w < 0 else new_id.get(find(w), -1) for w in rows[v * k : v * k + k]
+        )
     return BallGraph(
         presentation=p,
         radius=R,
-        distances=distances,
-        closed=tuple(closed),
+        distances=tuple(dist[v] for v in order),
+        closed=tuple(-1 not in flat[i * k : i * k + k] for i in range(len(order))),
         adj=tuple(flat),
     )
 

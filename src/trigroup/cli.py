@@ -109,6 +109,14 @@ def _load_json(path: str, kind: str) -> dict:
     return data
 
 
+def _write_text(path: str, text: str, flag: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"{flag} {path!r}: cannot write ({exc.strerror or exc})")
+
+
 def _require_fields(data: dict, fields, kind: str, path: str) -> None:
     for field in fields:
         if field not in data:
@@ -160,8 +168,7 @@ def _emit(payload: dict, args: argparse.Namespace) -> None:
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_text(args.out, text, "--out")
     else:
         sys.stdout.write(text)
 
@@ -185,7 +192,7 @@ def cmd_words(args) -> tuple[dict, int]:
             f"m={args.m} above the enumeration cap {args.max_m};"
             f" pass --max-m {args.m} to override"
         )
-    words = enumerate_triangle_words(args.m, rank_cap=max(args.m, 6))
+    words = enumerate_triangle_words(args.m)
     expected = triangle_word_count(args.m)
     payload = {
         "m": args.m,
@@ -299,8 +306,7 @@ def cmd_sweep(args) -> tuple[dict, int]:
         f"{row['d0']},{row['k']},{row['L']},{row['N']}\n" for row in rows
     )
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(csv_text)
+        _write_text(args.csv, csv_text, "--csv")
     payload = {"rows": rows, "csv": csv_text}
     return payload, EXIT_OK
 

@@ -95,10 +95,6 @@ class AbstractLabelledComplex(TwoComplex):
         if any(i < 1 for i in self.labels):
             raise ValueError("labels must be positive")
 
-    @property
-    def label_values(self) -> list[int]:
-        return sorted(set(self.labels))
-
 
 @dataclass(frozen=True)
 class LabelledComplex(AbstractLabelledComplex):

@@ -165,7 +165,7 @@ def exact_probabilities(
             f"exhaustive enumeration needs m <= {EXACT_M_CAP} and <= "
             f"{EXACT_LEVEL_CAP} labels (got m={m}, n={n}); pass allow_large to override"
         )
-    support = enumerate_triangle_words(m, rank_cap=max(m, 6))
+    support = enumerate_triangle_words(m)
     faces_by_label = [
         [(Y.faces[f]) for f in range(Y.face_count) if Y.labels[f] == j]
         for j in range(1, n + 1)

@@ -16,10 +16,6 @@ from typing import Iterator, Sequence
 
 Word = tuple[int, ...]
 
-# Exhaustive length-3 enumeration is kept to small rank by default; the
-# support grows like 8*m**3 and callers wanting more must say so.
-ENUMERATION_RANK_CAP = 6
-
 
 @dataclass(frozen=True)
 class Letter:
@@ -158,15 +154,11 @@ def all_letters(m: int) -> list[int]:
     return out
 
 
-def enumerate_triangle_words(m: int, rank_cap: int = ENUMERATION_RANK_CAP) -> list[Word]:
+def enumerate_triangle_words(m: int) -> list[Word]:
     """All cyclically reduced length-3 words, lexicographically ordered.
 
     Complete and duplicate-free; ``len(...) == triangle_word_count(m)``.
     """
-    if m > rank_cap:
-        raise ValueError(
-            f"rank {m} exceeds enumeration cap {rank_cap}; pass rank_cap explicitly to override"
-        )
     letters = all_letters(m)
     out = []
     for a in letters:

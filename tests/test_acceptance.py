@@ -78,7 +78,7 @@ def test_criterion_01_cyclically_reduced_count(capsys):
     start = time.perf_counter()
     results = []
     for m in range(1, 6):
-        words = enumerate_triangle_words(m, rank_cap=max(m, 6))
+        words = enumerate_triangle_words(m)
         expected = (2 * m - 1) ** 3 + 1
         assert triangle_word_count(m) == expected
         results.append(len(words) == expected)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import fold_oracle
 import slim_oracle
 from trigroup.cayley import (
     STRIP_PRESENTATION,
@@ -113,6 +114,14 @@ class TestBuildBall:
         with pytest.raises(ValueError, match="vertex budget"):
             build_ball(free_presentation(2), 2, max_vertices=10)
 
+    def test_vertex_budget_counts_every_allocated_id(self):
+        # the 1,265-vertex ball at R=4 allocates 6,949 ids, absorbed vertices
+        # and the frontier at R+1 included
+        p = sample_presentation(4, Fraction(1, 6), 1)
+        assert build_ball(p, 4, max_vertices=6_949).vertex_count == 1_265
+        with pytest.raises(ValueError, match="vertex budget"):
+            build_ball(p, 4, max_vertices=6_948)
+
     def test_step_missing_letter(self):
         g = build_ball(free_presentation(2), 1)
         rim = g.vertex_count - 1
@@ -203,6 +212,32 @@ class TestSlimness:
     def test_samples_positive(self, ab2_ball):
         with pytest.raises(ValueError, match="positive"):
             slim_delta_estimate(ab2_ball, 0, 1)
+
+
+FOLD_CORPUS = [
+    (f"m{m}-d{d.numerator}_{d.denominator}-seed{s}", sample_presentation(m, d, s))
+    for m, d in ((2, Fraction(1, 5)), (2, Fraction(1, 3)), (3, Fraction(1, 4)),
+                 (3, Fraction(1, 3)), (4, Fraction(1, 6)), (2, Fraction(2, 5)),
+                 (3, Fraction(2, 5)))
+    for s in range(3)
+] + [("strip", STRIP_PRESENTATION)]
+
+
+class TestFoldOracle:
+    """The flat-row fold against the dict-row fold it replaced."""
+
+    @pytest.mark.parametrize("p", [case[1] for case in FOLD_CORPUS],
+                             ids=[case[0] for case in FOLD_CORPUS])
+    def test_matches_dict_row_fold(self, p):
+        for R in range(5):
+            for order_seed in (None, 3):
+                assert build_ball(p, R, _order_seed=order_seed) == fold_oracle.build_ball(
+                    p, R, _order_seed=order_seed
+                )
+
+    def test_matches_dict_row_fold_at_radius_5(self):
+        p = sample_presentation(4, Fraction(1, 6), 1)
+        assert build_ball(p, 5) == fold_oracle.build_ball(p, 5)
 
 
 def _oracle_corpus():

@@ -291,6 +291,12 @@ class TestSweep:
         assert len(lines) == 3
         assert doc["csv"] == csv_path.read_text()
 
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_csv(self, tmp_path, capsys, where):
+        path = tmp_path / "nowhere" / "sweep.csv" if where == "missing-dir" else tmp_path
+        assert main(["sweep", "--d0-grid", "3/10", "--csv", str(path)]) == 2
+        assert f"--csv {str(path)!r}: cannot write" in capsys.readouterr().err
+
 
 class TestEnumDiagramsValidation:
     @pytest.mark.parametrize("field, value", [
@@ -673,6 +679,13 @@ class TestPlumbing:
         doc1.pop("meta")
         doc4.pop("meta")
         assert doc1 == doc4
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out(self, tmp_path, capsys, where):
+        # a write failure is bad configuration (exit 2), not a failed check
+        path = tmp_path / "nowhere" / "x.json" if where == "missing-dir" else tmp_path
+        assert main(["sample", "--m", "2", "--d", "1/3", "--out", str(path)]) == 2
+        assert f"--out {str(path)!r}: cannot write" in capsys.readouterr().err
 
     def test_workers_positive(self, capsys):
         assert main(["words", "--m", "2", "--workers", "0"]) == 2

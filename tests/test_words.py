@@ -134,9 +134,7 @@ class TestTriangleWords:
         assert set(words) == set(brute_force_triangle_words(m))
 
     def test_enumeration_cap(self):
-        with pytest.raises(ValueError):
-            enumerate_triangle_words(7)
-        assert len(enumerate_triangle_words(7, rank_cap=7)) == 13 ** 3 + 1
+        assert len(enumerate_triangle_words(7)) == 13 ** 3 + 1
 
     def test_sampler_support_and_determinism(self):
         words = [sample_triangle_word(2, make_rng(42)) for _ in range(50)]
