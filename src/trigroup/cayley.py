@@ -1,11 +1,17 @@
 """Bounded Cayley balls, slimness probing, and the parallel-geodesics demo.
 
-A ball is grown breadth-first to radius R+1 while relator cycles are closed
-by edge completion and vertex folding, iterated to a fixed point; the emitted
-graph keeps the radius-R part with exact distances.  A vertex is ``closed``
-when its whole star of 2m edges lands inside the emitted ball; slimness
-probing draws triangle corners from closed vertices only, so frontier
-truncation can never fake a geodesic.
+A ball is grown to radius R+1 by a worklist fold in the style of Felsch
+coset enumeration: vertices within R are expanded in the order they were
+defined, and every new edge or merge is a deduction that rescans only the
+relator cycles through it, completing a missing edge or folding two vertices
+together, until nothing is left to deduce.  Each vertex carries a depth, an
+upper bound on its distance from the origin; the breadth-first search that
+numbers the emitted ball corrects the depths it finds too large and resumes
+the fold if that brings a vertex within R.  The emitted graph keeps the
+radius-R part with exact distances.  A vertex is ``closed`` when its whole
+star of 2m edges lands inside the emitted ball; slimness probing draws
+triangle corners from closed vertices only, so frontier truncation can never
+fake a geodesic.
 
 Adjacency is one flat tuple ``adj`` of ``V * 2m`` vertex ids: slot ``s`` of
 vertex ``v`` sits at ``v * 2m + s``, slots follow ``words.all_letters(m)``
@@ -138,16 +144,38 @@ def build_ball(
 ) -> BallGraph:
     """Radius-R ball of the Cayley graph, folded to a relator fixed point.
 
-    The fold keeps one flat row of 2m slots per union-find id, in the slot
-    order of ``BallGraph.adj``; a merge moves the absorbed row onto the kept
-    root.  ``max_vertices`` counts every id the fold allocates, absorbed
-    vertices and the frontier at R+1 included, not only emitted vertices:
-    the 1,265-vertex ball of ``sample_presentation(4, 1/6, 1)`` at R=4
-    allocates 6,949.
+    The fold is a worklist in the style of Felsch coset enumeration, over one
+    flat row of 2m slots per union-find id in the slot order of
+    ``BallGraph.adj``.  Ids within R are expanded in the order they were
+    defined, and expanding one gives each of its missing slots a fresh id.
+    Every fill or merge pushes its edges onto a deduction stack, and each
+    entry rescans only the relator cycles that use that edge first, second
+    or third, with bases within R; the base is found by walking back through
+    inverse slots.  A cycle whose first two edges exist gets its third edge
+    filled in, or its end folded onto its base.  A merge moves the absorbed
+    row onto the kept root and pushes every filled slot of the root, and a
+    fresh id, which has one edge, deduces only the cycles that the edge can
+    complete.  The stack is drained before the next fresh id.
 
-    ``_order_seed`` shuffles the order in which relator cycles are processed;
-    the result must not depend on it (folding is confluent), which the tests
-    assert rather than assume.
+    Each id carries a depth, an upper bound on its distance from the origin:
+    its parent's depth + 1 when defined, the smaller of the two at a merge.
+    The breadth-first search that numbers the emitted ball checks every
+    depth.  A vertex it reaches at a smaller distance has its depth
+    corrected; if it was never expanded, it goes back on the queue with its
+    edges pushed, since deductions skipped the cycles based at it, and the
+    fold resumes.  There are no rounds: every step fills a slot, merges two
+    ids or allocates one, and allocation stops at ``max_vertices``, so the
+    fold terminates.
+
+    ``max_vertices`` counts every id the fold allocates, absorbed vertices
+    and the frontier at R+1 included, not only emitted vertices: the
+    1,265-vertex ball of ``sample_presentation(4, 1/6, 1)`` at R=4 allocates
+    6,365, the vertex count of its R=5 ball.
+
+    ``_order_seed`` shuffles the order of the relator cycles and the order in
+    which ids leave the queue; the result must not depend on it (folding is
+    confluent), which the tests assert rather than assume.  A shuffled queue
+    overshoots depths, so it also drives the correction at emission.
     """
     if R < 0:
         raise ValueError("radius must be nonnegative")
@@ -158,20 +186,32 @@ def build_ball(
     k = 2 * p.m
     blank = [-1] * k
     cycles = [tuple(_slot(c) for c in w) for w in _relator_variants(p.relators)]
+    rng = make_rng(_order_seed, "fold") if _order_seed is not None else None
+    if rng is not None:
+        rng.shuffle(cycles)
+    # the cycles through slot s, by the position s takes in them
+    first = [[(s1, s2) for s0, s1, s2 in cycles if s0 == s] for s in range(k)]
+    second = [[(s0, s2) for s0, s1, s2 in cycles if s1 == s] for s in range(k)]
+    third = [[(s0, s1) for s0, s1, s2 in cycles if s2 == s] for s in range(k)]
 
     uf = UnionFind(1)
     find, parent = uf.find, uf.parent
     rows = blank[:]  # slot s of id v at v * k + s; -1 for no edge
-    pending: list[tuple[int, int]] = []
+    depth = [0]  # an upper bound on the distance from the origin
+    done = bytearray(1)  # expanded within R: a full star, its cycles deduced
+    queue = [0]
+    deduced: list[int] = []  # slots v * k + s whose edge is new to root v
 
-    def merge_all() -> None:
-        """Merge the pending pairs, moving each absorbed root's row onto the
-        kept root; slots that collide there queue a further merge."""
+    def merge(a: int, b: int) -> None:
+        """Join two ids, moving each absorbed root's row onto the kept root;
+        slots that collide there are joined in turn."""
+        pending = [(a, b)]
         while pending:
             gone = uf.union(*pending.pop())
             if gone < 0:
                 continue
-            kb, gb = find(gone) * k, gone * k
+            keep = find(gone)
+            kb, gb = keep * k, gone * k
             for s in range(k):
                 tgt = rows[gb + s]
                 if tgt < 0:
@@ -180,89 +220,145 @@ def build_ball(
                 if have < 0:
                     rows[kb + s] = tgt
                 else:
-                    pending.append((find(have), find(tgt)))
+                    pending.append((have, tgt))
+            if done[gone]:
+                done[keep] = 1
+            if depth[gone] < depth[keep]:
+                depth[keep] = depth[gone]
+            deduced.extend(i for i in range(kb, kb + k) if rows[i] >= 0)
 
-    def bfs_distances() -> dict[int, int]:
-        """Distances of the roots from the origin's root, in discovery order."""
-        dist = {find(0): 0}
-        frontier = list(dist)
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for v in frontier:
-                for w in rows[v * k : v * k + k]:
-                    if w < 0:
-                        continue
-                    if parent[w] != w:
-                        w = find(w)
-                    if w not in dist:
-                        dist[w] = d
-                        nxt.append(w)
-            frontier = nxt
-        return dist
+    def close(b: int, s0: int, s1: int, s2: int) -> None:
+        """Complete or fold the cycle s0 s1 s2 based at b, if its first two
+        edges exist."""
+        if parent[b] != b:
+            b = find(b)
+        x = rows[b * k + s0]
+        if x < 0:
+            return
+        if parent[x] != x:
+            x = find(x)
+        y = rows[x * k + s1]
+        if y < 0:
+            return
+        if parent[y] != y:
+            y = find(y)
+        z = rows[y * k + s2]
+        if z < 0:
+            rows[y * k + s2] = b
+            deduced.append(y * k + s2)
+            i = b * k + (s2 ^ 1)
+            back = rows[i]
+            if back < 0:
+                rows[i] = y
+                deduced.append(i)
+            elif back != y and find(back) != y:
+                merge(back, y)
+        elif z != b and find(z) != b:
+            merge(z, b)
 
-    rng = make_rng(_order_seed, "fold") if _order_seed is not None else None
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 10_000:
-            raise ArithmeticError("folding failed to stabilize")
-        changed = False
-        # expansion: everything within R gets its full star (frontier at R+1);
-        # a fresh vertex collides with nothing, so no merge happens here
-        for v, d in bfs_distances().items():
-            if d > R:
-                break
-            for s in range(k):
-                if rows[v * k + s] >= 0:
-                    continue
-                if len(parent) >= max_vertices:
-                    raise ValueError(
-                        f"vertex budget {max_vertices} exceeded at radius {R}"
-                    )
-                w = uf.add()
-                rows.extend(blank)
-                rows[v * k + s] = w
-                rows[w * k + (s ^ 1)] = v
-                changed = True
-        # closure: complete or fold every relator cycle based inside R
-        dist = bfs_distances()
-        scan = [v for v, d in dist.items() if d <= R]
-        if rng is not None:
-            rng.shuffle(scan)
-        for v in scan:
-            for s0, s1, s2 in cycles:
-                v0 = find(v)
-                x = rows[v0 * k + s0]
+    def close_second(u: int, s: int) -> None:
+        """Close the cycles based within R that use slot s of u second; the
+        base sits one inverse slot behind u."""
+        for s0, s2 in second[s]:
+            b = rows[u * k + (s0 ^ 1)]
+            if b < 0:
+                continue
+            if parent[b] != b:
+                b = find(b)
+            if depth[b] <= R:
+                close(b, s0, s, s2)
+
+    def drain() -> None:
+        """Rescan the cycles through each deduced edge, based within R."""
+        while deduced:
+            u, s = divmod(deduced.pop(), k)
+            if parent[u] != u:
+                continue  # its merge pushed the kept root's slots
+            if depth[u] <= R:
+                for s1, s2 in first[s]:
+                    close(u, s, s1, s2)
+            close_second(u, s)
+            for s0, s1 in third[s]:
+                x = rows[u * k + (s1 ^ 1)]
                 if x < 0:
                     continue
-                x = find(x)
-                y = rows[x * k + s1]
-                if y < 0:
+                if parent[x] != x:
+                    x = find(x)
+                b = rows[x * k + (s0 ^ 1)]
+                if b < 0:
                     continue
-                y = find(y)
-                z = rows[y * k + s2]
-                if z < 0:
-                    rows[y * k + s2] = v0
-                    back = rows[v0 * k + (s2 ^ 1)]
-                    if back < 0:
-                        rows[v0 * k + (s2 ^ 1)] = y
-                    elif find(back) != y:
-                        pending.append((find(back), y))
-                        merge_all()
-                    changed = True
-                elif find(z) != v0:
-                    pending.append((find(z), v0))
-                    merge_all()
-                    changed = True
-        if not changed:
-            break
+                if parent[b] != b:
+                    b = find(b)
+                if depth[b] <= R:
+                    close(b, s0, s1, s)
 
-    # canonical emission: the last round changed nothing, so its closure
-    # search still holds, and its discovery order within R is the
-    # breadth-first renumbering in letter order
-    order = [v for v, d in dist.items() if d <= R]
+    def expand(v: int) -> None:
+        """Give each missing slot of v a fresh id."""
+        vb = v * k
+        for s in range(k):
+            if rows[vb + s] >= 0:
+                continue
+            if len(parent) >= max_vertices:
+                raise ValueError(
+                    f"vertex budget {max_vertices} exceeded at radius {R}"
+                )
+            w = uf.add()
+            rows.extend(blank)
+            depth.append(depth[v] + 1)
+            done.append(0)
+            if depth[w] <= R:
+                queue.append(w)
+            rows[vb + s] = w
+            rows[w * k + (s ^ 1)] = v
+            # w has one edge and cycles are reduced, so only the cycles that
+            # use the new edge second, or start with w's edge, can complete
+            close_second(v, s)
+            if depth[w] <= R:
+                for s1, s2 in first[s ^ 1]:
+                    close(w, s ^ 1, s1, s2)
+            if deduced:
+                drain()
+            if parent[v] != v:
+                return  # absorbed: its row went to the kept root
+        done[v] = 1
+
+    head = 0
+    while True:
+        while head < len(queue):
+            if rng is not None:
+                j = rng.randrange(head, len(queue))
+                queue[head], queue[j] = queue[j], queue[head]
+            v = queue[head]
+            head += 1
+            if parent[v] == v and not done[v]:
+                expand(v)
+        # emission search: breadth-first from the origin in slot order, which
+        # numbers the ball; a depth above the distance found is corrected
+        root = find(0)
+        dist = {root: 0}
+        order = [root]
+        for v in order:
+            d = dist[v]
+            if d < depth[v]:
+                depth[v] = d
+            if not done[v]:
+                # never expanded: deductions may have skipped its cycles
+                queue.append(v)
+                deduced.extend(i for i in range(v * k, v * k + k) if rows[i] >= 0)
+            if d == R:
+                continue
+            for w in rows[v * k : v * k + k]:
+                if w < 0:
+                    continue
+                if parent[w] != w:
+                    w = find(w)
+                if w not in dist:
+                    dist[w] = d + 1
+                    order.append(w)
+        if head == len(queue):
+            break
+        drain()
+
     new_id = {v: i for i, v in enumerate(order)}
     flat: list[int] = []
     for v in order:

@@ -193,27 +193,6 @@ def _least_positions(Y: AbstractLabelledComplex) -> dict[int, dict[int, int]]:
     return inc
 
 
-def is_least_position(Y: AbstractLabelledComplex, e: int, f: int) -> bool:
-    """Does ``f`` hit ``e`` no later than every same-label face? (ties allowed)"""
-    by_face = _least_positions(Y).get(e, {})
-    if f not in by_face:
-        return False
-    mine = by_face[f]
-    return all(
-        mine <= pos
-        for g, pos in by_face.items()
-        if Y.labels[g] == Y.labels[f]
-    )
-
-
-def is_min_label(Y: AbstractLabelledComplex, e: int, f: int) -> bool:
-    """Does ``f`` contain ``e`` and realize the minimal label among its faces?"""
-    by_face = _least_positions(Y).get(e, {})
-    if f not in by_face:
-        return False
-    return Y.labels[f] == min(Y.labels[g] for g in by_face)
-
-
 def red_contributions(Y: AbstractLabelledComplex) -> list[int]:
     """Per-edge reducedness defect: tied least-position occurrences beyond one."""
     out = [0] * Y.edge_count

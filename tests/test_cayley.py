@@ -20,7 +20,7 @@ from trigroup.cayley import (
     strip_diagram,
     fig1_demo,
 )
-from trigroup.complexes import cancel, is_reduced_diagram
+from trigroup.complexes import UnionFind, cancel, is_reduced_diagram
 from trigroup.enumeration import euler_check
 from trigroup.presentation import TriangularPresentation, sample_presentation
 from trigroup.thresholds import (
@@ -115,12 +115,33 @@ class TestBuildBall:
             build_ball(free_presentation(2), 2, max_vertices=10)
 
     def test_vertex_budget_counts_every_allocated_id(self):
-        # the 1,265-vertex ball at R=4 allocates 6,949 ids, absorbed vertices
-        # and the frontier at R+1 included
+        # the 1,265-vertex ball at R=4 allocates 6,365 ids, absorbed vertices
+        # and the frontier at R+1 included: the vertex count of its R=5 ball
         p = sample_presentation(4, Fraction(1, 6), 1)
-        assert build_ball(p, 4, max_vertices=6_949).vertex_count == 1_265
+        assert build_ball(p, 4, max_vertices=6_365).vertex_count == 1_265
         with pytest.raises(ValueError, match="vertex budget"):
-            build_ball(p, 4, max_vertices=6_948)
+            build_ball(p, 4, max_vertices=6_364)
+
+    @pytest.mark.parametrize("m, d, seed", [
+        (2, Fraction(1, 5), 0), (2, Fraction(1, 5), 2), (4, Fraction(1, 6), 1),
+    ])
+    def test_allocates_one_id_per_vertex_of_the_next_ball(self, m, d, seed):
+        # these folds meet no coincidence from R=1 on: every allocated id is
+        # a distinct vertex within R+1, so the next ball's size is the budget
+        p = sample_presentation(m, d, seed)
+        for R in range(1, 5):
+            budget = build_ball(p, R + 1).vertex_count
+            assert build_ball(p, R, max_vertices=budget).vertex_count < budget
+            with pytest.raises(ValueError, match="vertex budget"):
+                build_ball(p, R, max_vertices=budget - 1)
+
+    @pytest.mark.parametrize("seed, order_seed, allocated", [(5, 2, 1_462), (7, 5, 1_468)])
+    def test_collision_merge_saves_ids(self, seed, order_seed, allocated):
+        # a merge whose two roots fill the same slot joins the two targets;
+        # skipping that leaves the ball unchanged but allocates 5 more ids
+        # here, because expansion rebuilds the side still reachable
+        p = sample_presentation(4, Fraction(1, 5), seed)
+        build_ball(p, 5, max_vertices=allocated, _order_seed=order_seed)
 
     def test_step_missing_letter(self):
         g = build_ball(free_presentation(2), 1)
@@ -234,6 +255,22 @@ class TestFoldOracle:
                 assert build_ball(p, R, _order_seed=order_seed) == fold_oracle.build_ball(
                     p, R, _order_seed=order_seed
                 )
+
+    @pytest.mark.parametrize("p", [case[1] for case in FOLD_CORPUS],
+                             ids=[case[0] for case in FOLD_CORPUS])
+    def test_allocates_no_more_than_dict_row_fold(self, p, monkeypatch):
+        add = UnionFind.add
+
+        def counting_add(uf):
+            allocated[0] += 1
+            return add(uf)
+
+        for R in range(5):
+            allocated = [1]  # the origin
+            with monkeypatch.context() as patch:
+                patch.setattr(UnionFind, "add", counting_add)
+                fold_oracle.build_ball(p, R)
+            build_ball(p, R, max_vertices=allocated[0])
 
     def test_matches_dict_row_fold_at_radius_5(self):
         p = sample_presentation(4, Fraction(1, 6), 1)

@@ -325,8 +325,9 @@ class TestBall:
         assert "--radius-cap 20" in capsys.readouterr().err
 
     def test_vertex_budget_message(self, pres_file, capsys):
+        # the group has 5 elements, and the fold allocates one id for each
         assert main(["ball", "--presentation", pres_file, "--radius", "3",
-                     "--max-vertices", "5"]) == 2
+                     "--max-vertices", "4"]) == 2
         assert "--max-vertices" in capsys.readouterr().err
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from indicator_oracle import is_least_position, is_min_label
 from trigroup.complexes import (
     AbstractLabelledComplex,
     LabelledComplex,
@@ -22,8 +23,6 @@ from trigroup.complexes import (
     forced_counts,
     forced_letter_count,
     glue_complexes,
-    is_least_position,
-    is_min_label,
     is_reduced_diagram,
     label_forcing_levels,
     random_abstract_complex,
