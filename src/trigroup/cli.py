@@ -252,8 +252,13 @@ def cmd_fulfil(args) -> tuple[dict, int]:
         )
     if not args.exact:
         trials = args.trials if args.trials is not None else 10_000
-        payload = {"mode": "montecarlo", **montecarlo_fulfillment(Y, args.m, trials, args.seed)}
-        return payload, EXIT_OK
+        if trials < 1:
+            raise CliError("trials must be positive")
+        try:
+            result = montecarlo_fulfillment(Y, args.m, trials, args.seed)
+        except ValueError as exc:
+            raise CliError(f"complex file {args.complex!r}: {exc}")
+        return {"mode": "montecarlo", **result}, EXIT_OK
     n = len(set(Y.labels))
     if n > EXACT_LABEL_CAP:
         raise CliError(

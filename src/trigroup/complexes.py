@@ -44,12 +44,14 @@ def walk_letters(walk: Walk, letters: Sequence[int]) -> Word:
 
 
 @dataclass(frozen=True)
-class TwoComplex:
-    """Vertices 0..vertex_count-1, edges as (tail, head), faces as walks."""
+class AbstractLabelledComplex:
+    """Vertices 0..vertex_count-1, edges as (tail, head), faces as walks, and
+    a positive integer label per face."""
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
     faces: tuple[Walk, ...]
+    labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
         for t, h in self.edges:
@@ -64,6 +66,10 @@ class TwoComplex:
             for a, b in zip(walk, walk[1:] + walk[:1]):
                 if self.ref_head(a) != self.ref_tail(b):
                     raise ValueError(f"walk {walk} is not a closed path")
+        if len(self.labels) != len(self.faces):
+            raise ValueError("one label per face required")
+        if any(i < 1 for i in self.labels):
+            raise ValueError("labels must be positive")
 
     def ref_tail(self, ref: int) -> int:
         t, h = self.edges[ref_edge(ref)]
@@ -80,20 +86,6 @@ class TwoComplex:
     @property
     def face_count(self) -> int:
         return len(self.faces)
-
-
-@dataclass(frozen=True)
-class AbstractLabelledComplex(TwoComplex):
-    """A 2-complex whose faces carry positive integer labels."""
-
-    labels: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        TwoComplex.__post_init__(self)
-        if len(self.labels) != len(self.faces):
-            raise ValueError("one label per face required")
-        if any(i < 1 for i in self.labels):
-            raise ValueError("labels must be positive")
 
 
 @dataclass(frozen=True)
@@ -170,7 +162,7 @@ class VanKampenDiagram(LabelledComplex):
 # functionals
 
 
-def edge_degrees(Y: TwoComplex) -> list[int]:
+def edge_degrees(Y: AbstractLabelledComplex) -> list[int]:
     """Occurrences of each edge over all face walks, either orientation."""
     degs = [0] * Y.edge_count
     for walk in Y.faces:
@@ -179,7 +171,7 @@ def edge_degrees(Y: TwoComplex) -> list[int]:
     return degs
 
 
-def cancel(Y: TwoComplex) -> int:
+def cancel(Y: AbstractLabelledComplex) -> int:
     """Total edge excess sum((deg(e) - 1)+); counts forced identifications."""
     return sum(d - 1 for d in edge_degrees(Y) if d > 1)
 
@@ -248,7 +240,7 @@ def label_forcing_levels(Y: AbstractLabelledComplex) -> list[tuple[int, int]]:
     return sorted(levels.items())
 
 
-def all_edges_in_faces(Y: TwoComplex) -> bool:
+def all_edges_in_faces(Y: AbstractLabelledComplex) -> bool:
     used = {ref_edge(r) for walk in Y.faces for r in walk}
     return len(used) == Y.edge_count
 
@@ -473,94 +465,6 @@ def random_abstract_complex(rng: random.Random, max_faces: int = 6) -> AbstractL
     ]
     rng.shuffle(labels)
     return abstract_from_walks(walks, labels)
-
-
-def glue_complexes(
-    parts: Sequence[LabelledComplex],
-    identifications: Sequence[tuple[tuple[int, Walk], tuple[int, Walk]]],
-) -> LabelledComplex:
-    """Disjoint union of ``parts`` with paths identified pairwise.
-
-    Each identification is ``((part_a, path_a), (part_b, path_b))`` where the
-    paths are signed edge references of equal length spelling identical
-    letters; corresponding oriented edges (and hence their endpoints) are
-    merged.  Faces are never merged.
-    """
-    edge_base = [0]
-    vert_base = [0]
-    for P in parts:
-        edge_base.append(edge_base[-1] + P.edge_count)
-        vert_base.append(vert_base[-1] + P.vertex_count)
-
-    def g_edge(part: int, ref: int) -> int:
-        return ref_edge(ref) + edge_base[part]
-
-    suf = SignedUnionFind(edge_base[-1])
-    uf_v = UnionFind(vert_base[-1])
-
-    total_edges: list[tuple[int, int]] = []
-    total_letters: list[int] = []
-    for pi, P in enumerate(parts):
-        for (t, h), letter in zip(P.edges, P.letters):
-            total_edges.append((t + vert_base[pi], h + vert_base[pi]))
-            total_letters.append(letter)
-
-    for (pa, path_a), (pb, path_b) in identifications:
-        if len(path_a) != len(path_b):
-            raise ValueError("identified paths must have equal length")
-        wa = walk_letters(path_a, parts[pa].letters)
-        wb = walk_letters(path_b, parts[pb].letters)
-        if wa != wb:
-            raise ValueError(f"identified paths spell {wa} vs {wb}")
-        for ra, rb in zip(path_a, path_b):
-            rel = 1 if (ra > 0) == (rb > 0) else -1
-            if not suf.union(g_edge(pa, ra), g_edge(pb, rb), rel):
-                raise ValueError("gluing forces an edge onto its own reverse")
-            uf_v.union(
-                parts[pa].ref_tail(ra) + vert_base[pa],
-                parts[pb].ref_tail(rb) + vert_base[pb],
-            )
-            uf_v.union(
-                parts[pa].ref_head(ra) + vert_base[pa],
-                parts[pb].ref_head(rb) + vert_base[pb],
-            )
-
-    vert_name: dict[int, int] = {}
-    for v in range(vert_base[-1]):
-        vert_name.setdefault(uf_v.find(v), len(vert_name))
-
-    edge_name: dict[int, int] = {}
-    new_edges: list[tuple[int, int]] = []
-    new_letters: list[int] = []
-    for e in range(edge_base[-1]):
-        root, rel = suf.find(e)
-        if total_letters[e] != rel * total_letters[root]:
-            raise ValueError("gluing merges edges with incompatible letters")
-        if root not in edge_name:
-            edge_name[root] = len(new_edges)
-            t, h = total_edges[root]
-            new_edges.append((vert_name[uf_v.find(t)], vert_name[uf_v.find(h)]))
-            new_letters.append(total_letters[root])
-
-    faces: list[Walk] = []
-    labels: list[int] = []
-    for pi, P in enumerate(parts):
-        for f, walk in enumerate(P.faces):
-            new_walk = []
-            for ref in walk:
-                root, rel = suf.find(g_edge(pi, ref))
-                sign = (1 if ref > 0 else -1) * rel
-                new_walk.append(sign * (edge_name[root] + 1))
-            faces.append(tuple(new_walk))
-            labels.append(P.labels[f])
-
-    return LabelledComplex(
-        vertex_count=len(vert_name),
-        edges=tuple(new_edges),
-        faces=tuple(faces),
-        labels=tuple(labels),
-        letters=tuple(new_letters),
-    )
 
 
 # ---------------------------------------------------------------------------

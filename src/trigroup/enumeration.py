@@ -25,17 +25,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterator, Sequence
 
-from .complexes import (
-    AbstractLabelledComplex,
-    VanKampenDiagram,
-    Walk,
-    cancel,
-    close_walks,
-    is_reduced_diagram,
-    red,
-    side_trace,
-)
-from .fulfillment import fulfils
+from .complexes import VanKampenDiagram, Walk, cancel, close_walks, side_trace
 from .presentation import TriangularPresentation, sample_presentation
 from .seeding import derive_seed
 
@@ -359,37 +349,6 @@ def isoperimetric_report(budget: DiagramBudget, cap: int = DEFAULT_FACE_CAP) -> 
         "equivalence_holds": equivalence_ok,
         "violation_frequency": str(Fraction(violations, len(rows))) if rows else "0",
     }
-
-
-def labelled_complex_report(
-    presentation: TriangularPresentation,
-    bindings: Sequence[tuple[AbstractLabelledComplex, Sequence[int]]],
-    epsilon: Fraction = Fraction(1, 100),
-) -> dict:
-    """cancel(Y) - red(Y) against 3(d+eps)|Y| for fulfilled complexes.
-
-    Each binding is (Y, relator positions); a binding whose words do not
-    consistently label Y is rejected.
-    """
-    d = presentation.density
-    rows = []
-    holds_all = True
-    for Y, positions in bindings:
-        if not fulfils(Y, positions, presentation):
-            raise ValueError("complex is not fulfilled by the given relator positions")
-        lhs = cancel(Y) - red(Y)
-        rhs = 3 * (d + epsilon) * Y.face_count
-        ok = lhs <= rhs
-        holds_all = holds_all and ok
-        rows.append(
-            {
-                "faces": Y.face_count,
-                "cancel_minus_red": lhs,
-                "bound": str(rhs),
-                "holds": ok,
-            }
-        )
-    return {"complexes": rows, "all_hold": holds_all}
 
 
 def sampled_violation_trend(

@@ -1,10 +1,11 @@
 """Word assignments on labelled complexes and their probabilities.
 
 A tuple of length-3 words *fulfils* an abstract labelled complex when writing
-word ``i`` along every face of label ``i`` pins down at most one letter per
-oriented edge (opposite orientations carrying mutually inverse letters).  For
-words drawn i.i.d. uniformly from the cyclically reduced support this module
-computes the per-level probabilities
+word ``i`` along every face of label ``i`` gives each edge a single letter,
+read along the edge's orientation (a backward traversal reads its inverse).
+:func:`fulfils` decides this for one tuple, and ``montecarlo_fulfillment``
+samples it.  For words drawn i.i.d. uniformly from the cyclically reduced
+support this module computes the per-level probabilities
 
 * in closed form by inclusion-exclusion over the cyclic-reduction constraints
   (``structure_counts`` on the complex's incidence structure, see
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, log
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .complexes import (
     AbstractLabelledComplex,
@@ -65,70 +66,27 @@ def _label_levels(Y: AbstractLabelledComplex) -> int:
     return n
 
 
-# ---------------------------------------------------------------------------
-# partial labellings
-
-
-@dataclass(frozen=True)
-class PartialLabelling:
-    """Letter sets induced on oriented edges by words for labels 1..k.
-
-    ``assigned`` maps ``(edge, direction)`` to the set of letters forced on
-    that orientation; consistency means every set is a singleton and the two
-    orientations of an edge carry mutually inverse letters.
-    """
-
-    complex: AbstractLabelledComplex
-    words: tuple[Word, ...]
-    assigned: Mapping[tuple[int, int], frozenset[int]]
-
-    def is_consistent(self) -> bool:
-        for (e, direction), letters in self.assigned.items():
-            if len(letters) > 1:
-                return False
-            opposite = self.assigned.get((e, -direction))
-            if opposite and len(opposite) == 1:
-                if next(iter(letters)) != -next(iter(opposite)):
-                    return False
-        return True
-
-
-def partial_label(Y: AbstractLabelledComplex, words: Sequence[Word]) -> PartialLabelling:
-    """Write ``words[j-1]`` along every face of label ``j``, j <= len(words)."""
-    _label_levels(Y)
-    sets: dict[tuple[int, int], set[int]] = {}
+def _require_triangles(Y: AbstractLabelledComplex) -> None:
     for f, walk in enumerate(Y.faces):
-        j = Y.labels[f]
-        if j > len(words):
-            continue
-        w = words[j - 1]
-        if len(w) != len(walk):
-            raise ValueError(
-                f"word of length {len(w)} against a face of length {len(walk)}"
-            )
-        for t, ref in enumerate(walk):
-            key = (ref_edge(ref), 1 if ref > 0 else -1)
-            sets.setdefault(key, set()).add(w[t])
-    return PartialLabelling(
-        complex=Y,
-        words=tuple(tuple(w) for w in words),
-        assigned={k: frozenset(v) for k, v in sets.items()},
-    )
+        if len(walk) != 3:
+            raise ValueError(f"face {f} has {len(walk)} sides; words are triangles")
 
 
-def fulfils(
-    Y: AbstractLabelledComplex,
-    positions: Sequence[int],
-    presentation,
-) -> bool:
-    """Do the relators at the given positions (one per label, injective) fulfil Y?"""
+def fulfils(Y: AbstractLabelledComplex, words: Sequence[Word]) -> bool:
+    """Does writing ``words[i-1]`` along every face of label ``i`` give each
+    edge a single letter (read forward; a backward traversal reads its
+    inverse)?  Each face must be as long as its word."""
     n = _label_levels(Y)
-    if len(positions) != n:
-        raise ValueError(f"expected {n} relator positions")
-    if len(set(positions)) != len(positions):
-        raise ValueError("relator positions must be injective")
-    words = tuple(presentation.relators[p] for p in positions)
-    return partial_label(Y, words).is_consistent()
+    if len(words) != n:
+        raise ValueError(f"expected {n} words, one per label")
+    letters: dict[int, int] = {}
+    for walk, label in zip(Y.faces, Y.labels):
+        word = words[label - 1]
+        for t, ref in enumerate(walk):
+            code = word[t] if ref > 0 else -word[t]
+            if letters.setdefault(ref_edge(ref), code) != code:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +223,11 @@ def montecarlo_fulfillment(
     if trials < 1:
         raise ValueError("trials must be positive")
     n = _label_levels(Y)
+    _require_triangles(Y)
     rng = make_rng(seed, "montecarlo", m, n)
     hits = 0
     for _ in range(trials):
-        words = tuple(sample_triangle_word(m, rng) for _ in range(n))
-        if partial_label(Y, words).is_consistent():
+        if fulfils(Y, [sample_triangle_word(m, rng) for _ in range(n)]):
             hits += 1
     phat = hits / trials
     z2 = _WILSON_Z**2
@@ -337,9 +295,7 @@ def structure_of(Y: AbstractLabelledComplex) -> FaceStructure:
     walks, each oriented so that its first traversal is forward.  Vertices
     are dropped: they never change a count.  Every face must be a triangle.
     """
-    for f, walk in enumerate(Y.faces):
-        if len(walk) != 3:
-            raise ValueError(f"face {f} has {len(walk)} sides; words are triangles")
+    _require_triangles(Y)
     refs = [ref for walk in Y.faces for ref in walk]
     classes, signs = _permuted_encoding(
         [ref_edge(ref) for ref in refs], [1 if ref > 0 else -1 for ref in refs],

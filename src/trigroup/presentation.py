@@ -10,7 +10,6 @@ exact integer arithmetic: for ``d = p/q`` it is the integer q-th root of
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence

@@ -179,21 +179,16 @@ def lhs(dp) -> float | Fraction:
 
     Rational input gets an exact rational answer, float input a float.
     """
-    if isinstance(dp, float):
-        if dp >= 0.5:
-            raise ValueError("lhs has a pole at 1/2; need dp < 1/2")
-        return 4 * (3 * dp - 1) / (3 * (1 - 2 * dp))
-    dp = Fraction(dp)
-    if dp >= Fraction(1, 2):
+    if not isinstance(dp, float):
+        dp = Fraction(dp)
+    if dp >= 0.5:
         raise ValueError("lhs has a pole at 1/2; need dp < 1/2")
-    return 4 * (3 * dp - 1) / (3 * (1 - 2 * dp))
+    return _lhs_exact(dp)
 
 
 def rhs(dp) -> float | Fraction:
     """2 - 3dp."""
-    if isinstance(dp, float):
-        return 2 - 3 * dp
-    return 2 - 3 * Fraction(dp)
+    return _rhs_exact(dp if isinstance(dp, float) else Fraction(dp))
 
 
 def _require_subcritical(d0: Fraction) -> None:
@@ -236,13 +231,6 @@ def delta_hyp(d) -> Fraction:
     if d >= Fraction(1, 2):
         raise ValueError("delta_hyp has a pole at 1/2; need d < 1/2")
     return 12 / (1 - 2 * d)
-
-
-def e1_bound(dp, L: int, A1=0) -> float | Fraction:
-    """lhs(dp) * 2L + A1: the budget for one-neighbour boundary edges."""
-    if L < 1:
-        raise ValueError("L must be at least 1")
-    return lhs(dp) * 2 * L + (A1 if isinstance(dp, float) else _as_fraction(A1, "A1"))
 
 
 @dataclass(frozen=True)

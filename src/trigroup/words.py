@@ -1,85 +1,19 @@
 """Free group words and the triangular relator support.
 
 Letters are encoded as nonzero signed integers: ``+k`` is the k-th generator
-(1-based), ``-k`` its inverse.  Words are tuples of such codes; most functions
-here work directly on the tuples, with :class:`Letter` / :class:`SignedWord`
-as the structured views.  A *triangle word* over rank ``m`` is a cyclically
-reduced word of length three; these are exactly the possible relators, and
-there are ``(2m-1)**3 + 1`` of them.
+(1-based), ``-k`` its inverse.  Words are plain tuples of such codes, and
+every function here works on the tuples; the string form writes ``+k`` as
+the k-th lower-case letter and ``-k`` as its capital.  A *triangle word*
+over rank ``m`` is a cyclically reduced word of length three; these are
+exactly the possible relators, and there are ``(2m-1)**3 + 1`` of them.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 Word = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Letter:
-    """A generator or its inverse: ``generator_index >= 0``, ``sign`` +-1."""
-
-    generator_index: int
-    sign: int
-
-    def __post_init__(self) -> None:
-        if self.generator_index < 0:
-            raise ValueError("generator_index must be >= 0")
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-
-    def inverse(self) -> "Letter":
-        return Letter(self.generator_index, -self.sign)
-
-    def encode(self) -> int:
-        return self.sign * (self.generator_index + 1)
-
-    @staticmethod
-    def decode(code: int) -> "Letter":
-        if code == 0:
-            raise ValueError("letter code must be nonzero")
-        return Letter(abs(code) - 1, 1 if code > 0 else -1)
-
-
-@dataclass(frozen=True)
-class SignedWord:
-    """A word over ``rank`` generators, stored as signed letter codes.
-
-    >>> w = SignedWord.from_str("aBc", rank=3)
-    >>> w.codes
-    (1, -2, 3)
-    >>> str(w.inverse())
-    'CbA'
-    """
-
-    codes: Word
-    rank: int
-
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        for c in self.codes:
-            if c == 0 or abs(c) > self.rank:
-                raise ValueError(f"letter code {c} out of range for rank {self.rank}")
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def __str__(self) -> str:
-        return word_to_str(self.codes)
-
-    @property
-    def letters(self) -> tuple[Letter, ...]:
-        return tuple(Letter.decode(c) for c in self.codes)
-
-    def inverse(self) -> "SignedWord":
-        return SignedWord(invert_word(self.codes), self.rank)
-
-    @staticmethod
-    def from_str(text: str, rank: int) -> "SignedWord":
-        return SignedWord(word_from_str(text), rank)
 
 
 def invert_word(codes: Sequence[int]) -> Word:
@@ -101,21 +35,12 @@ def free_reduce(codes: Sequence[int]) -> Word:
     return tuple(out)
 
 
-def cyclic_reduce(codes: Sequence[int]) -> Word:
-    """Freely reduce, then strip mutually inverse first/last letters.
-
-    The result has minimal length among all cyclic conjugates of the input.
-
-    >>> cyclic_reduce((1, 2, 3, -2, -1))
-    (3,)
-    """
-    w = list(free_reduce(codes))
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return tuple(w)
-
-
 def is_cyclically_reduced(codes: Sequence[int]) -> bool:
+    """Freely reduced, and the last letter does not cancel the first.
+
+    >>> is_cyclically_reduced((1, 2, 3, -2, -1)), is_cyclically_reduced((1, 2, 1))
+    (False, True)
+    """
     w = tuple(codes)
     if free_reduce(w) != w:
         return False

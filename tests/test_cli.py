@@ -244,10 +244,20 @@ class TestFulfil:
         assert "7 labels" in capsys.readouterr().err
 
     def test_non_triangle_face(self, tmp_path, capsys):
+        # both modes refuse it with the same message, naming file and face
         digon = tmp_path / "digon.json"
         digon.write_text(dumps_complex(abstract_from_walks([(1, 2)], [1])))
-        assert main(["fulfil", "--complex", str(digon), "--m", "2", "--exact"]) == 2
-        assert "face 0" in capsys.readouterr().err
+        errors = []
+        for mode in (["--exact"], ["--trials", "10"]):
+            assert main(["fulfil", "--complex", str(digon), "--m", "2", *mode]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert f"complex file {str(digon)!r}: face 0 has 2 sides" in errors[0]
+
+    def test_trials_must_be_positive(self, tmp_path, capsys, complex_files):
+        assert main(["fulfil", "--complex", complex_files["shared"], "--m", "2",
+                     "--trials", "0"]) == 2
+        assert capsys.readouterr().err == "error: trials must be positive\n"
 
 
 class TestPipeline:

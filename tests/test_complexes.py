@@ -22,7 +22,6 @@ from trigroup.complexes import (
     edge_degrees,
     forced_counts,
     forced_letter_count,
-    glue_complexes,
     is_reduced_diagram,
     label_forcing_levels,
     random_abstract_complex,
@@ -33,8 +32,10 @@ from trigroup.complexes import (
     SignedUnionFind,
     UnionFind,
 )
+from trigroup.fulfillment import fulfils
 from trigroup.presentation import TriangularPresentation
 from trigroup.seeding import make_rng
+from trigroup.words import enumerate_triangle_words
 
 
 def make_abstract(walks, labels):
@@ -432,57 +433,61 @@ class TestReducedDiagrams:
             )
 
 
+def copies(walks, k, shared):
+    """``k`` copies of ``walks`` glued along the edges in ``shared``: every
+    other edge is fresh in each copy."""
+    ids: dict = {}
+    return [
+        tuple(
+            (1 if r > 0 else -1)
+            * ids.setdefault((0 if abs(r) in shared else i, abs(r)), len(ids) + 1)
+            for r in walk
+        )
+        for i in range(k)
+        for walk in walks
+    ]
+
+
 class TestGlue:
-    def triangle(self, letters=(1, 2, 3)):
-        nv, edges = close_walks(3, [(1, 2, 3)])
-        return LabelledComplex(nv, edges, ((1, 2, 3),), (1,), tuple(letters))
+    """Faces glued along shared edges; close_walks merges the vertices."""
 
     def test_k_copies_along_edge(self):
-        Y = self.triangle()
         for k in (2, 3, 5):
-            glued = glue_complexes(
-                [Y] * k,
-                [((0, (1,)), (i, (1,))) for i in range(1, k)],
-            )
+            glued = make_abstract(copies([(1, 2, 3)], k, {1}), (1,) * k)
             assert glued.face_count == k
             assert glued.edge_count == 2 * k + 1
+            assert glued.vertex_count == k + 2
             assert cancel(glued) == k - 1
 
     def test_two_copies_along_path(self):
-        Y = self.triangle()
-        glued = glue_complexes([Y, Y], [((0, (1, 2)), (1, (1, 2)))])
+        glued = make_abstract(copies([(1, 2, 3)], 2, {1, 2}), (1, 1))
         assert cancel(glued) == 2
         assert glued.edge_count == 4
 
     def test_formula_with_internal_cancel(self):
         # base complex has cancel 1; k glued copies along one edge add k-1
-        walks = [(1, 2, 3), (1, 4, 5)]
-        nv, edges = close_walks(5, walks)
-        Y = LabelledComplex(nv, edges, tuple(walks), (1, 2), (1, 1, 2, -1, 2))
+        base = [(1, 2, 3), (1, 4, 5)]
         k = 3
-        glued = glue_complexes([Y] * k, [((0, (4,)), (i, (4,))) for i in range(1, k)])
-        assert cancel(glued) == k * cancel(Y) + (k - 1) * 1
+        glued = make_abstract(copies(base, k, {4}), (1, 2) * k)
+        assert cancel(glued) == k * cancel(make_abstract(base, (1, 2))) + (k - 1) * 1
 
     def test_orientation_reversing(self):
-        A = self.triangle((1, 2, 3))
-        nv, edges = close_walks(3, [(-1, 2, 3)])
-        B = LabelledComplex(nv, edges, ((-1, 2, 3),), (1,), (-1, 2, 3))
-        glued = glue_complexes([A, B], [((0, (1,)), (1, (-1,)))])
+        walks = ((1, 2, 3), (-1, 4, 5))
+        nv, edges = close_walks(5, walks)
+        glued = LabelledComplex(nv, edges, walks, (1, 2), (1, 2, 3, 2, 3))
         assert glued.edge_count == 5
         assert cancel(glued) == 1
-        words = {glued.face_word(0), glued.face_word(1)}
-        assert words == {(1, 2, 3)}
+        assert (glued.face_word(0), glued.face_word(1)) == ((1, 2, 3), (-1, 2, 3))
+        assert fulfils(glued, [(1, 2, 3), (-1, 2, 3)])
 
     def test_letter_mismatch_rejected(self):
-        A = self.triangle((1, 2, 3))
-        B = self.triangle((2, 2, 3))
-        with pytest.raises(ValueError):
-            glue_complexes([A, B], [((0, (1,)), (1, (1,)))])
+        glued = make_abstract([(1, 2, 3), (1, 4, 5)], (1, 2))
+        assert not fulfils(glued, [(1, 2, 3), (2, 2, 3)])
 
     def test_reversed_same_edge_rejected(self):
-        A = self.triangle((1, 2, 3))
-        with pytest.raises(ValueError):
-            glue_complexes([A], [((0, (1,)), (0, (-1,)))])
+        # an edge met forwards, then backwards, needs a word x x^-1 y
+        folded = make_abstract([(1, -1, 2)], (1,))
+        assert not any(fulfils(folded, [w]) for w in enumerate_triangle_words(3))
 
 
 class TestRandomComplex:

@@ -19,11 +19,11 @@ from trigroup.enumeration import (
     enumerate_reduced_diagrams,
     euler_check,
     isoperimetric_report,
-    labelled_complex_report,
     sampled_violation_trend,
     _attach,
     _canonical,
 )
+from trigroup.fulfillment import fulfils
 from trigroup.presentation import (
     TriangularPresentation,
     has_proper_power,
@@ -293,20 +293,20 @@ class TestIsoperimetricReport:
 
 
 class TestLabelledComplexReport:
+    """cancel(Y) - red(Y) against 3(d+eps)|Y| on complexes the relators fulfil."""
+
     def test_rows(self):
         p = pres([(1, 2, 3), (1, 4, 5)])
         Y = abstract_from_walks([(1, 2, 3), (1, 4, 5)], [1, 2])
-        rep = labelled_complex_report(p, [(Y, (0, 1))])
-        row = rep["complexes"][0]
-        assert row["faces"] == 2
-        assert row["cancel_minus_red"] == cancel(Y) - red(Y) == 1
-        assert rep["all_hold"]
+        assert fulfils(Y, p.relators)
+        assert Y.face_count == 2
+        assert cancel(Y) - red(Y) == 1
+        assert cancel(Y) - red(Y) <= 3 * (p.density + Fraction(1, 100)) * Y.face_count
 
     def test_unbound_complex_rejected(self):
         # words (1,2,3) and (-1,4,5) clash on the shared first edge
         Y = abstract_from_walks([(1, 2, 3), (1, 4, 5)], [1, 2])
-        with pytest.raises(ValueError, match="fulfilled"):
-            labelled_complex_report(ABC_ADE, [(Y, (0, 1))])
+        assert not fulfils(Y, ABC_ADE.relators)
 
 
 class TestTrend:

@@ -1,4 +1,4 @@
-"""Partial labellings, exact probabilities, and the closed-form counter."""
+"""Fulfilment by word tuples, exact probabilities, and the closed-form counter."""
 
 import itertools
 from fractions import Fraction
@@ -20,7 +20,6 @@ from trigroup.fulfillment import (
     fulfils,
     forcing_bounds,
     montecarlo_fulfillment,
-    partial_label,
     ratio_checks,
     ratio_sweep,
     structure_counts,
@@ -57,37 +56,26 @@ def presentation(relators, m=3, density="1/5", seed=0):
 
 
 class TestPartialLabel:
+    """Words written along faces: every edge must receive one letter."""
+
     def test_single_face_abc(self):
-        pl = partial_label(SINGLE, [(1, 2, 3)])
-        assert pl.assigned == {
-            (0, 1): frozenset({1}),
-            (1, 1): frozenset({2}),
-            (2, 1): frozenset({3}),
-        }
-        assert pl.is_consistent()
+        assert fulfils(SINGLE, [(1, 2, 3)])
 
     def test_repeated_edge_matching(self):
-        pl = partial_label(REPEAT, [(1, 1, 2)])
-        assert pl.assigned[(0, 1)] == frozenset({1})
-        assert pl.assigned[(1, 1)] == frozenset({2})
-        assert pl.is_consistent()
+        assert fulfils(REPEAT, [(1, 1, 2)])
 
     def test_repeated_edge_clash(self):
-        pl = partial_label(REPEAT, [(1, 2, 3)])
-        assert pl.assigned[(0, 1)] == frozenset({1, 2})
-        assert not pl.is_consistent()
+        assert not fulfils(REPEAT, [(1, 2, 3)])
 
     def test_opposite_orientations_inverse(self):
         Y = build([(1, 2, 3), (-1, 4, 5)], (1, 2))
-        ok = partial_label(Y, [(1, 2, 3), (-1, 2, 3)])
-        assert ok.is_consistent()
-        bad = partial_label(Y, [(1, 2, 3), (2, 2, 3)])
-        assert not bad.is_consistent()
+        assert fulfils(Y, [(1, 2, 3), (-1, 2, 3)])
+        assert not fulfils(Y, [(1, 2, 3), (2, 2, 3)])
 
     def test_prefix_only(self):
-        pl = partial_label(SHARED, [(1, 2, 3)])
-        assert (3, 1) not in pl.assigned  # the label-2 face is untouched
-        assert pl.is_consistent()
+        # a word for every label, not a prefix of them
+        with pytest.raises(ValueError, match="expected 2 words"):
+            fulfils(SHARED, [(1, 2, 3)])
 
     def test_length_mismatch(self):
         square = AbstractLabelledComplex(
@@ -96,35 +84,34 @@ class TestPartialLabel:
             faces=((1, 1, 1, 1),),
             labels=(1,),
         )
-        with pytest.raises(ValueError, match="length"):
-            partial_label(square, [(1, 2, 3)])
+        for count in (lambda: montecarlo_fulfillment(square, 2, 10, seed=1),
+                      lambda: structure_of(square)):
+            with pytest.raises(ValueError, match="face 0 has 4 sides; words are triangles"):
+                count()
 
 
 class TestFulfils:
+    """Fulfilment by the relators of a presentation."""
+
     def test_single_face_any_relator(self):
         p = presentation([(1, 2, 3), (2, 1, 1)])
-        assert fulfils(SINGLE, [0], p)
-        assert fulfils(SINGLE, [1], p)
+        assert fulfils(SINGLE, [p.relators[0]])
+        assert fulfils(SINGLE, [p.relators[1]])
 
     def test_doubled_disc_with_repeated_relator(self):
         p = presentation([(1, 2, 3), (1, 2, 3)])
-        assert fulfils(DOUBLED, [0, 1], p)
+        assert fulfils(DOUBLED, p.relators)
 
     def test_shared_edge_incompatible(self):
         p = presentation([(1, 2, 3), (2, 1, 1)])
-        assert not fulfils(SHARED, [0, 1], p)  # edge 1 wants a, then b
+        assert not fulfils(SHARED, p.relators)  # edge 1 wants a, then b
         q = presentation([(1, 2, 3), (1, 1, 2)])
-        assert fulfils(SHARED, [0, 1], q)
-
-    def test_injectivity_required(self):
-        p = presentation([(1, 2, 3), (1, 2, 3)])
-        with pytest.raises(ValueError, match="injective"):
-            fulfils(DOUBLED, [0, 0], p)
+        assert fulfils(SHARED, q.relators)
 
     def test_position_count(self):
         p = presentation([(1, 2, 3)])
-        with pytest.raises(ValueError, match="positions"):
-            fulfils(DOUBLED, [0], p)
+        with pytest.raises(ValueError, match="expected 2 words"):
+            fulfils(DOUBLED, p.relators * 3)
 
 
 class TestExactProbabilities:
@@ -325,9 +312,7 @@ class TestRelabelInvariance:
         for _ in range(200):
             w1 = rng.choice(support)
             w2 = rng.choice(support)
-            a = partial_label(SHARED, [w1, w2]).is_consistent()
-            b = partial_label(swapped, [w2, w1]).is_consistent()
-            assert a == b
+            assert fulfils(SHARED, [w1, w2]) == fulfils(swapped, [w2, w1])
 
 
 class TestCountingKernel:

@@ -26,7 +26,6 @@ from trigroup.thresholds import (
     d_crit_digits,
     d_prime,
     delta_hyp,
-    e1_bound,
     lhs,
     min_k,
     partition_boundary,
@@ -239,24 +238,37 @@ class TestDeltaHyp:
 
 
 class TestE1Bound:
+    """The pipeline's upper estimate C(k+1,2)*(lhs(d')*2L + A1): its
+    coefficient lhs(d') and its growth in L."""
+
     def test_coefficient_vanishes_at_one_third(self):
-        assert e1_bound(Fraction(1, 3), 1000, Fraction(7)) == 7
+        assert lhs(Fraction(1, 3)) == 0
 
     def test_linear_in_L(self):
-        assert e1_bound(0.4, 2000, 0) == 2 * e1_bound(0.4, 1000, 0)
+        wide = constants_pipeline(D35)
+        narrow = constants_pipeline(D35, long_constant=SLIMNESS_SCALE_4POINT)
+        assert wide.L != narrow.L
+        assert wide.upper_bound / wide.L == pytest.approx(
+            narrow.upper_bound / narrow.L, rel=1e-12
+        )
 
     def test_at_the_root(self):
         x = d_crit()
-        assert abs(e1_bound(x, 500, 0) - (2 - 3 * x) * 1000) < 1e-9
+        assert abs(lhs(x) * 1000 - (2 - 3 * x) * 1000) < 1e-9
 
     def test_coefficient_limit_down_to_one_third(self):
-        vals = [e1_bound(1 / 3 + eps, 1000, 0) / 2000 for eps in (1e-2, 1e-4, 1e-6)]
+        vals = [lhs(1 / 3 + eps) for eps in (1e-2, 1e-4, 1e-6)]
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 2e-5  # coefficient ~ 12 eps near the edge
 
     def test_requires_positive_L(self):
+        r = constants_pipeline(D35)
         with pytest.raises(ValueError, match="L"):
-            e1_bound(0.4, 0, 0)
+            ConstantsReport(
+                d0=r.d0, d_crit=r.d_crit, d_prime=r.d_prime, delta=r.delta,
+                k=r.k, A1=r.A1, A2=r.A2, A3=r.A3, long_constant=r.long_constant,
+                L=0, N=r.N, lower_bound=r.lower_bound, upper_bound=r.upper_bound,
+            )
 
 
 class TestPipeline:

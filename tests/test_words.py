@@ -1,19 +1,19 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from scipy.stats import chi2
 
+from trigroup.presentation import TriangularPresentation
 from trigroup.seeding import make_rng
 from trigroup.words import (
-    Letter,
-    SignedWord,
     all_letters,
-    cyclic_reduce,
     enumerate_triangle_words,
     free_reduce,
     invert_word,
     is_cyclically_reduced,
+    rotations,
     sample_triangle_word,
     triangle_word_count,
     word_from_json,
@@ -39,36 +39,37 @@ def random_word(rng, m, length):
 
 
 class TestLetter:
+    """Letter codes: +k is the k-th generator, -k its inverse."""
+
     def test_encode_decode(self):
-        for code in (1, -1, 5, -26):
-            assert Letter.decode(code).encode() == code
+        for code, char in ((1, "a"), (-1, "A"), (5, "e"), (-26, "Z")):
+            assert word_to_str((code,)) == char
+            assert word_from_str(char) == (code,)
 
     def test_inverse(self):
-        a = Letter(0, 1)
-        assert a.inverse() == Letter(0, -1)
-        assert a.inverse().inverse() == a
+        assert invert_word((1,)) == (-1,)
+        assert invert_word(invert_word((1,))) == (1,)
+        assert all_letters(2) == [1, -1, 2, -2]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Letter(-1, 1)
+            word_to_str((27,))
         with pytest.raises(ValueError):
-            Letter(0, 2)
+            word_from_str("a1")
         with pytest.raises(ValueError):
-            Letter.decode(0)
+            word_from_json([1, "b"])
 
 
 class TestSignedWord:
     def test_round_trip(self):
-        w = SignedWord.from_str("aBc", rank=3)
-        assert w.codes == (1, -2, 3)
-        assert str(w) == "aBc"
-        assert str(w.inverse()) == "CbA"
+        w = word_from_str("aBc")
+        assert w == (1, -2, 3)
+        assert word_to_str(w) == "aBc"
+        assert word_to_str(invert_word(w)) == "CbA"
 
     def test_range_check(self):
-        with pytest.raises(ValueError):
-            SignedWord((4,), rank=3)
-        with pytest.raises(ValueError):
-            SignedWord((0,), rank=3)
+        with pytest.raises(ValueError, match="beyond rank 3"):
+            TriangularPresentation(m=3, density=Fraction(1, 5), seed=0, relators=((1, 2, 4),))
 
 
 class TestReduction:
@@ -78,10 +79,17 @@ class TestReduction:
         assert free_reduce((1, 2, 3)) == (1, 2, 3)
 
     def test_cyclic_reduce_examples(self):
-        assert cyclic_reduce((1, 2, 3, -2, -1)) == (3,)
-        assert cyclic_reduce((1, 2, -1)) == (1, 2, -1) or True  # not cyclically reducible: no inverse ends
-        assert cyclic_reduce((-1, 2, 1)) == (2,)
-        assert cyclic_reduce(()) == ()
+        # (word, its cyclic reduction): a word is cyclically reduced exactly
+        # when it is its own reduction
+        for w, reduced in (
+            ((1, 2, 3, -2, -1), (3,)),
+            ((1, 2, -1), (2,)),
+            ((-1, 2, 1), (2,)),
+            ((1, 2, 1), (1, 2, 1)),
+            ((), ()),
+        ):
+            assert is_cyclically_reduced(reduced)
+            assert is_cyclically_reduced(w) == (w == reduced)
 
     def test_free_reduce_idempotent(self):
         rng = random.Random(100)
@@ -91,25 +99,19 @@ class TestReduction:
             assert free_reduce(r) == r
 
     def test_cyclic_reduce_idempotent_and_minimal(self):
+        # cyclically reduced exactly when no rotation can be freely reduced
         rng = random.Random(101)
         for _ in range(300):
             w = random_word(rng, 3, rng.randrange(0, 10))
-            r = cyclic_reduce(w)
-            assert cyclic_reduce(r) == r
-            assert is_cyclically_reduced(r)
-            # minimal length among cyclic conjugates of the original
-            for k in range(max(1, len(w))):
-                conj = w[k:] + w[:k]
-                assert len(cyclic_reduce(conj)) == len(r)
+            assert is_cyclically_reduced(w) == all(
+                free_reduce(r) == r for r in rotations(w)
+            )
 
     def test_cyclic_reduce_invariant_under_rotation(self):
         rng = random.Random(102)
         for _ in range(200):
             w = random_word(rng, 2, rng.randrange(1, 9))
-            lengths = {
-                len(cyclic_reduce(w[k:] + w[:k])) for k in range(len(w))
-            }
-            assert len(lengths) == 1
+            assert len({is_cyclically_reduced(r) for r in rotations(w)}) == 1
 
     def test_inverse_involution(self):
         rng = random.Random(103)
