@@ -54,7 +54,6 @@ from .words import (
     word_from_str,
 )
 
-DEFAULT_RADIUS_CAP = 12
 DEFAULT_VERTEX_BUDGET = 200_000
 # the loader refuses a ballgraph whose adjacency would need more slots
 # (V * 2m) than this, rather than allocate it: about 130 MB of references
@@ -138,7 +137,6 @@ def _relator_variants(relators: Sequence[Word]) -> list[Word]:
 def build_ball(
     p: TriangularPresentation,
     R: int,
-    radius_cap: int = DEFAULT_RADIUS_CAP,
     max_vertices: int = DEFAULT_VERTEX_BUDGET,
     _order_seed: int | None = None,
 ) -> BallGraph:
@@ -179,10 +177,6 @@ def build_ball(
     """
     if R < 0:
         raise ValueError("radius must be nonnegative")
-    if R > radius_cap:
-        raise ValueError(
-            f"radius {R} above the cap {radius_cap}; raise radius_cap explicitly"
-        )
     k = 2 * p.m
     blank = [-1] * k
     cycles = [tuple(_slot(c) for c in w) for w in _relator_variants(p.relators)]

@@ -23,7 +23,6 @@ from fractions import Fraction
 
 from . import __version__
 from .cayley import (
-    DEFAULT_RADIUS_CAP,
     DEFAULT_VERTEX_BUDGET,
     ball_from_json_dict,
     ball_to_json_dict,
@@ -318,15 +317,8 @@ def cmd_sweep(args) -> tuple[dict, int]:
 
 def cmd_ball(args) -> tuple[dict, int]:
     p = load_presentation(args.presentation)
-    if args.radius > args.radius_cap:
-        raise CliError(
-            f"radius {args.radius} above the cap {args.radius_cap};"
-            f" pass --radius-cap {args.radius} to override"
-        )
     try:
-        g = build_ball(
-            p, args.radius, radius_cap=args.radius_cap, max_vertices=args.max_vertices
-        )
+        g = build_ball(p, args.radius, max_vertices=args.max_vertices)
     except ValueError as exc:
         if "vertex budget" in str(exc):
             raise CliError(f"{exc}; pass --max-vertices to raise it")
@@ -403,12 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"master seed; defaults to ${SEED_ENV} or 0",
     )
     common.add_argument("--out", metavar="FILE", help="write the JSON report to FILE")
-    common.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="accepted for interface stability; execution is sequential",
-    )
 
     s = sub.add_parser("sample", parents=[common], help="sample a presentation")
     s.add_argument("--m", type=int, required=True, help="number of generators")
@@ -477,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("ball", parents=[common], help="build a folded Cayley ball")
     s.add_argument("--presentation", required=True, metavar="FILE")
     s.add_argument("--radius", type=int, required=True)
-    s.add_argument("--radius-cap", type=int, default=DEFAULT_RADIUS_CAP)
     s.add_argument("--max-vertices", type=int, default=DEFAULT_VERTEX_BUDGET)
     s.set_defaults(func=cmd_ball)
 
@@ -508,8 +493,6 @@ def main(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-        if args.workers < 1:
-            raise CliError("--workers must be at least 1")
         payload, status = args.func(args)
         _emit(payload, args)
         print(f"elapsed {time.perf_counter() - start:.3f}s", file=sys.stderr)

@@ -23,14 +23,14 @@ level from :func:`trigroup.complexes.label_forcing_levels`:
   always holds (see :func:`ratio_checks`).
 
 Probabilities are exact rationals throughout; the only floats appear in the
-final exponential bound and the Monte Carlo confidence interval.
+Monte Carlo confidence interval.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, log
 from typing import Iterator, Sequence
 
 from .complexes import (
@@ -38,10 +38,8 @@ from .complexes import (
     SignedUnionFind,
     abstract_from_walks,
     all_edges_in_faces,
-    cancel,
     forced_counts,
     label_forcing_levels,
-    red,
     ref_edge,
 )
 from .seeding import make_rng
@@ -205,15 +203,6 @@ def ratio_checks(probe: FulfillmentProbe) -> list[dict]:
             }
         )
     return out
-
-
-def final_probability_bound(Y: AbstractLabelledComplex, m: int, d: Fraction) -> float:
-    """The closed-form exponential upper bound on the fulfillment probability."""
-    size = Y.face_count
-    if size < 1:
-        raise ValueError("need at least one face")
-    excess = Fraction(3 * size + 2 * (red(Y) - cancel(Y)), size) - 3 * (1 - 2 * Fraction(d))
-    return exp(log(2 * m - 1) * float(excess) / 2)
 
 
 def montecarlo_fulfillment(
@@ -448,20 +437,6 @@ def _iter_signed_partitions(slots: int) -> Iterator[tuple[tuple[int, ...], tuple
     yield from rec(0, 0)
 
 
-_FACE_PERMS = {
-    1: [(0,)],
-    2: [(0, 1), (1, 0)],
-    3: [
-        (0, 1, 2),
-        (0, 2, 1),
-        (1, 0, 2),
-        (1, 2, 0),
-        (2, 0, 1),
-        (2, 1, 0),
-    ],
-}
-
-
 def _permuted_encoding(
     classes: Sequence[int], signs: Sequence[int], perm: Sequence[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -592,7 +567,7 @@ def ratio_sweep(max_faces: int = 3, ms: Sequence[int] = (1, 2, 3)) -> dict:
         "per_face_count": {},
     }
     for k in range(1, max_faces + 1):
-        perms = _FACE_PERMS[k]
+        perms = list(itertools.permutations(range(k)))
         n_structures = 0
         for classes, signs in _iter_signed_partitions(3 * k):
             encodings = [_permuted_encoding(classes, signs, p) for p in perms]

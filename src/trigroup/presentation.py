@@ -130,6 +130,8 @@ class TriangularPresentation:
         for w in self.relators:
             if len(w) != 3 or not is_cyclically_reduced(w):
                 raise ValueError(f"relator {w} is not a cyclically reduced triangle word")
+            if 0 in w:
+                raise ValueError(f"relators: relator {w} holds the letter code 0")
             if any(abs(c) > self.m for c in w):
                 raise ValueError(f"relator {w} uses letters beyond rank {self.m}")
 

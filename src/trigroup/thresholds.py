@@ -17,16 +17,10 @@ from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .complexes import VanKampenDiagram, ref_edge
-
 # Scale tying the thin-triangle constant to the neighbourhood radii used in
 # the stability arguments; the four-point-definition variant is 100.
 SLIMNESS_SCALE = 800
 SLIMNESS_SCALE_4POINT = 100
-
-GEODESIC_A = "geodesic1"
-GEODESIC_B = "geodesic2"
-CONNECTOR = "connector"
 
 # digits carried beyond the requested ones before the first rounding attempt
 _GUARD_DIGITS = 20
@@ -361,62 +355,3 @@ def constants_sweep(d0_values: Sequence, A1=0, A2=0, long_constant: int = SLIMNE
             {"d0": str(report.d0), "k": report.k, "L": report.L, "N": report.N}
         )
     return rows
-
-
-# ---------------------------------------------------------------------------
-# boundary partition of a geodesic-sided diagram
-
-
-def partition_boundary(D: VanKampenDiagram, side_marks: Sequence[str]) -> tuple[int, int, int]:
-    """Sort boundary edges into connector (E0) and geodesic (E1/E2) classes.
-
-    ``side_marks[i]`` marks ``D.boundary[i]`` as lying on the first geodesic
-    side, the second, or a connector.  Each geodesic side must form one
-    contiguous cyclic run (connectors may be empty).  A geodesic edge counts
-    as E2 when the third vertex of its face lies on a geodesic side, E1
-    otherwise.
-    """
-    marks = list(side_marks)
-    B = D.boundary_length
-    if len(marks) != B:
-        raise ValueError("need exactly one mark per boundary edge")
-    allowed = {GEODESIC_A, GEODESIC_B, CONNECTOR}
-    if not set(marks) <= allowed:
-        raise ValueError(f"marks must be drawn from {sorted(allowed)}")
-    for kind in (GEODESIC_A, GEODESIC_B):
-        positions = [i for i, mk in enumerate(marks) if mk == kind]
-        if not positions:
-            raise ValueError(f"boundary needs a nonempty {kind} side")
-        runs = sum(
-            1
-            for i in positions
-            if marks[(i - 1) % B] != kind
-        )
-        if runs != 1:
-            raise ValueError(f"{kind} side must be one contiguous arc")
-
-    face_of_edge: dict[int, int] = {}
-    for f, walk in enumerate(D.faces):
-        for r in walk:
-            face_of_edge.setdefault(ref_edge(r), f)
-
-    geodesic_vertices = set()
-    for i, mk in enumerate(marks):
-        if mk != CONNECTOR:
-            geodesic_vertices.add(D.ref_tail(D.boundary[i]))
-            geodesic_vertices.add(D.ref_head(D.boundary[i]))
-
-    e0 = e1 = e2 = 0
-    for i, mk in enumerate(marks):
-        if mk == CONNECTOR:
-            e0 += 1
-            continue
-        e = ref_edge(D.boundary[i])
-        walk = D.faces[face_of_edge[e]]
-        j = next(t for t, r in enumerate(walk) if ref_edge(r) == e)
-        third = D.ref_head(walk[(j + 1) % 3])
-        if third in geodesic_vertices:
-            e2 += 1
-        else:
-            e1 += 1
-    return e0, e1, e2

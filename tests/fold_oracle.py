@@ -2,15 +2,16 @@
 
 ``build_ball`` here is the fold ``trigroup.cayley`` ran before its rows moved
 into the flat slot layout of ``BallGraph.adj``: one dict per union-find id,
-keyed by letter, and a breadth-first renumbering at emission.  It is
-unchanged from that version, ``_relator_variants`` included.
+keyed by letter, and a breadth-first renumbering at emission.  Apart from
+the radius cap, which both folds dropped, it is unchanged from that version,
+``_relator_variants`` included.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from trigroup.cayley import DEFAULT_RADIUS_CAP, DEFAULT_VERTEX_BUDGET, BallGraph
+from trigroup.cayley import DEFAULT_VERTEX_BUDGET, BallGraph
 from trigroup.complexes import UnionFind
 from trigroup.presentation import TriangularPresentation
 from trigroup.seeding import make_rng
@@ -30,7 +31,6 @@ def _relator_variants(relators: Sequence[Word]) -> list[Word]:
 def build_ball(
     p: TriangularPresentation,
     R: int,
-    radius_cap: int = DEFAULT_RADIUS_CAP,
     max_vertices: int = DEFAULT_VERTEX_BUDGET,
     _order_seed: int | None = None,
 ) -> BallGraph:
@@ -42,10 +42,6 @@ def build_ball(
     """
     if R < 0:
         raise ValueError("radius must be nonnegative")
-    if R > radius_cap:
-        raise ValueError(
-            f"radius {R} above the cap {radius_cap}; raise radius_cap explicitly"
-        )
     letters = all_letters(p.m)
     variants = _relator_variants(p.relators)
 

@@ -23,13 +23,7 @@ from trigroup.cayley import (
 from trigroup.complexes import UnionFind, cancel, is_reduced_diagram
 from trigroup.enumeration import euler_check
 from trigroup.presentation import TriangularPresentation, sample_presentation
-from trigroup.thresholds import (
-    CONNECTOR,
-    GEODESIC_A,
-    GEODESIC_B,
-    delta_hyp,
-    partition_boundary,
-)
+from trigroup.thresholds import delta_hyp
 
 
 def free_presentation(m):
@@ -104,11 +98,10 @@ class TestBuildBall:
         with pytest.raises(ValueError, match="nonnegative"):
             build_ball(free_presentation(2), -1)
 
-    def test_radius_cap(self):
-        with pytest.raises(ValueError, match="raise radius_cap explicitly"):
-            build_ball(STRIP_PRESENTATION, 13)
-        g = build_ball(STRIP_PRESENTATION, 13, radius_cap=13)
-        assert g.radius == 13
+    def test_large_radius_within_budget(self):
+        # the vertex budget is the one cost guard; radius alone refuses nothing
+        g = build_ball(STRIP_PRESENTATION, 13)
+        assert (g.radius, g.vertex_count) == (13, 53)
 
     def test_vertex_budget(self):
         with pytest.raises(ValueError, match="vertex budget"):
@@ -380,16 +373,6 @@ class TestStripDiagram:
     def test_needs_a_rung_pair(self):
         with pytest.raises(ValueError, match="at least one rung"):
             strip_diagram(0)
-
-    @pytest.mark.parametrize("t", [1, 2, 3])
-    def test_rail_partition(self, t):
-        # rails are the two geodesic sides, rungs the connectors; every rail
-        # triangle leans on the opposite rail, so no rail edge is isolated
-        D = strip_diagram(t)
-        marks = (
-            [GEODESIC_A] * t + [CONNECTOR] + [GEODESIC_B] * t + [CONNECTOR]
-        )
-        assert partition_boundary(D, marks) == (2, 0, 2 * t)
 
 
 @pytest.fixture(scope="module")

@@ -322,6 +322,14 @@ class TestEnumDiagramsValidation:
         assert main(["enum-diagrams", "--presentation", str(bad)]) == 2
         assert f"{field} = " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [("enum-diagrams",), ("ball", "--radius", "2")])
+    def test_letter_code_zero(self, tmp_path, capsys, argv):
+        bad = tmp_path / "zero.json"
+        bad.write_text(json.dumps({"m": 2, "d": "1/5", "seed": 0, "relators": [[0, 1, 2]]}))
+        assert main([argv[0], "--presentation", str(bad), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert f"presentation file {str(bad)!r}: relators: " in err
+
 
 class TestBall:
     def test_output_loads_as_ball(self, ball_file, pres_file):
@@ -330,9 +338,12 @@ class TestBall:
         p = sample_presentation(3, Fraction(1, 4), 7)
         assert g == build_ball(p, 2)
 
-    def test_radius_cap(self, pres_file, capsys):
-        assert main(["ball", "--presentation", pres_file, "--radius", "20"]) == 2
-        assert "--radius-cap 20" in capsys.readouterr().err
+    def test_large_radius_within_budget(self, tmp_path, pres_file):
+        # the vertex budget, not the radius, bounds the cost of a ball
+        status, doc = run_json(tmp_path, "ball", "--presentation", pres_file,
+                               "--radius", "20")
+        assert status == 0
+        assert (doc["radius"], len(doc["vertices"])) == (20, 5)
 
     def test_vertex_budget_message(self, pres_file, capsys):
         # the group has 5 elements, and the fold allocates one id for each
@@ -432,6 +443,14 @@ class TestDeltaEst:
         bad.write_text(json.dumps(data))
         assert main(["delta-est", "--graph", str(bad)]) == 2
         assert "'closed' of vertex" in capsys.readouterr().err
+
+    def test_letter_code_zero_in_relator(self, tmp_path, capsys):
+        data = copy.deepcopy(FUZZ_BASE)
+        data["relators"] = [[0, 1, 2]]
+        bad = tmp_path / "zero.json"
+        bad.write_text(json.dumps(data))
+        assert main(["delta-est", "--graph", str(bad)]) == 2
+        assert f"graph file {str(bad)!r}: relators: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value, named", [
         ("m", 0, "m"), ("density", "3/2", "d"), ("density", "0", "d"),
@@ -682,14 +701,14 @@ class TestPlumbing:
         assert main(["words", "--m", "2"]) == 2
         assert "TRIGROUP_SEED" in capsys.readouterr().err
 
-    def test_workers_accepted_but_sequential(self, tmp_path, pres_file):
-        _, doc1 = run_json(tmp_path, "enum-diagrams", "--presentation", pres_file,
-                           "--workers", "1")
-        _, doc4 = run_json(tmp_path, "enum-diagrams", "--presentation", pres_file,
-                           "--workers", "4")
-        doc1.pop("meta")
-        doc4.pop("meta")
-        assert doc1 == doc4
+    def test_workers_refused(self, tmp_path, capsys):
+        # execution is sequential: there is no worker count to configure
+        with pytest.raises(SystemExit) as exc:
+            main(["words", "--m", "2", "--workers", "1"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        _, doc = run_json(tmp_path, "words", "--m", "2")
+        assert "workers" not in doc["meta"]["config"]
 
     @pytest.mark.parametrize("where", ["missing-dir", "directory"])
     def test_unwritable_out(self, tmp_path, capsys, where):
@@ -697,10 +716,6 @@ class TestPlumbing:
         path = tmp_path / "nowhere" / "x.json" if where == "missing-dir" else tmp_path
         assert main(["sample", "--m", "2", "--d", "1/3", "--out", str(path)]) == 2
         assert f"--out {str(path)!r}: cannot write" in capsys.readouterr().err
-
-    def test_workers_positive(self, capsys):
-        assert main(["words", "--m", "2", "--workers", "0"]) == 2
-        assert "--workers" in capsys.readouterr().err
 
     def test_cli_import_leaves_out_sympy(self):
         # Q(sqrt(41)) arithmetic runs on the standard library alone

@@ -229,8 +229,8 @@ class TestEmittedInvariants:
             assert 3 * D.area == D.boundary_length + 2 * cancel(D)
             for f in range(D.face_count):
                 assert D.face_word(f) == p.relators[D.relator_position(f)]
-            if relators_distinct_up_to_symmetry(p.relators) and not any(
-                has_proper_power([r]) for r in [p.relators]
+            if relators_distinct_up_to_symmetry(p.relators) and not has_proper_power(
+                p.relators
             ):
                 assert red(D) == 0
         assert count >= len(p.relators)

@@ -1,6 +1,8 @@
-"""Every name a module under ``src/trigroup`` imports is used in that module."""
+"""Every name a module under ``src/trigroup`` imports is used in that module,
+and every top-level name it defines is reached from outside its own body."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,20 @@ import trigroup
 
 PACKAGE = Path(trigroup.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+#: Top-level names that neither the package nor a bench script reaches, kept
+#: because tests use them; one reason each.
+KEPT_FOR_TESTS = {
+    "forced_letter_count": "per-face view of forced_counts, pinned on hand-built complexes",
+    "structure_to_complex": "inverse of structure_of; the round-trip tests build complexes with it",
+    "has_proper_power": "presentation predicate that gates the red(D) == 0 check on diagrams",
+    "relators_distinct_up_to_symmetry": "presentation predicate that gates the same check",
+    "SLIMNESS_SCALE_4POINT": "the four-point slimness scale, passed to the pipeline as long_constant",
+    "d_prime": "float route to the midpoint density, compared with the exact pipeline",
+    "lhs": "left side of the closing inequality; tests check that it meets rhs at d_crit",
+    "rhs": "right side of the closing inequality, in the same root check",
+}
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -24,11 +40,11 @@ def imported_names(tree: ast.Module) -> dict[str, int]:
     return names
 
 
-def used_names(tree: ast.Module) -> set[str]:
-    """Every name the module reads, quoted annotations included."""
+def used_names(tree: ast.AST) -> set[str]:
+    """Every name the node reads, quoted annotations included."""
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         annotations = []
         if isinstance(node, ast.arg):
@@ -61,3 +77,60 @@ def test_guard_catches_an_unused_import():
     )
     used = used_names(tree)
     assert {n for n in imported_names(tree) if n not in used} == {"os", "log"}
+
+
+def defined_names(stmt: ast.stmt) -> set[str]:
+    """Names a top-level statement defines: a def, a class or an assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, ast.Assign):
+        return {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return {stmt.target.id}
+    return set()
+
+
+def unreached_names(sources: dict[str, str], bench_text: str) -> set[tuple[str, str]]:
+    """(module, name) for every top-level name that no module reads outside
+    the name's own definition, no ``from .module import`` binds, and no
+    bench script names."""
+    defined, reached = set(), set()
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        for stmt in tree.body:
+            own = defined_names(stmt)
+            defined |= {(module, name) for name in own}
+            reached |= {(module, name) for name in used_names(stmt) - own}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                target = node.module or "__init__"
+                reached |= {(target, alias.name) for alias in node.names}
+    return {
+        (module, name)
+        for module, name in defined - reached
+        if not re.search(rf"\b{re.escape(name)}\b", bench_text)
+    }
+
+
+def package_sources() -> dict[str, str]:
+    return {module: (PACKAGE / f"{module}.py").read_text() for module in MODULES}
+
+
+def bench_text() -> str:
+    return "\n".join(p.read_text() for p in sorted(BENCH.glob("*.py")))
+
+
+def test_every_top_level_name_is_reached():
+    unreached = unreached_names(package_sources(), bench_text())
+    flagged = sorted(f"{m}.{n}" for m, n in unreached if n not in KEPT_FOR_TESTS)
+    assert flagged == [], f"nothing in src/trigroup or bench reaches {flagged}"
+    stale = set(KEPT_FOR_TESTS) - {name for _, name in unreached}
+    assert stale == set(), f"KEPT_FOR_TESTS lists names that are reached or gone: {stale}"
+
+
+def test_guard_catches_an_unused_def():
+    sources = package_sources()
+    sources["words"] += "\n\ndef spare(w):\n    return spare(w)\n"
+    unreached = unreached_names(sources, bench_text())
+    assert {n for _, n in unreached} - set(KEPT_FOR_TESTS) == {"spare"}
+    assert ("words", "spare") not in unreached_names(sources, bench_text() + " spare(")

@@ -1,4 +1,4 @@
-"""Critical density, derived constants, boundary partition."""
+"""Critical density and derived constants."""
 
 import math
 import time
@@ -10,13 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trigroup.complexes import VanKampenDiagram
-from trigroup.enumeration import DiagramBudget, enumerate_reduced_diagrams
-from trigroup.presentation import TriangularPresentation
 from trigroup.thresholds import (
-    CONNECTOR,
-    GEODESIC_A,
-    GEODESIC_B,
     SLIMNESS_SCALE,
     SLIMNESS_SCALE_4POINT,
     ConstantsReport,
@@ -28,7 +22,6 @@ from trigroup.thresholds import (
     delta_hyp,
     lhs,
     min_k,
-    partition_boundary,
     rhs,
     _Q41,
 )
@@ -397,86 +390,3 @@ class TestSweep:
         ls = [r["L"] for r in rows]
         assert ls == sorted(ls)
 
-
-# ---------------------------------------------------------------------------
-# boundary partition
-
-
-def single_triangle():
-    p = TriangularPresentation(
-        m=5, density=Fraction(1, 5), seed=None, relators=((1, 2, 3),)
-    )
-    return next(iter(enumerate_reduced_diagrams(DiagramBudget(1, p))))
-
-
-def diamond():
-    p = TriangularPresentation(
-        m=5, density=Fraction(1, 5), seed=None, relators=((1, 2, 3), (-1, 4, 5))
-    )
-    for D in enumerate_reduced_diagrams(DiagramBudget(2, p)):
-        if D.area == 2:
-            return D
-    raise AssertionError
-
-
-def fan():
-    """Three faces around a hub vertex; hub is on no geodesic."""
-    p = TriangularPresentation(
-        m=7, density=Fraction(1, 5), seed=None,
-        relators=((1, 2, 3), (-3, 4, 5), (-5, 6, 7)),
-    )
-    return VanKampenDiagram(
-        vertex_count=5,
-        edges=((0, 1), (1, 2), (2, 0), (2, 3), (3, 0), (3, 4), (4, 0)),
-        faces=((1, 2, 3), (-3, 4, 5), (-5, 6, 7)),
-        labels=(1, 2, 3),
-        letters=(1, 2, 3, 4, 5, 6, 7),
-        presentation=p,
-        boundary=(1, 2, 4, 6, 7),
-    )
-
-
-class TestPartitionBoundary:
-    def test_single_face(self):
-        D = single_triangle()
-        assert partition_boundary(D, [GEODESIC_A, GEODESIC_B, CONNECTOR]) == (1, 0, 2)
-
-    def test_diamond_all_bridging(self):
-        D = diamond()
-        marks = [GEODESIC_A, CONNECTOR, GEODESIC_B, CONNECTOR]
-        e0, e1, e2 = partition_boundary(D, marks)
-        assert (e0, e1, e2) == (2, 0, 2)
-        assert e0 + e1 + e2 == D.boundary_length
-
-    def test_fan_hub_gives_E1(self):
-        D = fan()
-        marks = [CONNECTOR, GEODESIC_A, CONNECTOR, GEODESIC_B, CONNECTOR]
-        assert partition_boundary(D, marks) == (3, 2, 0)
-
-    def test_sum_identity(self):
-        D = diamond()
-        for marks in (
-            [GEODESIC_A, GEODESIC_B, CONNECTOR, CONNECTOR],
-            [GEODESIC_A, CONNECTOR, GEODESIC_B, CONNECTOR],
-        ):
-            assert sum(partition_boundary(D, marks)) == D.boundary_length
-
-    def test_split_geodesic_rejected(self):
-        D = diamond()
-        with pytest.raises(ValueError, match="contiguous"):
-            partition_boundary(D, [GEODESIC_A, CONNECTOR, GEODESIC_A, GEODESIC_B])
-
-    def test_missing_side_rejected(self):
-        D = single_triangle()
-        with pytest.raises(ValueError, match="nonempty"):
-            partition_boundary(D, [GEODESIC_A, CONNECTOR, CONNECTOR])
-
-    def test_wrong_length_rejected(self):
-        D = single_triangle()
-        with pytest.raises(ValueError, match="one mark per"):
-            partition_boundary(D, [GEODESIC_A, GEODESIC_B])
-
-    def test_unknown_mark_rejected(self):
-        D = single_triangle()
-        with pytest.raises(ValueError, match="drawn from"):
-            partition_boundary(D, [GEODESIC_A, GEODESIC_B, "river"])
