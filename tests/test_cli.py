@@ -701,13 +701,15 @@ class TestPlumbing:
         assert main(["words", "--m", "2"]) == 2
         assert "TRIGROUP_SEED" in capsys.readouterr().err
 
-    def test_workers_refused(self, tmp_path, capsys):
+    def test_workers_refused(self, capsys):
         # execution is sequential: there is no worker count to configure
         with pytest.raises(SystemExit) as exc:
             main(["words", "--m", "2", "--workers", "1"])
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
-        _, doc = run_json(tmp_path, "words", "--m", "2")
+
+    def test_config_names_no_workers(self, tmp_path, pres_file):
+        _, doc = run_json(tmp_path, "enum-diagrams", "--presentation", pres_file)
         assert "workers" not in doc["meta"]["config"]
 
     @pytest.mark.parametrize("where", ["missing-dir", "directory"])
