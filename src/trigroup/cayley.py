@@ -19,6 +19,9 @@ vertex ``v`` sits at ``v * 2m + s``, slots follow ``words.all_letters(m)``
 missing edge.  The fold, emission, the loader and the slimness probe share
 this one layout: the fold keeps a row of 2m slots per union-find id, and
 emission copies the rows within R through the breadth-first numbering.
+``ballgraph_chunks`` renders a ball's JSON report straight from ``adj``,
+in the bytes of the indented ``json.dumps`` of ``ball_to_json_dict``,
+which stays as its test oracle.
 
 Slimness probing is local: the geodesics between two corners come from
 breadth-first balls grown around both corners until they meet, which span
@@ -30,9 +33,10 @@ side is reached.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .complexes import UnionFind, VanKampenDiagram, close_walks
 from .presentation import (
@@ -413,6 +417,53 @@ def ball_to_json_dict(g: BallGraph) -> dict:
     }
 
 
+_CHUNK_VERTICES = 4096
+
+
+def ballgraph_chunks(g: BallGraph, meta: dict) -> Iterator[str]:
+    """The text of ``json.dumps({**ball_to_json_dict(g), "meta": meta},
+    indent=2, sort_keys=True) + "\\n"``, in chunks of ``_CHUNK_VERTICES`` vertices.
+
+    Only the fields other than ``vertices`` go through ``json.dumps``;
+    ``vertices`` sorts after all of them, so its array is spliced in before
+    the closing brace, each vertex rendered straight from ``adj`` with one
+    pre-built key fragment per slot, in sorted-key order.
+    """
+    m, k = g.presentation.m, g.stride
+    head = json.dumps(
+        {
+            "format": "ballgraph",
+            "m": m,
+            "density": str(g.presentation.density),
+            "seed": g.presentation.seed,
+            "relators": [word_to_json(r, m) for r in g.presentation.relators],
+            "radius": g.radius,
+            "meta": meta,
+        },
+        indent=2,
+        sort_keys=True,
+    )
+    yield head[: -len("\n}")] + ',\n  "vertices": ['
+    keys = [_letter_key(c, m) for c in all_letters(m)]
+    fragments = [(s, f'\n        "{keys[s]}": ') for s in sorted(range(k), key=keys.__getitem__)]
+    adj, distances, closed = g.adj, g.distances, g.closed
+
+    def vertex(v: int) -> str:
+        row = adj[v * k : v * k + k]
+        body = ",".join([frag + str(row[s]) for s, frag in fragments if row[s] >= 0])
+        edges = "{" + body + "\n      }" if body else "{}"
+        return (
+            f'\n    {{\n      "closed": {"true" if closed[v] else "false"},'
+            f'\n      "distance": {distances[v]},\n      "edges": {edges}\n    }}'
+        )
+
+    n = g.vertex_count
+    for start in range(0, n, _CHUNK_VERTICES):
+        rows = map(vertex, range(start, min(start + _CHUNK_VERTICES, n)))
+        yield ("," if start else "") + ",".join(rows)
+    yield "\n  ]\n}\n"
+
+
 def ball_from_json_dict(data: dict) -> BallGraph:
     if data.get("format") != "ballgraph":
         raise ValueError("not a ball graph file (missing format tag)")
@@ -422,8 +473,12 @@ def ball_from_json_dict(data: dict) -> BallGraph:
         words = tuple(word_from_json(w) for w in relators)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"'relators': {exc}") from None
+    # null is the seed of a presentation that was not sampled
+    seed = data.get("seed")
+    if seed is not None:
+        json_int(seed, "'seed'")
     p = TriangularPresentation(
-        m=m, density=density_from_str(data["density"]), seed=data.get("seed"), relators=words
+        m=m, density=density_from_str(data["density"]), seed=seed, relators=words
     )
     vertices = json_list(data["vertices"], "'vertices'")
     n, k = len(vertices), 2 * m

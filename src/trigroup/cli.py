@@ -20,12 +20,14 @@ import os
 import sys
 import time
 from fractions import Fraction
+from typing import Iterable
 
 from . import __version__
 from .cayley import (
     DEFAULT_VERTEX_BUDGET,
+    BallGraph,
     ball_from_json_dict,
-    ball_to_json_dict,
+    ballgraph_chunks,
     build_ball,
     fig1_demo,
     slim_delta_estimate,
@@ -108,10 +110,10 @@ def _load_json(path: str, kind: str) -> dict:
     return data
 
 
-def _write_text(path: str, text: str, flag: str) -> None:
+def _write_chunks(path: str, chunks: Iterable[str], flag: str) -> None:
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise CliError(f"{flag} {path!r}: cannot write ({exc.strerror or exc})")
 
@@ -152,24 +154,28 @@ def _json_safe(value):
     return value
 
 
-def _emit(payload: dict, args: argparse.Namespace) -> None:
+def _emit(payload: dict | BallGraph, args: argparse.Namespace) -> None:
+    """Write the report with a ``meta`` block to ``--out`` or stdout; a ball
+    is streamed, in the bytes ``json.dumps`` would give its dict."""
     config = {
         key: _json_safe(value)
         for key, value in vars(args).items()
         if key not in ("func", "out", "csv")
     }
-    doc = dict(payload)
-    doc["meta"] = {
+    meta = {
         "tool": "trigroup",
         "version": __version__,
         "seed": getattr(args, "seed", None),
         "config": config,
     }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        _write_text(args.out, text, "--out")
+    if isinstance(payload, BallGraph):
+        chunks = ballgraph_chunks(payload, meta)
     else:
-        sys.stdout.write(text)
+        chunks = [json.dumps({**payload, "meta": meta}, indent=2, sort_keys=True) + "\n"]
+    if args.out:
+        _write_chunks(args.out, chunks, "--out")
+    else:
+        sys.stdout.writelines(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +316,12 @@ def cmd_sweep(args) -> tuple[dict, int]:
         f"{row['d0']},{row['k']},{row['L']},{row['N']}\n" for row in rows
     )
     if args.csv:
-        _write_text(args.csv, csv_text, "--csv")
+        _write_chunks(args.csv, [csv_text], "--csv")
     payload = {"rows": rows, "csv": csv_text}
     return payload, EXIT_OK
 
 
-def cmd_ball(args) -> tuple[dict, int]:
+def cmd_ball(args) -> tuple[BallGraph, int]:
     p = load_presentation(args.presentation)
     try:
         g = build_ball(p, args.radius, max_vertices=args.max_vertices)
@@ -323,7 +329,7 @@ def cmd_ball(args) -> tuple[dict, int]:
         if "vertex budget" in str(exc):
             raise CliError(f"{exc}; pass --max-vertices to raise it")
         raise
-    return ball_to_json_dict(g), EXIT_OK
+    return g, EXIT_OK
 
 
 def cmd_delta_est(args) -> tuple[dict, int]:

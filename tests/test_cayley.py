@@ -14,12 +14,14 @@ from trigroup.cayley import (
     build_ball,
     ball_to_json_dict,
     ball_from_json_dict,
+    ballgraph_chunks,
     slim_delta_estimate,
     _geodesics,
     _slimness_defect,
     strip_diagram,
     fig1_demo,
 )
+from trigroup.cli import main
 from trigroup.complexes import UnionFind, cancel, is_reduced_diagram
 from trigroup.enumeration import euler_check
 from trigroup.presentation import TriangularPresentation, sample_presentation
@@ -268,6 +270,64 @@ class TestFoldOracle:
     def test_matches_dict_row_fold_at_radius_5(self):
         p = sample_presentation(4, Fraction(1, 6), 1)
         assert build_ball(p, 5) == fold_oracle.build_ball(p, 5)
+
+
+def _cli_ball_matches_dump(tmp_path, capsys, p_json, R) -> str:
+    """Assert that the ``ball`` report of ``cli.main``, on stdout and through
+    ``--out``, is the text ``json.dumps`` gives the ball's dict with the same
+    meta; return that text."""
+    pres = tmp_path / "pres.json"
+    pres.write_text(json.dumps(p_json))
+    argv = ["ball", "--presentation", str(pres), "--radius", str(R)]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "ball.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    g = build_ball(TriangularPresentation.from_json(p_json), R)
+    meta = json.loads(stdout)["meta"]
+    oracle = json.dumps({**ball_to_json_dict(g), "meta": meta}, indent=2, sort_keys=True) + "\n"
+    assert stdout == oracle
+    assert out.read_bytes() == oracle.encode()
+    return stdout
+
+
+class TestBallgraphWriter:
+    """The streamed ``ball`` report against ``json.dumps`` of its dict."""
+
+    @pytest.mark.parametrize("p", [case[1] for case in FOLD_CORPUS],
+                             ids=[case[0] for case in FOLD_CORPUS])
+    def test_matches_indent_dump(self, tmp_path, capsys, p):
+        # the CLI reads only sampled presentations, which carry a seed
+        p_json = {**p.to_json(), "seed": p.seed or 0}
+        for R in range(5):
+            _cli_ball_matches_dump(tmp_path, capsys, p_json, R)
+
+    def test_unsampled_seed_written_as_null(self):
+        g = build_ball(STRIP_PRESENTATION, 3)
+        meta = {"tool": "trigroup", "seed": None, "config": {}}
+        text = "".join(ballgraph_chunks(g, meta))
+        assert '\n  "seed": null,\n' in text
+        assert text == json.dumps({**ball_to_json_dict(g), "meta": meta},
+                                  indent=2, sort_keys=True) + "\n"
+
+    def test_integer_keys_sorted_as_text(self, tmp_path, capsys):
+        # beyond rank 26 the keys are integers, so "-1" sorts before "-10"
+        p = sample_presentation(30, Fraction(1, 10), 2)
+        text = _cli_ball_matches_dump(tmp_path, capsys, p.to_json(), 1)
+        start = text.index('"vertices"')
+        origin = text[start:text.index("\n    }", start)]
+        assert origin.index('"-1": ') < origin.index('"-10": ') < origin.index('"-2": ')
+
+    def test_edgeless_origin(self, tmp_path, capsys):
+        p = sample_presentation(4, Fraction(1, 6), 1)
+        text = _cli_ball_matches_dump(tmp_path, capsys, p.to_json(), 0)
+        assert text.endswith('"edges": {}\n    }\n  ]\n}\n')
+
+    def test_bench_ball_at_radius_5(self, tmp_path, capsys):
+        # 6,365 vertices: two chunks of the stream
+        p = sample_presentation(4, Fraction(1, 6), 1)
+        text = _cli_ball_matches_dump(tmp_path, capsys, p.to_json(), 5)
+        assert len(json.loads(text)["vertices"]) == 6365
 
 
 def _oracle_corpus():

@@ -452,6 +452,25 @@ class TestDeltaEst:
         assert main(["delta-est", "--graph", str(bad)]) == 2
         assert f"graph file {str(bad)!r}: relators: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["abc", 2.5, [1], True])
+    def test_seed_must_be_integer_or_null(self, tmp_path, capsys, seed):
+        data = copy.deepcopy(FUZZ_BASE)
+        data["seed"] = seed
+        bad = tmp_path / "badseed.json"
+        bad.write_text(json.dumps(data))
+        assert main(["delta-est", "--graph", str(bad), "--samples", "5"]) == 2
+        assert "'seed' = " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_seed_null_or_integer_loads(self, tmp_path, seed):
+        # the library writes null for a presentation that was not sampled
+        data = copy.deepcopy(FUZZ_BASE)
+        data["seed"] = seed
+        good = tmp_path / "seed.json"
+        good.write_text(json.dumps(data))
+        status, doc = run_json(tmp_path, "delta-est", "--graph", str(good), "--samples", "5")
+        assert (status, doc["radius"]) == (0, 2)
+
     @pytest.mark.parametrize("field, value, named", [
         ("m", 0, "m"), ("density", "3/2", "d"), ("density", "0", "d"),
         ("density", "1/0", "d"), ("density", float("inf"), "d"),
@@ -713,10 +732,14 @@ class TestPlumbing:
         assert "workers" not in doc["meta"]["config"]
 
     @pytest.mark.parametrize("where", ["missing-dir", "directory"])
-    def test_unwritable_out(self, tmp_path, capsys, where):
+    def test_unwritable_out(self, tmp_path, capsys, pres_file, where):
         # a write failure is bad configuration (exit 2), not a failed check
         path = tmp_path / "nowhere" / "x.json" if where == "missing-dir" else tmp_path
         assert main(["sample", "--m", "2", "--d", "1/3", "--out", str(path)]) == 2
+        assert f"--out {str(path)!r}: cannot write" in capsys.readouterr().err
+        # the streamed ballgraph fails the same way
+        assert main(["ball", "--presentation", pres_file, "--radius", "1",
+                     "--out", str(path)]) == 2
         assert f"--out {str(path)!r}: cannot write" in capsys.readouterr().err
 
     def test_cli_import_leaves_out_sympy(self):
