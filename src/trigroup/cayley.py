@@ -62,6 +62,10 @@ DEFAULT_VERTEX_BUDGET = 200_000
 # the loader refuses a ballgraph whose adjacency would need more slots
 # (V * 2m) than this, rather than allocate it: about 130 MB of references
 MAX_ADJACENCY_SLOTS = 1 << 24
+# the slimness estimate tries up to SIDE_CAP geodesics per side of a
+# triangle and up to COMBO_CAP choices of its three sides
+SIDE_CAP = 16
+COMBO_CAP = 1024
 
 # one relator ab^2: the group is free on b, with a identified to b^-2
 STRIP_PRESENTATION = TriangularPresentation(
@@ -467,6 +471,9 @@ def ballgraph_chunks(g: BallGraph, meta: dict) -> Iterator[str]:
 def ball_from_json_dict(data: dict) -> BallGraph:
     if data.get("format") != "ballgraph":
         raise ValueError("not a ball graph file (missing format tag)")
+    for name in ("m", "density", "relators", "radius", "vertices"):
+        if name not in data:
+            raise ValueError(f"missing field {name!r}")
     m = json_int(data["m"], "'m'")
     relators = json_list(data["relators"], "'relators'")
     try:
@@ -477,9 +484,11 @@ def ball_from_json_dict(data: dict) -> BallGraph:
     seed = data.get("seed")
     if seed is not None:
         json_int(seed, "'seed'")
-    p = TriangularPresentation(
-        m=m, density=density_from_str(data["density"]), seed=seed, relators=words
-    )
+    try:
+        density = density_from_str(data["density"])
+    except ValueError as exc:
+        raise ValueError(f"'density': {exc}") from None
+    p = TriangularPresentation(m=m, density=density, seed=seed, relators=words)
     vertices = json_list(data["vertices"], "'vertices'")
     n, k = len(vertices), 2 * m
     if n * k > MAX_ADJACENCY_SLOTS:
@@ -492,10 +501,13 @@ def ball_from_json_dict(data: dict) -> BallGraph:
     for v, vertex in enumerate(vertices):
         if not isinstance(vertex, dict):
             raise ValueError(f"'vertices' entry {v} is not a JSON object")
-        edges = vertex["edges"]
+        try:
+            edges, distance, closed = vertex["edges"], vertex["distance"], vertex["closed"]
+        except KeyError as exc:
+            raise ValueError(f"'vertices' entry {v}: missing field {exc.args[0]!r}") from None
         if not isinstance(edges, dict):
             raise ValueError(f"'edges' of vertex {v} is not a JSON object")
-        distance = vertex["distance"]  # json_count, inlined for large balls
+        # json_count, inlined for large balls
         if type(distance) is not int or distance < 0:
             raise ValueError(
                 f"'distance' of vertex {v} = {distance!r}: expected an integer >= 0"
@@ -510,7 +522,6 @@ def ball_from_json_dict(data: dict) -> BallGraph:
             if adj[base + s] != -1:
                 raise ValueError(f"'edges' of vertex {v} name letter {key!r} twice")
             adj[base + s] = w
-        closed = vertex["closed"]
         if closed is not (len(edges) == k):
             raise ValueError(
                 f"'closed' of vertex {v} is {closed!r} with {len(edges)} of its {k} edges"
@@ -663,19 +674,13 @@ def _slimness_defect(g: BallGraph, sides: Sequence[tuple[int, ...]]) -> int:
     )
 
 
-def slim_delta_estimate(
-    g: BallGraph,
-    samples: int,
-    seed: int,
-    side_cap: int = 16,
-    combo_cap: int = 1024,
-) -> int:
+def slim_delta_estimate(g: BallGraph, samples: int, seed: int) -> int:
     """Largest slimness defect seen over sampled closed-vertex triangles.
 
     For each corner triple the defect is minimized over jointly chosen
-    geodesic realizations (up to the caps): a triangle is slim as soon as
-    some choice of sides is.  Sampling makes the estimate a lower bound for
-    the ball's slimness constant.
+    geodesic realizations (up to ``SIDE_CAP`` and ``COMBO_CAP``): a triangle
+    is slim as soon as some choice of sides is.  Sampling makes the estimate
+    a lower bound for the ball's slimness constant.
     """
     closed = g.closed_vertices()
     if len(closed) < 3:
@@ -692,9 +697,9 @@ def slim_delta_estimate(
 
     estimate = 0
     for x, y, z in triples:
-        sides = [_geodesics(g, a, b, side_cap) for a, b in ((x, y), (y, z), (z, x))]
+        sides = [_geodesics(g, a, b, SIDE_CAP) for a, b in ((x, y), (y, z), (z, x))]
         best: int | None = None
-        for realization in itertools.islice(itertools.product(*sides), combo_cap):
+        for realization in itertools.islice(itertools.product(*sides), COMBO_CAP):
             defect = _slimness_defect(g, realization)
             best = defect if best is None else min(best, defect)
             if best == 0:

@@ -7,8 +7,9 @@ own file.  Timing goes to stderr only: output bytes depend on nothing but
 the configuration.
 
 Exit status: 0 when the requested checks pass, 1 when a check fails
-(fulfil ratio bound, fig1 postconditions, chain fuzzing, words count),
-2 for bad input or configuration.
+(fulfil ratio bound, enum-diagrams identity or equivalence, fig1
+postconditions, chain fuzzing, words count), 2 for bad input or
+configuration.
 """
 
 from __future__ import annotations
@@ -33,17 +34,17 @@ from .cayley import (
     slim_delta_estimate,
 )
 from .complexes import (
-    all_edges_in_faces,
     cancel,
     chain_report,
     complex_from_json,
     complex_to_json,
     edge_degrees,
+    edges_in_no_face,
     random_abstract_complex,
     red,
     red_contributions,
 )
-from .enumeration import DEFAULT_FACE_CAP, DiagramBudget, isoperimetric_report
+from .enumeration import DiagramBudget, isoperimetric_report
 from .fulfillment import (
     FulfillmentProbe,
     montecarlo_fulfillment,
@@ -229,7 +230,7 @@ def cmd_red(args) -> tuple[dict, int]:
     payload = {
         "red": red(Y),
         "contributions": red_contributions(Y),
-        "chain": chain_report(Y) if all_edges_in_faces(Y) else None,
+        "chain": None if edges_in_no_face(Y) else chain_report(Y),
     }
     return payload, EXIT_OK
 
@@ -242,7 +243,7 @@ def cmd_enum_diagrams(args) -> tuple[dict, int]:
             f" pass --face-cap {args.max_faces} to override"
         )
     budget = DiagramBudget(max_faces=args.max_faces, presentation=p, epsilon=args.epsilon)
-    payload = isoperimetric_report(budget, cap=args.face_cap)
+    payload = isoperimetric_report(budget)
     ok = payload["identity_holds"] and payload["equivalence_holds"]
     return payload, EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -271,10 +272,10 @@ def cmd_fulfil(args) -> tuple[dict, int]:
         )
     try:
         counts = structure_counts(structure_of(Y), (args.m,))
+        probe = FulfillmentProbe(complex=Y, m=args.m, counts=tuple(c for (c,) in counts))
+        checks = ratio_checks(probe)
     except ValueError as exc:
         raise CliError(f"complex file {args.complex!r}: {exc}")
-    probe = FulfillmentProbe(complex=Y, m=args.m, counts=tuple(c for (c,) in counts))
-    checks = ratio_checks(probe)
     levels = [
         {
             "level": row["level"],
@@ -300,6 +301,8 @@ def cmd_fulfil(args) -> tuple[dict, int]:
 
 
 def cmd_pipeline(args) -> tuple[dict, int]:
+    if args.precision < 1:
+        raise CliError("--precision must be at least 1")
     report = constants_pipeline(
         args.d0,
         args.A1,
@@ -336,7 +339,7 @@ def cmd_delta_est(args) -> tuple[dict, int]:
     data = _load_json(args.graph, "graph")
     try:
         g = ball_from_json_dict(data)
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError) as exc:
         raise CliError(f"graph file {args.graph!r}: {exc}")
     estimate = slim_delta_estimate(g, args.samples, args.seed)
     closed = len(g.closed_vertices())
@@ -433,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--presentation", required=True, metavar="FILE")
     s.add_argument("--max-faces", type=int, default=3)
     s.add_argument("--epsilon", type=_fraction, default=Fraction(1, 100))
-    s.add_argument("--face-cap", type=int, default=DEFAULT_FACE_CAP)
+    s.add_argument("--face-cap", type=int, default=5)
     s.set_defaults(func=cmd_enum_diagrams)
 
     s = sub.add_parser(

@@ -151,12 +151,6 @@ class VanKampenDiagram(LabelledComplex):
     def boundary_length(self) -> int:
         return len(self.boundary)
 
-    def boundary_word(self) -> Word:
-        return walk_letters(self.boundary, self.letters)
-
-    def relator_position(self, f: int) -> int:
-        return self.labels[f] - 1
-
 
 # ---------------------------------------------------------------------------
 # functionals
@@ -226,12 +220,6 @@ def _complex_forced_counts(Y: AbstractLabelledComplex) -> list[int]:
     return forced_counts([[ref_edge(r) for r in walk] for walk in Y.faces], Y.labels)
 
 
-def forced_letter_count(Y: AbstractLabelledComplex, f: int) -> int:
-    """Letters of face ``f`` already pinned down when its label is processed
-    (see :func:`forced_counts`)."""
-    return _complex_forced_counts(Y)[f]
-
-
 def label_forcing_levels(Y: AbstractLabelledComplex) -> list[tuple[int, int]]:
     """For each label value ``i``: the max forced-letter count among its faces."""
     levels: dict[int, int] = {}
@@ -240,9 +228,10 @@ def label_forcing_levels(Y: AbstractLabelledComplex) -> list[tuple[int, int]]:
     return sorted(levels.items())
 
 
-def all_edges_in_faces(Y: AbstractLabelledComplex) -> bool:
+def edges_in_no_face(Y: AbstractLabelledComplex) -> list[int]:
+    """Edges that no face walk traverses, in index order."""
     used = {ref_edge(r) for walk in Y.faces for r in walk}
-    return len(used) == Y.edge_count
+    return [e for e in range(Y.edge_count) if e not in used]
 
 
 def chain_report(Y: AbstractLabelledComplex) -> dict:
@@ -250,7 +239,7 @@ def chain_report(Y: AbstractLabelledComplex) -> dict:
 
     Requires every edge to lie in at least one face.
     """
-    if not all_edges_in_faces(Y):
+    if edges_in_no_face(Y):
         raise ValueError("chain inequality needs every edge inside a face")
     r = red(Y)
     c = cancel(Y)

@@ -29,8 +29,6 @@ from .complexes import VanKampenDiagram, Walk, cancel, close_walks, side_trace
 from .presentation import TriangularPresentation, sample_presentation
 from .seeding import derive_seed
 
-DEFAULT_FACE_CAP = 5
-
 # a search state: (letters per edge, ((walk, label), ...), boundary walk)
 _State = tuple[tuple[int, ...], tuple[tuple[Walk, int], ...], Walk]
 
@@ -264,16 +262,9 @@ def _grow(state: _State, relators, index) -> Iterator[_State]:
                         yield grown
 
 
-def enumerate_reduced_diagrams(
-    budget: DiagramBudget, cap: int = DEFAULT_FACE_CAP
-) -> Iterator[VanKampenDiagram]:
+def enumerate_reduced_diagrams(budget: DiagramBudget) -> Iterator[VanKampenDiagram]:
     """All reduced disc diagrams with at most ``budget.max_faces`` faces,
     exactly once per labelled combinatorial isomorphism class."""
-    if budget.max_faces > cap:
-        raise ValueError(
-            f"max_faces {budget.max_faces} above the enumeration cap {cap}; "
-            "raise cap explicitly to accept the cost"
-        )
     presentation = budget.presentation
     relators = presentation.relators
     index = _slot_index(relators)
@@ -304,7 +295,7 @@ def euler_check(D: VanKampenDiagram) -> bool:
     )
 
 
-def isoperimetric_report(budget: DiagramBudget, cap: int = DEFAULT_FACE_CAP) -> dict:
+def isoperimetric_report(budget: DiagramBudget) -> dict:
     """Both displayed inequalities and their equivalence on every diagram.
 
     The area form cancel(D) <= 3(d+eps)|D| and the boundary form
@@ -319,7 +310,7 @@ def isoperimetric_report(budget: DiagramBudget, cap: int = DEFAULT_FACE_CAP) -> 
     violations = 0
     identity_ok = True
     equivalence_ok = True
-    for D in enumerate_reduced_diagrams(budget, cap):
+    for D in enumerate_reduced_diagrams(budget):
         c = cancel(D)
         area, rim = D.area, D.boundary_length
         cancel_ok = c <= cancel_rate * area

@@ -11,8 +11,9 @@ support this module computes the per-level probabilities
   (``structure_counts`` on the complex's incidence structure, see
   ``structure_of``), which serves ``fulfil --exact`` and scales to a sweep
   over *all* incidence structures with a bounded number of faces,
-* exhaustively (``exact_probabilities``, feasible for m <= 3 and <= 3
-  labels), kept as the independent oracle the closed form is tested against,
+* exhaustively (``exact_probabilities``, whose cost grows as
+  ((2m-1)^3+1)^n for n labels), kept as the independent oracle the closed
+  form is tested against,
 
 and checks two per-level ratio bounds, where delta_i is the forced-letter
 level from :func:`trigroup.complexes.label_forcing_levels`:
@@ -36,8 +37,7 @@ from typing import Iterator, Sequence
 from .complexes import (
     AbstractLabelledComplex,
     SignedUnionFind,
-    abstract_from_walks,
-    all_edges_in_faces,
+    edges_in_no_face,
     forced_counts,
     label_forcing_levels,
     ref_edge,
@@ -52,9 +52,6 @@ from .words import (
 
 #: 99% two-sided normal quantile for the Wilson interval.
 _WILSON_Z = 2.5758293035489004
-
-EXACT_M_CAP = 3
-EXACT_LEVEL_CAP = 3
 
 
 def _label_levels(Y: AbstractLabelledComplex) -> int:
@@ -107,20 +104,12 @@ class FulfillmentProbe:
         )
 
 
-def exact_probabilities(
-    Y: AbstractLabelledComplex, m: int, allow_large: bool = False
-) -> FulfillmentProbe:
+def exact_probabilities(Y: AbstractLabelledComplex, m: int) -> FulfillmentProbe:
     """Count consistent word tuples level by level over the full support.
 
-    Cost grows as ((2m-1)^3+1)^n; refused above m=3 / n=3 unless
-    ``allow_large`` acknowledges it.
+    Cost grows as ((2m-1)^3+1)^n for n labels.
     """
     n = _label_levels(Y)
-    if not allow_large and (m > EXACT_M_CAP or n > EXACT_LEVEL_CAP):
-        raise ValueError(
-            f"exhaustive enumeration needs m <= {EXACT_M_CAP} and <= "
-            f"{EXACT_LEVEL_CAP} labels (got m={m}, n={n}); pass allow_large to override"
-        )
     support = enumerate_triangle_words(m)
     faces_by_label = [
         [(Y.faces[f]) for f in range(Y.face_count) if Y.labels[f] == j]
@@ -163,8 +152,12 @@ def exact_probabilities(
 
 def forcing_bounds(Y: AbstractLabelledComplex) -> list[tuple[int, int]]:
     """Per-level maximal forced-letter counts (i, delta_i)."""
-    if not all_edges_in_faces(Y):
-        raise ValueError("forced-letter levels need every edge inside a face")
+    loose = edges_in_no_face(Y)
+    if loose:
+        raise ValueError(
+            f"'edges' entry {loose[0]} lies in no face; forced-letter levels need"
+            " every edge inside a face"
+        )
     _label_levels(Y)
     return label_forcing_levels(Y)
 
@@ -266,19 +259,8 @@ class FaceStructure:
                     raise ValueError("classes must appear in order, first sign +1")
 
 
-def structure_to_complex(fs: FaceStructure) -> AbstractLabelledComplex:
-    walks = [
-        tuple(
-            fs.signs[3 * f + t] * (fs.classes[3 * f + t] + 1)
-            for t in range(3)
-        )
-        for f in range(fs.face_count)
-    ]
-    return abstract_from_walks(walks, fs.labels)
-
-
 def structure_of(Y: AbstractLabelledComplex) -> FaceStructure:
-    """The incidence structure of ``Y``; inverse to :func:`structure_to_complex`.
+    """The incidence structure of ``Y``.
 
     Edges become classes numbered in order of first appearance along the
     walks, each oriented so that its first traversal is forward.  Vertices

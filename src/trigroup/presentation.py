@@ -12,14 +12,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 from .seeding import UINT64_MASK, make_rng
 from .words import (
     Word,
-    invert_word,
     is_cyclically_reduced,
-    rotations,
     sample_triangle_word,
     word_from_json,
     word_to_json,
@@ -98,23 +95,6 @@ def relator_count(m: int, d: Fraction) -> int:
     return integer_root(base, d.denominator)
 
 
-def canonical_relator_class(w: Word) -> Word:
-    """Least representative of ``w`` under rotation and inversion."""
-    candidates = list(rotations(w)) + list(rotations(invert_word(w)))
-    return min(candidates)
-
-
-def relators_distinct_up_to_symmetry(relators: Sequence[Word]) -> bool:
-    """True iff no two relators agree up to rotation and/or inversion."""
-    classes = [canonical_relator_class(w) for w in relators]
-    return len(set(classes)) == len(classes)
-
-
-def has_proper_power(relators: Sequence[Word]) -> bool:
-    """A length-3 relator is a proper power exactly when it is x*x*x."""
-    return any(len(set(w)) == 1 for w in relators)
-
-
 @dataclass(frozen=True)
 class TriangularPresentation:
     m: int
@@ -134,9 +114,6 @@ class TriangularPresentation:
                 raise ValueError(f"relators: relator {w} holds the letter code 0")
             if any(abs(c) > self.m for c in w):
                 raise ValueError(f"relator {w} uses letters beyond rank {self.m}")
-
-    def __len__(self) -> int:
-        return len(self.relators)
 
     def to_json(self) -> dict:
         return {

@@ -5,8 +5,9 @@ is 11/12 - sqrt(41)/12, and every downstream comparison (choice of k, choice
 of L, final bound comparison) is decided exactly on numbers a + b*sqrt(41)
 with rational a and b, by comparing a^2 with 41*b^2.  Reported decimals are
 computed separately with :mod:`decimal` and correctly rounded to the
-requested number of significant digits; float entry points use plain float
-arithmetic so the two routes stay independent checks of one another.
+requested number of significant digits.  The closing inequality
+lhs(d') < rhs(d') - 1/k is only ever decided exactly, by :func:`min_k` and
+:func:`constants_pipeline`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import Mapping, Sequence
 # Scale tying the thin-triangle constant to the neighbourhood radii used in
 # the stability arguments; the four-point-definition variant is 100.
 SLIMNESS_SCALE = 800
-SLIMNESS_SCALE_4POINT = 100
 
 # digits carried beyond the requested ones before the first rounding attempt
 _GUARD_DIGITS = 20
@@ -146,10 +146,13 @@ def _as_fraction(x, name: str) -> Fraction:
 
 
 def _lhs_exact(dp):
+    """Left side of the closing inequality at d' = dp, which stays below the
+    pole at 1/2."""
     return 4 * (3 * dp - 1) / (3 * (1 - 2 * dp))
 
 
 def _rhs_exact(dp):
+    """Right side of the closing inequality at d' = dp."""
     return 2 - 3 * dp
 
 
@@ -168,35 +171,11 @@ def d_crit_digits(digits: int = 50) -> str:
     return _decimal_str(_D_CRIT, digits)
 
 
-def lhs(dp) -> float | Fraction:
-    """4(3dp-1)/(3(1-2dp)); defined left of the pole at 1/2.
-
-    Rational input gets an exact rational answer, float input a float.
-    """
-    if not isinstance(dp, float):
-        dp = Fraction(dp)
-    if dp >= 0.5:
-        raise ValueError("lhs has a pole at 1/2; need dp < 1/2")
-    return _lhs_exact(dp)
-
-
-def rhs(dp) -> float | Fraction:
-    """2 - 3dp."""
-    return _rhs_exact(dp if isinstance(dp, float) else Fraction(dp))
-
-
 def _require_subcritical(d0: Fraction) -> None:
     if d0 <= 0:
         raise ValueError(f"d0 = {d0}: a density must be positive")
     if (_D_CRIT - d0).sign() <= 0:
         raise ValueError(f"d0 = {d0} is not below the critical density")
-
-
-def d_prime(d0) -> float:
-    """Midpoint of d0 and the critical density."""
-    d0 = _as_fraction(d0, "d0")
-    _require_subcritical(d0)
-    return _float(_d_prime_exact(d0))
 
 
 def min_k(d0) -> int:

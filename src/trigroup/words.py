@@ -61,18 +61,8 @@ def triangle_word_count(m: int) -> int:
     return (2 * m - 1) ** 3 + 1
 
 
-def _letter_key(code: int) -> tuple[int, int]:
-    # a < a^-1 < b < b^-1 < ...
-    return (abs(code), 0 if code > 0 else 1)
-
-
-def word_sort_key(codes: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    """Lexicographic key under the letter order a < A < b < B < ..."""
-    return tuple(_letter_key(c) for c in codes)
-
-
 def all_letters(m: int) -> list[int]:
-    """All 2m letter codes in canonical order."""
+    """All 2m letter codes in canonical order, a < A < b < B < ..."""
     out: list[int] = []
     for g in range(1, m + 1):
         out.extend((g, -g))
@@ -80,7 +70,8 @@ def all_letters(m: int) -> list[int]:
 
 
 def enumerate_triangle_words(m: int) -> list[Word]:
-    """All cyclically reduced length-3 words, lexicographically ordered.
+    """All cyclically reduced length-3 words, lexicographically ordered
+    under the letter order of :func:`all_letters`, in which the loops run.
 
     Complete and duplicate-free; ``len(...) == triangle_word_count(m)``.
     """
@@ -94,7 +85,6 @@ def enumerate_triangle_words(m: int) -> list[Word]:
                 if c == -b or c == -a:
                     continue
                 out.append((a, b, c))
-    out.sort(key=word_sort_key)
     return out
 
 

@@ -4,15 +4,23 @@ A sweep record names a structure by its slot ``classes`` and ``signs``, the
 faces of its top label (``top``) and the grouping of the faces below it
 (``lower_groups``).  The helpers here rebuild it as a labelled complex for the
 brute-force counter and test its shape without the sweep's own forced-letter
-code.
+code.  :func:`structure_to_complex`, the inverse of
+:func:`trigroup.fulfillment.structure_of`, does the rebuilding; no command
+needs it, so it lives with the tests.
 """
 
-from trigroup.fulfillment import (
-    FaceStructure,
-    exact_probabilities,
-    ratio_checks,
-    structure_to_complex,
-)
+from trigroup.complexes import AbstractLabelledComplex, abstract_from_walks
+from trigroup.fulfillment import FaceStructure, exact_probabilities, ratio_checks
+
+
+def structure_to_complex(fs: FaceStructure) -> AbstractLabelledComplex:
+    """A labelled complex with incidence structure ``fs``: class ``c`` becomes
+    edge ``c``, traversed forward where the slot's sign is +1."""
+    walks = [
+        tuple(fs.signs[3 * f + t] * (fs.classes[3 * f + t] + 1) for t in range(3))
+        for f in range(fs.face_count)
+    ]
+    return abstract_from_walks(walks, fs.labels)
 
 
 def record_structure(record: dict) -> FaceStructure:

@@ -40,7 +40,7 @@ from trigroup.enumeration import (
 from trigroup.fulfillment import exact_probabilities, ratio_checks, ratio_sweep
 from trigroup.presentation import sample_presentation
 from trigroup.seeding import make_rng
-from trigroup.thresholds import constants_pipeline, d_crit, lhs, min_k, rhs
+from trigroup.thresholds import constants_pipeline, d_crit, min_k
 from trigroup.words import (
     enumerate_triangle_words,
     sample_triangle_word,
@@ -250,7 +250,9 @@ def test_criterion_06_exact_ratio_oracle(capsys):
 
 def test_criterion_07_critical_density(capsys):
     dc = d_crit()
-    gap = abs(lhs(dc) - rhs(dc))
+    # the two sides of the closing inequality, written out independently of
+    # the package: they meet at the critical density
+    gap = abs(4 * (3 * dc - 1) / (3 * (1 - 2 * dc)) - (2 - 3 * dc))
     ok = round(dc, 5) == 0.38307 and gap <= 1e-12
     _verdict(capsys, 7, ok,
              f"d_crit = {dc:.10f} (5 decimals: {round(dc, 5)}), "

@@ -229,7 +229,7 @@ class TestFulfil:
                                "--m", "5", "--exact")
         assert status == 0
         shared = complex_from_json(json.loads(open(complex_files["shared"]).read()))
-        brute = exact_probabilities(shared, 5, allow_large=True).counts
+        brute = exact_probabilities(shared, 5).counts
         assert [lvl["count"] for lvl in doc["levels"]] == list(brute[1:])
         assert "max_m" not in doc["meta"]["config"]
 
@@ -254,6 +254,15 @@ class TestFulfil:
         assert errors[0] == errors[1]
         assert f"complex file {str(digon)!r}: face 0 has 2 sides" in errors[0]
 
+    def test_exact_edge_in_no_face(self, tmp_path, capsys):
+        # edge 1 is a loop that no face walk uses
+        loose = tmp_path / "loose.json"
+        loose.write_text(json.dumps({"vertices": 1, "edges": [[0, 0], [0, 0]],
+                                     "faces": [{"index": 1, "boundary": [1, 1, 1]}]}))
+        assert main(["fulfil", "--complex", str(loose), "--m", "2", "--exact"]) == 2
+        assert (f"error: complex file {str(loose)!r}: 'edges' entry 1 lies in no face"
+                in capsys.readouterr().err)
+
     def test_trials_must_be_positive(self, tmp_path, capsys, complex_files):
         assert main(["fulfil", "--complex", complex_files["shared"], "--m", "2",
                      "--trials", "0"]) == 2
@@ -274,6 +283,11 @@ class TestPipeline:
         # 20 significant digits: mantissa has 20 digits plus the point
         mantissa = doc["precise"]["d_crit"].split("e")[0].replace(".", "")
         assert len(mantissa.lstrip("0")) == 20
+
+    @pytest.mark.parametrize("precision", ["0", "-3"])
+    def test_precision_must_be_positive(self, capsys, precision):
+        assert main(["pipeline", "--d0", "7/20", "--precision", precision]) == 2
+        assert capsys.readouterr().err == "error: --precision must be at least 1\n"
 
     def test_supercritical_rejected(self, capsys):
         assert main(["pipeline", "--d0", "2/5"]) == 2
@@ -443,6 +457,35 @@ class TestDeltaEst:
         bad.write_text(json.dumps(data))
         assert main(["delta-est", "--graph", str(bad)]) == 2
         assert "'closed' of vertex" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["m", "density", "relators", "radius", "vertices"])
+    def test_missing_field_named(self, tmp_path, capsys, field):
+        data = copy.deepcopy(FUZZ_BASE)
+        del data[field]
+        bad = tmp_path / "missing.json"
+        bad.write_text(json.dumps(data))
+        assert main(["delta-est", "--graph", str(bad)]) == 2
+        assert (capsys.readouterr().err
+                == f"error: graph file {str(bad)!r}: missing field {field!r}\n")
+
+    @pytest.mark.parametrize("field", ["closed", "distance", "edges"])
+    def test_missing_vertex_field_named(self, tmp_path, capsys, field):
+        data = copy.deepcopy(FUZZ_BASE)
+        del data["vertices"][3][field]
+        bad = tmp_path / "missing.json"
+        bad.write_text(json.dumps(data))
+        assert main(["delta-est", "--graph", str(bad)]) == 2
+        assert (f"graph file {str(bad)!r}: 'vertices' entry 3: missing field {field!r}\n"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("density", [5, 0.2, "1/0", None])
+    def test_density_field_named(self, tmp_path, capsys, density):
+        data = copy.deepcopy(FUZZ_BASE)
+        data["density"] = density
+        bad = tmp_path / "density.json"
+        bad.write_text(json.dumps(data))
+        assert main(["delta-est", "--graph", str(bad)]) == 2
+        assert f"graph file {str(bad)!r}: 'density': " in capsys.readouterr().err
 
     def test_letter_code_zero_in_relator(self, tmp_path, capsys):
         data = copy.deepcopy(FUZZ_BASE)

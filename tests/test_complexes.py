@@ -12,7 +12,6 @@ from trigroup.complexes import (
     LabelledComplex,
     VanKampenDiagram,
     abstract_from_walks,
-    all_edges_in_faces,
     cancel,
     chain_report,
     close_walks,
@@ -20,8 +19,8 @@ from trigroup.complexes import (
     complex_to_json,
     dumps_complex,
     edge_degrees,
+    edges_in_no_face,
     forced_counts,
-    forced_letter_count,
     is_reduced_diagram,
     label_forcing_levels,
     random_abstract_complex,
@@ -46,6 +45,11 @@ SHARED_EDGE = make_abstract([(1, 2, 3), (1, 4, 5)], (1, 2))
 IDENTICAL_PAIR = make_abstract([(1, 2, 3), (1, 2, 3)], (1, 1))
 IDENTICAL_PAIR_SPLIT = make_abstract([(1, 2, 3), (1, 2, 3)], (1, 2))
 SINGLE = make_abstract([(1, 2, 3)], (1,))
+
+
+def forced(Y):
+    """Forced-letter count of every face of ``Y``, from the package's kernel."""
+    return forced_counts([[ref_edge(r) for r in walk] for walk in Y.faces], Y.labels)
 
 
 class TestStructure:
@@ -144,7 +148,7 @@ class TestRed:
         Y = make_abstract([(1, 2, 3), (2, 3, 1)], (1, 1))
         assert red(Y) == 0
         assert cancel(Y) == 3
-        assert sum(forced_letter_count(Y, f) for f in range(2)) == 3
+        assert sum(forced(Y)) == 3
 
     def test_relabelling_invariance(self):
         rng = make_rng(78, "red-relabel")
@@ -184,30 +188,28 @@ class TestIndicators:
 
 class TestForcedLetters:
     def test_shared_edge_levels(self):
-        assert forced_letter_count(SHARED_EDGE, 0) == 0
-        assert forced_letter_count(SHARED_EDGE, 1) == 1
+        assert forced(SHARED_EDGE) == [0, 1]
         assert label_forcing_levels(SHARED_EDGE) == [(1, 0), (2, 1)]
 
     def test_single_face(self):
-        assert forced_letter_count(SINGLE, 0) == 0
+        assert forced(SINGLE) == [0]
         assert label_forcing_levels(SINGLE) == [(1, 0)]
 
     def test_repeated_edge_in_one_face(self):
         Y = make_abstract([(1, 1, 2)], (1,))
         # second visit to e1 is forced
-        assert forced_letter_count(Y, 0) == 1
+        assert forced(Y) == [1]
 
     def test_identical_pair_all_free(self):
         # ties leave both faces unforced; the excess shows up in red instead
-        assert forced_letter_count(IDENTICAL_PAIR, 0) == 0
-        assert forced_letter_count(IDENTICAL_PAIR, 1) == 0
+        assert forced(IDENTICAL_PAIR) == [0, 0]
 
     def test_range(self):
         rng = make_rng(79, "delta-range")
         for _ in range(300):
             Y = random_abstract_complex(rng)
-            for f in range(Y.face_count):
-                assert 0 <= forced_letter_count(Y, f) <= len(Y.faces[f])
+            for f, count in enumerate(forced(Y)):
+                assert 0 <= count <= len(Y.faces[f])
 
     def test_kernel_matches_indicator_predicates(self):
         # forced = walk length minus the edges whose min-label and
@@ -224,7 +226,6 @@ class TestForcedLetters:
                 for f, walk in enumerate(Y.faces)
             ]
             assert got == want, Y
-            assert got == [forced_letter_count(Y, f) for f in range(Y.face_count)]
 
 
 class TestChainInequality:
@@ -232,7 +233,7 @@ class TestChainInequality:
         rng = make_rng(80, "chain")
         for _ in range(1000):
             Y = random_abstract_complex(rng)
-            assert all_edges_in_faces(Y)
+            assert edges_in_no_face(Y) == []
             report = chain_report(Y)
             assert report["holds"], (Y, report)
 
@@ -500,7 +501,7 @@ class TestRandomComplex:
         rng = make_rng(81, "rc-struct")
         for _ in range(300):
             Y = random_abstract_complex(rng)
-            assert all_edges_in_faces(Y)
+            assert edges_in_no_face(Y) == []
             n = max(Y.labels)
             assert set(Y.labels) == set(range(1, n + 1))
 

@@ -24,14 +24,10 @@ from trigroup.enumeration import (
     _canonical,
 )
 from trigroup.fulfillment import fulfils
-from trigroup.presentation import (
-    TriangularPresentation,
-    has_proper_power,
-    relators_distinct_up_to_symmetry,
-    sample_presentation,
-)
+from trigroup.presentation import TriangularPresentation, sample_presentation
 
 import canon_oracle
+from relator_classes import has_proper_power, relators_distinct_up_to_symmetry
 
 
 def pres(relators, m=5):
@@ -158,12 +154,9 @@ class TestBudget:
         with pytest.raises(ValueError, match="epsilon"):
             DiagramBudget(1, ABC, Fraction(0))
 
-    def test_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            list(enumerate_reduced_diagrams(DiagramBudget(6, ABC)))
-
-    def test_cap_override(self):
-        assert len(list(enumerate_reduced_diagrams(DiagramBudget(6, ABC), cap=6))) == 1
+    def test_six_faces(self):
+        # no face cap in the library: the CLI's --face-cap is the only one
+        assert len(list(enumerate_reduced_diagrams(DiagramBudget(6, ABC)))) == 1
 
 
 class TestSingleFace:
@@ -228,7 +221,7 @@ class TestEmittedInvariants:
             assert is_reduced_diagram(D)
             assert 3 * D.area == D.boundary_length + 2 * cancel(D)
             for f in range(D.face_count):
-                assert D.face_word(f) == p.relators[D.relator_position(f)]
+                assert D.face_word(f) == p.relators[D.labels[f] - 1]
             if relators_distinct_up_to_symmetry(p.relators) and not has_proper_power(
                 p.relators
             ):

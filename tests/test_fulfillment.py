@@ -8,7 +8,7 @@ import pytest
 from trigroup.complexes import (
     AbstractLabelledComplex,
     abstract_from_walks,
-    forced_letter_count,
+    forced_counts,
     label_forcing_levels,
     random_abstract_complex,
 )
@@ -23,7 +23,6 @@ from trigroup.fulfillment import (
     ratio_sweep,
     structure_counts,
     structure_of,
-    structure_to_complex,
 )
 from trigroup.fulfillment import (
     _iter_signed_partitions,
@@ -34,7 +33,12 @@ from trigroup.presentation import TriangularPresentation
 from trigroup.seeding import make_rng
 from trigroup.words import enumerate_triangle_words, triangle_word_count
 
-from sweep_oracle import forces_within_word, record_structure, top_level_check
+from sweep_oracle import (
+    forces_within_word,
+    record_structure,
+    structure_to_complex,
+    top_level_check,
+)
 
 
 def build(walks, labels):
@@ -148,17 +152,10 @@ class TestExactProbabilities:
             assert p[0] == 1
             assert all(p[i] <= p[i - 1] for i in range(1, len(p)))
 
-    def test_m_cap(self):
-        with pytest.raises(ValueError, match="m <= 3"):
-            exact_probabilities(SINGLE, 4)
-
-    def test_level_cap_and_override(self):
+    def test_four_labels(self):
         walks = [(1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12)]
         Y = build(walks, (1, 2, 3, 4))
-        with pytest.raises(ValueError, match="3 labels"):
-            exact_probabilities(Y, 1)
-        probe = exact_probabilities(Y, 1, allow_large=True)
-        assert probe.counts == (1, 2, 4, 8, 16)
+        assert exact_probabilities(Y, 1).counts == (1, 2, 4, 8, 16)
 
     def test_labels_must_cover(self):
         Y = build([(1, 2, 3), (1, 4, 5)], (1, 3))
@@ -176,8 +173,7 @@ class TestForcingBounds:
     def test_doubled_same_label(self):
         Y = build([(1, 2, 3), (1, 2, 3)], (1, 1))
         assert forcing_bounds(Y) == [(1, 0)]
-        assert forced_letter_count(Y, 0) == 0
-        assert forced_letter_count(Y, 1) == 0
+        assert forced_counts([[0, 1, 2], [0, 1, 2]], Y.labels) == [0, 0]
 
     def test_uncovered_edge_rejected(self):
         Y = AbstractLabelledComplex(
@@ -186,7 +182,7 @@ class TestForcingBounds:
             faces=((1, 1, 1),),
             labels=(1,),
         )
-        with pytest.raises(ValueError, match="edge"):
+        with pytest.raises(ValueError, match="'edges' entry 1 lies in no face"):
             forcing_bounds(Y)
 
     def test_ratio_checks_shared(self):
@@ -332,7 +328,7 @@ class TestCountingKernel:
                 assert tuple(level[j] for level in fast) == probe.counts, fs
 
     def test_closed_form_beyond_the_exhaustive_caps(self):
-        # the brute force needs allow_large above m = 3 or 3 labels
+        # m = 4, 5 and six-label complexes, above the sizes the sweep checks
         chain6 = build([(1, 2, 3), (-3, 4, 5), (-5, 6, 7), (-7, 8, 9), (-9, 10, 11),
                         (-11, 1, 12)], (1, 2, 3, 4, 5, 6))
         fan6 = build([(1, 2, 3), (-1, 4, 5), (-4, 6, 7), (2, 8, 9), (-8, -6, 10),
@@ -342,7 +338,7 @@ class TestCountingKernel:
         cases += [(chain6, 1), (fan6, 1)]
         for Y, m in cases:
             got = tuple(c for (c,) in structure_counts(structure_of(Y), (m,)))
-            assert got == exact_probabilities(Y, m, allow_large=True).counts, (Y, m)
+            assert got == exact_probabilities(Y, m).counts, (Y, m)
 
     def test_structure_of_inverts_structure_to_complex(self):
         for i in range(100):

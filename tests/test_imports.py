@@ -1,5 +1,6 @@
 """Every name a module under ``src/trigroup`` imports is used in that module,
-and every top-level name it defines is reached from outside its own body."""
+every top-level name it defines is reached from outside its own body, and
+every method of its classes is read as an attribute somewhere."""
 
 import ast
 import re
@@ -12,19 +13,6 @@ import trigroup
 PACKAGE = Path(trigroup.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-#: Top-level names that neither the package nor a bench script reaches, kept
-#: because tests use them; one reason each.
-KEPT_FOR_TESTS = {
-    "forced_letter_count": "per-face view of forced_counts, pinned on hand-built complexes",
-    "structure_to_complex": "inverse of structure_of; the round-trip tests build complexes with it",
-    "has_proper_power": "presentation predicate that gates the red(D) == 0 check on diagrams",
-    "relators_distinct_up_to_symmetry": "presentation predicate that gates the same check",
-    "SLIMNESS_SCALE_4POINT": "the four-point slimness scale, passed to the pipeline as long_constant",
-    "d_prime": "float route to the midpoint density, compared with the exact pipeline",
-    "lhs": "left side of the closing inequality; tests check that it meets rhs at d_crit",
-    "rhs": "right side of the closing inequality, in the same root check",
-}
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -121,16 +109,58 @@ def bench_text() -> str:
 
 
 def test_every_top_level_name_is_reached():
-    unreached = unreached_names(package_sources(), bench_text())
-    flagged = sorted(f"{m}.{n}" for m, n in unreached if n not in KEPT_FOR_TESTS)
+    flagged = sorted(f"{m}.{n}" for m, n in unreached_names(package_sources(), bench_text()))
     assert flagged == [], f"nothing in src/trigroup or bench reaches {flagged}"
-    stale = set(KEPT_FOR_TESTS) - {name for _, name in unreached}
-    assert stale == set(), f"KEPT_FOR_TESTS lists names that are reached or gone: {stale}"
 
 
 def test_guard_catches_an_unused_def():
     sources = package_sources()
     sources["words"] += "\n\ndef spare(w):\n    return spare(w)\n"
     unreached = unreached_names(sources, bench_text())
-    assert {n for _, n in unreached} - set(KEPT_FOR_TESTS) == {"spare"}
+    assert {n for _, n in unreached} == {"spare"}
     assert ("words", "spare") not in unreached_names(sources, bench_text() + " spare(")
+
+
+def unread_methods(sources: dict[str, str], bench_text: str) -> set[tuple[str, str, str]]:
+    """(module, class, method) for every non-dunder method or property of a
+    top-level class whose name no module reads as an attribute and no bench
+    script names."""
+    methods, read = set(), set()
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ClassDef):
+                methods |= {
+                    (module, stmt.name, node.name)
+                    for node in stmt.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                }
+        read |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+    return {
+        (module, cls, name)
+        for module, cls, name in methods
+        if name not in read and not re.search(rf"\b{re.escape(name)}\b", bench_text)
+    }
+
+
+def test_every_method_is_read():
+    flagged = sorted(f"{m}.{c}.{n}" for m, c, n in unread_methods(package_sources(), bench_text()))
+    assert flagged == [], f"nothing in src/trigroup or bench reads {flagged}"
+
+
+def test_guard_catches_an_unused_method():
+    sources = package_sources()
+    sources["words"] += (
+        "\n\nclass Spare:\n"
+        "    def __len__(self):\n        return 0\n\n"
+        "    def spare(self):\n        return 0\n"
+    )
+    assert unread_methods(sources, bench_text()) == {("words", "Spare", "spare")}
+    assert unread_methods(sources, bench_text() + " spare(") == set()
+    sources["cayley"] += "\n\nx = Spare().spare\n"
+    assert unread_methods(sources, bench_text()) == set()

