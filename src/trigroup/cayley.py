@@ -397,17 +397,25 @@ def _key_slot(key: object, m: int) -> int:
     return _slot(c)
 
 
+def _ballgraph_header(g: BallGraph) -> dict:
+    """Every ballgraph field but ``vertices``."""
+    p = g.presentation
+    return {
+        "format": "ballgraph",
+        "m": p.m,
+        "density": str(p.density),
+        "seed": p.seed,
+        "relators": [word_to_json(r, p.m) for r in p.relators],
+        "radius": g.radius,
+    }
+
+
 def ball_to_json_dict(g: BallGraph) -> dict:
     m, k = g.presentation.m, g.stride
     keys = [_letter_key(c, m) for c in all_letters(m)]
     adj = g.adj
     return {
-        "format": "ballgraph",
-        "m": m,
-        "density": str(g.presentation.density),
-        "seed": g.presentation.seed,
-        "relators": [word_to_json(r, m) for r in g.presentation.relators],
-        "radius": g.radius,
+        **_ballgraph_header(g),
         "vertices": [
             {
                 "distance": g.distances[v],
@@ -434,19 +442,7 @@ def ballgraph_chunks(g: BallGraph, meta: dict) -> Iterator[str]:
     pre-built key fragment per slot, in sorted-key order.
     """
     m, k = g.presentation.m, g.stride
-    head = json.dumps(
-        {
-            "format": "ballgraph",
-            "m": m,
-            "density": str(g.presentation.density),
-            "seed": g.presentation.seed,
-            "relators": [word_to_json(r, m) for r in g.presentation.relators],
-            "radius": g.radius,
-            "meta": meta,
-        },
-        indent=2,
-        sort_keys=True,
-    )
+    head = json.dumps({**_ballgraph_header(g), "meta": meta}, indent=2, sort_keys=True)
     yield head[: -len("\n}")] + ',\n  "vertices": ['
     keys = [_letter_key(c, m) for c in all_letters(m)]
     fragments = [(s, f'\n        "{keys[s]}": ') for s in sorted(range(k), key=keys.__getitem__)]

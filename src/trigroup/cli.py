@@ -45,13 +45,7 @@ from .complexes import (
     red_contributions,
 )
 from .enumeration import DiagramBudget, isoperimetric_report
-from .fulfillment import (
-    FulfillmentProbe,
-    montecarlo_fulfillment,
-    ratio_checks,
-    structure_counts,
-    structure_of,
-)
+from .fulfillment import level_checks, montecarlo_fulfillment, structure_of
 from .presentation import TriangularPresentation, sample_presentation
 from .seeding import make_rng
 from .thresholds import SLIMNESS_SCALE, constants_pipeline, constants_sweep
@@ -186,6 +180,8 @@ def _emit(payload: dict | BallGraph, args: argparse.Namespace) -> None:
 def cmd_sample(args) -> tuple[dict, int]:
     if args.m < 1:
         raise CliError("--m must be at least 1")
+    if not 0 < args.d < 1:
+        raise CliError("--d must be a density in (0, 1)")
     p = sample_presentation(args.m, args.d, args.seed)
     return p.to_json(), EXIT_OK
 
@@ -236,6 +232,10 @@ def cmd_red(args) -> tuple[dict, int]:
 
 
 def cmd_enum_diagrams(args) -> tuple[dict, int]:
+    if args.max_faces < 1:
+        raise CliError("--max-faces must be at least 1")
+    if args.epsilon <= 0:
+        raise CliError("--epsilon must be positive")
     p = load_presentation(args.presentation)
     if args.max_faces > args.face_cap:
         raise CliError(
@@ -271,20 +271,21 @@ def cmd_fulfil(args) -> tuple[dict, int]:
             f"complex file {args.complex!r}: {n} labels, above the cap of {EXACT_LABEL_CAP}"
         )
     try:
-        counts = structure_counts(structure_of(Y), (args.m,))
-        probe = FulfillmentProbe(complex=Y, m=args.m, counts=tuple(c for (c,) in counts))
-        checks = ratio_checks(probe)
+        checks = level_checks(structure_of(Y), args.m)
     except ValueError as exc:
         raise CliError(f"complex file {args.complex!r}: {exc}")
+    loose = edges_in_no_face(Y)
+    if loose:
+        raise CliError(
+            f"complex file {args.complex!r}: 'edges' entry {loose[0]} lies in no face;"
+            " forced-letter levels need every edge inside a face"
+        )
+    base = triangle_word_count(args.m)
     levels = [
         {
-            "level": row["level"],
-            "delta": row["delta"],
-            "count": row["count"],
-            "probability": str(probe.probabilities[row["level"]]),
+            **row,
+            "probability": str(Fraction(row["count"], base ** row["level"])),
             "bound": str(row["bound"]),
-            "holds": row["holds"],
-            "holds_guaranteed": row["holds_guaranteed"],
         }
         for row in checks
     ]
@@ -292,7 +293,7 @@ def cmd_fulfil(args) -> tuple[dict, int]:
     payload = {
         "mode": "exact",
         "m": args.m,
-        "support": triangle_word_count(args.m),
+        "support": base,
         "levels": levels,
         "all_hold": all_hold,
         "all_hold_guaranteed": all(row["holds_guaranteed"] for row in checks),
@@ -303,6 +304,8 @@ def cmd_fulfil(args) -> tuple[dict, int]:
 def cmd_pipeline(args) -> tuple[dict, int]:
     if args.precision < 1:
         raise CliError("--precision must be at least 1")
+    if args.long_constant < 1:
+        raise CliError("--long-constant must be positive")
     report = constants_pipeline(
         args.d0,
         args.A1,
@@ -314,6 +317,8 @@ def cmd_pipeline(args) -> tuple[dict, int]:
 
 
 def cmd_sweep(args) -> tuple[dict, int]:
+    if args.long_constant < 1:
+        raise CliError("--long-constant must be positive")
     rows = constants_sweep(args.d0_grid, args.A1, args.A2, long_constant=args.long_constant)
     csv_text = "d0,k,L,N\n" + "".join(
         f"{row['d0']},{row['k']},{row['L']},{row['N']}\n" for row in rows
@@ -336,6 +341,8 @@ def cmd_ball(args) -> tuple[BallGraph, int]:
 
 
 def cmd_delta_est(args) -> tuple[dict, int]:
+    if args.samples < 1:
+        raise CliError("--samples must be positive")
     data = _load_json(args.graph, "graph")
     try:
         g = ball_from_json_dict(data)
@@ -506,10 +513,7 @@ def main(argv=None) -> int:
         _emit(payload, args)
         print(f"elapsed {time.perf_counter() - start:.3f}s", file=sys.stderr)
         return status
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

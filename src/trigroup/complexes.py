@@ -216,18 +216,6 @@ def forced_counts(walks: Sequence[Sequence[int]], labels: Sequence[int]) -> list
     ]
 
 
-def _complex_forced_counts(Y: AbstractLabelledComplex) -> list[int]:
-    return forced_counts([[ref_edge(r) for r in walk] for walk in Y.faces], Y.labels)
-
-
-def label_forcing_levels(Y: AbstractLabelledComplex) -> list[tuple[int, int]]:
-    """For each label value ``i``: the max forced-letter count among its faces."""
-    levels: dict[int, int] = {}
-    for i, forced in zip(Y.labels, _complex_forced_counts(Y)):
-        levels[i] = max(levels.get(i, 0), forced)
-    return sorted(levels.items())
-
-
 def edges_in_no_face(Y: AbstractLabelledComplex) -> list[int]:
     """Edges that no face walk traverses, in index order."""
     used = {ref_edge(r) for walk in Y.faces for r in walk}
@@ -243,7 +231,7 @@ def chain_report(Y: AbstractLabelledComplex) -> dict:
         raise ValueError("chain inequality needs every edge inside a face")
     r = red(Y)
     c = cancel(Y)
-    forced = sum(_complex_forced_counts(Y))
+    forced = sum(forced_counts([[ref_edge(ref) for ref in walk] for walk in Y.faces], Y.labels))
     return {"red": r, "cancel": c, "forced_sum": forced, "holds": r + forced >= c}
 
 

@@ -9,19 +9,23 @@ support this module computes the per-level probabilities
 
 * in closed form by inclusion-exclusion over the cyclic-reduction constraints
   (``structure_counts`` on the complex's incidence structure, see
-  ``structure_of``), which serves ``fulfil --exact`` and scales to a sweep
-  over *all* incidence structures with a bounded number of faces,
+  ``structure_of``), which scales to a sweep over *all* incidence structures
+  with a bounded number of faces,
 * exhaustively (``exact_probabilities``, whose cost grows as
   ((2m-1)^3+1)^n for n labels), kept as the independent oracle the closed
   form is tested against,
 
 and checks two per-level ratio bounds, where delta_i is the forced-letter
-level from :func:`trigroup.complexes.label_forcing_levels`:
+level of the faces of label i over the labels below (``_top_delta``):
 
 * the nominal p_i / p_{i-1} <= (2m-1)^(-delta_i), which fails on faces that
   force a word to repeat or invert one of its own letters;
 * the guaranteed p_i / p_{i-1} <= 2m(2m-1)^(2-delta_i) / ((2m-1)^3+1), which
-  always holds (see :func:`ratio_checks`).
+  always holds (see ``_ratio_sides``).
+
+One level check serves both callers: ``level_checks`` gives the rows of
+``fulfil --exact`` and ``ratio_sweep`` checks the top level of every
+structure.
 
 Probabilities are exact rationals throughout; the only floats appear in the
 Monte Carlo confidence interval.
@@ -34,31 +38,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .complexes import (
-    AbstractLabelledComplex,
-    SignedUnionFind,
-    edges_in_no_face,
-    forced_counts,
-    label_forcing_levels,
-    ref_edge,
-)
+from .complexes import AbstractLabelledComplex, SignedUnionFind, forced_counts, ref_edge
 from .seeding import make_rng
-from .words import (
-    Word,
-    enumerate_triangle_words,
-    sample_triangle_word,
-    triangle_word_count,
-)
+from .words import Word, enumerate_triangle_words, sample_triangle_word
 
 #: 99% two-sided normal quantile for the Wilson interval.
 _WILSON_Z = 2.5758293035489004
 
 
-def _label_levels(Y: AbstractLabelledComplex) -> int:
-    n = max(Y.labels)
-    if len(set(Y.labels)) != n:  # labels are positive, so this means 1..n
-        raise ValueError("face labels must cover 1..n")
-    return n
+def _label_groups(labels: Sequence[int]) -> list[list[int]]:
+    """The faces of each label 1..n, in face order.  Labels must be positive
+    and every one of 1..n must occur."""
+    groups: list[list[int]] = [[] for _ in range(max(labels))]
+    for f, label in enumerate(labels):
+        groups[label - 1].append(f)
+    for label, group in enumerate(groups, 1):
+        if not group:
+            raise ValueError(f"'index' values must cover 1..n: {label} is missing")
+    return groups
 
 
 def _require_triangles(Y: AbstractLabelledComplex) -> None:
@@ -71,7 +68,7 @@ def fulfils(Y: AbstractLabelledComplex, words: Sequence[Word]) -> bool:
     """Does writing ``words[i-1]`` along every face of label ``i`` give each
     edge a single letter (read forward; a backward traversal reads its
     inverse)?  Each face must be as long as its word."""
-    n = _label_levels(Y)
+    n = len(_label_groups(Y.labels))
     if len(words) != n:
         raise ValueError(f"expected {n} words, one per label")
     letters: dict[int, int] = {}
@@ -92,16 +89,7 @@ def fulfils(Y: AbstractLabelledComplex, words: Sequence[Word]) -> bool:
 class FulfillmentProbe:
     """Exact per-level fulfillment counts for i.i.d. uniform support words."""
 
-    complex: AbstractLabelledComplex
-    m: int
     counts: tuple[int, ...]  # counts[i] = consistent i-tuples, counts[0] = 1
-
-    @property
-    def probabilities(self) -> tuple[Fraction, ...]:
-        base = triangle_word_count(self.m)
-        return tuple(
-            Fraction(c, base**i) for i, c in enumerate(self.counts)
-        )
 
 
 def exact_probabilities(Y: AbstractLabelledComplex, m: int) -> FulfillmentProbe:
@@ -109,12 +97,9 @@ def exact_probabilities(Y: AbstractLabelledComplex, m: int) -> FulfillmentProbe:
 
     Cost grows as ((2m-1)^3+1)^n for n labels.
     """
-    n = _label_levels(Y)
+    faces_by_label = [[Y.faces[f] for f in group] for group in _label_groups(Y.labels)]
+    n = len(faces_by_label)
     support = enumerate_triangle_words(m)
-    faces_by_label = [
-        [(Y.faces[f]) for f in range(Y.face_count) if Y.labels[f] == j]
-        for j in range(1, n + 1)
-    ]
     counts = [0] * (n + 1)
     counts[0] = 1
     letters: dict[int, int] = {}
@@ -147,55 +132,7 @@ def exact_probabilities(Y: AbstractLabelledComplex, m: int) -> FulfillmentProbe:
                 del letters[e]
 
     descend(1)
-    return FulfillmentProbe(complex=Y, m=m, counts=tuple(counts))
-
-
-def forcing_bounds(Y: AbstractLabelledComplex) -> list[tuple[int, int]]:
-    """Per-level maximal forced-letter counts (i, delta_i)."""
-    loose = edges_in_no_face(Y)
-    if loose:
-        raise ValueError(
-            f"'edges' entry {loose[0]} lies in no face; forced-letter levels need"
-            " every edge inside a face"
-        )
-    _label_levels(Y)
-    return label_forcing_levels(Y)
-
-
-def ratio_checks(probe: FulfillmentProbe) -> list[dict]:
-    """Per-level ratio inequalities, as exact integer comparisons.
-
-    ``holds``: the nominal bound p_i/p_{i-1} <= (2m-1)^(-delta_i), i.e.
-    counts[i] * (2m-1)^delta_i <= counts[i-1] * ((2m-1)^3+1).  This is the
-    bound the chain argument aims for, but it genuinely fails on complexes
-    whose level-i faces force w_i to repeat (or invert) one of its own
-    letters: the count of words with a repeated symbol is 2m(2m-1), slightly
-    more than (2m-1)^2.  Minimal case: one face with boundary (e, e, f).
-
-    ``holds_guaranteed``: the always-valid form
-    counts[i] * (2m-1)^delta_i <= counts[i-1] * 2m(2m-1)^2, obtained by
-    counting letter choices class by class (the first free letter class has
-    up to 2m values, every later one at most 2m-1, and delta_i is at most
-    3 minus the number of free classes).  Tight on the repeated-letter
-    complexes above.
-    """
-    deltas = dict(forcing_bounds(probe.complex))
-    base = triangle_word_count(probe.m)
-    q = 2 * probe.m - 1
-    out = []
-    for i in range(1, len(probe.counts)):
-        lhs = probe.counts[i] * q ** deltas[i]
-        out.append(
-            {
-                "level": i,
-                "delta": deltas[i],
-                "count": probe.counts[i],
-                "bound": Fraction(1, q ** deltas[i]),
-                "holds": lhs <= probe.counts[i - 1] * base,
-                "holds_guaranteed": lhs <= probe.counts[i - 1] * 2 * probe.m * q**2,
-            }
-        )
-    return out
+    return FulfillmentProbe(counts=tuple(counts))
 
 
 def montecarlo_fulfillment(
@@ -204,7 +141,7 @@ def montecarlo_fulfillment(
     """Frequency of fulfillment by i.i.d. uniform tuples, with 99% Wilson CI."""
     if trials < 1:
         raise ValueError("trials must be positive")
-    n = _label_levels(Y)
+    n = len(_label_groups(Y.labels))
     _require_triangles(Y)
     rng = make_rng(seed, "montecarlo", m, n)
     hits = 0
@@ -356,25 +293,76 @@ def _merged_key(
     return len(roots), constraints
 
 
-def structure_counts(
-    fs: FaceStructure,
-    ms: Sequence[int],
-    memo: dict | None = None,
-) -> list[tuple[int, ...]]:
+def structure_counts(fs: FaceStructure, ms: Sequence[int]) -> list[tuple[int, ...]]:
     """counts[i][j] = consistent i-tuples of words at m = ms[j], i = 0..n.
 
     Closed form: whatever the vertex structure, a consistent tuple is exactly
     a letter assignment to the merged edge classes avoiding the
     cyclic-reduction relations, counted by inclusion-exclusion.
     """
-    if memo is None:
-        memo = {}
-    n = max(fs.labels)
-    if min(fs.labels) < 1 or len(set(fs.labels)) != n:
+    if min(fs.labels) < 1:
         raise ValueError("labels must cover 1..n")
+    groups = _label_groups(fs.labels)
     sizes = [2 * m for m in ms]
-    groups = [[f for f in range(fs.face_count) if fs.labels[f] == j] for j in range(1, n + 1)]
-    return [_group_counts(fs.classes, fs.signs, groups[:i], sizes, memo) for i in range(n + 1)]
+    memo: dict = {}
+    return [
+        _group_counts(fs.classes, fs.signs, groups[:i], sizes, memo)
+        for i in range(len(groups) + 1)
+    ]
+
+
+def _top_delta(classes: Sequence[int], top: list[int], lower_groups: list[list[int]]) -> int:
+    """delta of the ``top`` face group over ``lower_groups``: the most letters
+    of one top face already forced by the groups below, earlier top faces or
+    earlier positions of its own walk (see
+    :func:`trigroup.complexes.forced_counts`)."""
+    groups = lower_groups + [top]
+    walks = [classes[3 * f : 3 * f + 3] for group in groups for f in group]
+    labels = [level for level, group in enumerate(groups, 1) for _ in group]
+    return max(forced_counts(walks, labels)[-len(top) :])  # the top faces come last
+
+
+def _ratio_sides(count: int, lower: int, delta: int, m: int) -> tuple[int, int, int]:
+    """Both per-level ratio bounds at rank m, as integer comparisons.
+
+    With ``count`` and ``lower`` the consistent tuples at a level and at the
+    one below, returns ``(side, nominal_cap, guaranteed_cap)``.  The nominal
+    p_i/p_{i-1} <= (2m-1)^(-delta) holds when side = count * (2m-1)^delta is
+    at most nominal_cap = lower * ((2m-1)^3+1).  It is the bound the chain
+    argument aims for, but it fails when the level's faces force its word to
+    repeat (or invert) one of its own letters: 2m(2m-1) words repeat a
+    symbol, slightly more than (2m-1)^2 (minimal case: one face (e, e, f)).
+    The guaranteed p_i/p_{i-1} <= 2m(2m-1)^(2-delta)/((2m-1)^3+1), i.e.
+    side <= guaranteed_cap = lower * 2m(2m-1)^2, always holds: the first free
+    letter class has up to 2m values, every later one at most 2m-1, and delta
+    is at most 3 minus the number of free classes.  It is tight on the
+    repeated-letter faces.
+    """
+    q = 2 * m - 1
+    side = count * q**delta
+    return side, lower * (q**3 + 1), lower * 2 * m * q**2
+
+
+def level_checks(fs: FaceStructure, m: int) -> list[dict]:
+    """Per label level i = 1..n: its consistent-tuple count, delta and both
+    ratio bounds at rank m (``bound`` is the nominal (2m-1)^(-delta))."""
+    counts = [c for (c,) in structure_counts(fs, (m,))]
+    groups = _label_groups(fs.labels)
+    rows = []
+    for i in range(1, len(counts)):
+        delta = _top_delta(fs.classes, groups[i - 1], groups[: i - 1])
+        side, nominal_cap, guaranteed_cap = _ratio_sides(counts[i], counts[i - 1], delta, m)
+        rows.append(
+            {
+                "level": i,
+                "delta": delta,
+                "count": counts[i],
+                "bound": Fraction(1, (2 * m - 1) ** delta),
+                "holds": side <= nominal_cap,
+                "holds_guaranteed": side <= guaranteed_cap,
+            }
+        )
+    return rows
 
 
 def _group_counts(classes, signs, groups, sizes, memo) -> tuple[int, ...]:
@@ -439,37 +427,32 @@ def _permuted_encoding(
 
 
 def _top_level_check(
-    classes, signs, top: list[int], lower_groups: list[list[int]],
-    ms, bases, gbases, powers, memo, tightest,
+    classes, signs, top: list[int], lower_groups: list[list[int]], ms, memo, tightest,
 ) -> tuple[list[int], list[int]]:
     """Check the nominal and guaranteed top-level ratio bounds at every m.
 
     Returns (ms violating the nominal bound, ms violating the guaranteed
-    one); see :func:`ratio_checks` for the two inequalities.  ``tightest[j]``
+    one); see :func:`_ratio_sides` for the two inequalities.  ``tightest[j]``
     is raised to this structure's guaranteed ratio at ``ms[j]``, kept as an
     integer pair (numerator, denominator) and compared by cross-multiplying.
     """
     sizes = [2 * m for m in ms]
-    groups = lower_groups + [top]
-    full = _group_counts(classes, signs, groups, sizes, memo)
+    full = _group_counts(classes, signs, lower_groups + [top], sizes, memo)
     if not any(full):
         return [], []  # zero consistent tuples at the top level
     lowc = _group_counts(classes, signs, lower_groups, sizes, memo)
-    walks = [classes[3 * f : 3 * f + 3] for group in groups for f in group]
-    labels = [level for level, group in enumerate(groups, 1) for _ in group]
-    delta = max(forced_counts(walks, labels)[-len(top) :])  # the top faces come last
+    delta = _top_delta(classes, top, lower_groups)
     nominal: list[int] = []
     guaranteed: list[int] = []
     for j, m in enumerate(ms):
-        lhs = full[j] * powers[j][delta]
-        if lhs > lowc[j] * bases[j]:
+        side, nominal_cap, cap = _ratio_sides(full[j], lowc[j], delta, m)
+        if side > nominal_cap:
             nominal.append(m)
-        cap = lowc[j] * gbases[j]
-        if lhs > cap:
+        if side > cap:
             guaranteed.append(m)
         num, den = tightest[j]
-        if lhs * den > num * cap:
-            tightest[j] = (lhs, cap)
+        if side * den > num * cap:
+            tightest[j] = (side, cap)
     return nominal, guaranteed
 
 
@@ -525,7 +508,7 @@ def ratio_sweep(max_faces: int = 3, ms: Sequence[int] = (1, 2, 3)) -> dict:
     the top label level is checked, lower levels being top levels of smaller
     structures.  ``violations`` lists structures beating the nominal
     (2m-1)^(-delta) bound.  These exist, and every one lies in the
-    within-word forcing family described in :func:`ratio_checks`, though
+    within-word forcing family described in :func:`_ratio_sides`, though
     most members of that family do not violate.  ``guaranteed_violations``
     collects failures of the provable 2m(2m-1)^(2-delta) form, checked on
     every structure, and stays empty.  ``guaranteed_tightest`` maps each m to
@@ -535,9 +518,6 @@ def ratio_sweep(max_faces: int = 3, ms: Sequence[int] = (1, 2, 3)) -> dict:
     """
     if max_faces > 3:
         raise ValueError("sweep supports at most 3 faces")
-    bases = [triangle_word_count(m) for m in ms]
-    gbases = [2 * m * (2 * m - 1) ** 2 for m in ms]
-    powers = [[(2 * m - 1) ** d for d in range(4)] for m in ms]
     memo: dict = {}
     tightest = [(0, 1) for _ in ms]
     report = {
@@ -561,8 +541,7 @@ def ratio_sweep(max_faces: int = 3, ms: Sequence[int] = (1, 2, 3)) -> dict:
                 n_structures += 1
                 report["checks"] += len(ms)
                 nominal, guaranteed = _top_level_check(
-                    classes, signs, top, lowers, ms, bases, gbases, powers, memo,
-                    tightest,
+                    classes, signs, top, lowers, ms, memo, tightest
                 )
                 if nominal or guaranteed:
                     record = {

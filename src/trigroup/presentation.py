@@ -42,8 +42,15 @@ def integer_root(n: int, k: int) -> int:
     return x
 
 
+def _check_density(d: Fraction) -> Fraction:
+    if not 0 < d < 1:
+        raise ValueError(f"d = {d}: the density d must lie in (0, 1)")
+    return d
+
+
 def density_from_str(text: str) -> Fraction:
-    """Parse ``"p/q"`` or an exact decimal string like ``"0.35"``.
+    """Parse ``"p/q"`` or an exact decimal string like ``"0.35"``, strictly
+    between 0 and 1.
 
     Only strings are read: a JSON number such as 0.35 arrives as a binary
     float whose exact value is not 7/20, so it is refused.
@@ -51,9 +58,10 @@ def density_from_str(text: str) -> Fraction:
     if not isinstance(text, str):
         raise ValueError(f"d = {text!r}: expected a string like \"1/3\"")
     try:
-        return Fraction(text)
+        d = Fraction(text)
     except (ValueError, ZeroDivisionError):  # ZeroDivisionError: "1/0"
         raise ValueError(f"d = {text!r}: expected a rational like 1/3") from None
+    return _check_density(d)
 
 
 def json_int(value: object, field: str) -> int:
@@ -105,15 +113,14 @@ class TriangularPresentation:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError(f"m = {self.m}: the rank m must be at least 1")
-        if not 0 < self.density < 1:
-            raise ValueError(f"d = {self.density}: the density d must lie in (0, 1)")
+        _check_density(self.density)
         for w in self.relators:
             if len(w) != 3 or not is_cyclically_reduced(w):
-                raise ValueError(f"relator {w} is not a cyclically reduced triangle word")
+                raise ValueError(f"relators: relator {w} is not a cyclically reduced triangle word")
             if 0 in w:
                 raise ValueError(f"relators: relator {w} holds the letter code 0")
             if any(abs(c) > self.m for c in w):
-                raise ValueError(f"relator {w} uses letters beyond rank {self.m}")
+                raise ValueError(f"relators: relator {w} uses letters beyond rank {self.m}")
 
     def to_json(self) -> dict:
         return {

@@ -1,4 +1,12 @@
-"""Independent checks on the records of :func:`trigroup.fulfillment.ratio_sweep`.
+"""Independent checks on the per-level ratio bounds of ``fulfil --exact`` and
+:func:`trigroup.fulfillment.ratio_sweep`.
+
+The per-level check that both run (``level_checks`` and ``_top_level_check``
+over ``_top_delta`` and ``_ratio_sides``) is checked here against the former
+complex-level path, kept as the oracle: :func:`ratio_checks` over the
+exhaustive counts of :func:`exact_probabilities`, with delta_i from
+:func:`forcing_bounds` and :func:`label_forcing_levels`, which take the
+forced-letter level label by label over the whole complex.
 
 A sweep record names a structure by its slot ``classes`` and ``signs``, the
 faces of its top label (``top``) and the grouping of the faces below it
@@ -9,8 +17,108 @@ code.  :func:`structure_to_complex`, the inverse of
 needs it, so it lives with the tests.
 """
 
-from trigroup.complexes import AbstractLabelledComplex, abstract_from_walks
-from trigroup.fulfillment import FaceStructure, exact_probabilities, ratio_checks
+from dataclasses import dataclass
+from fractions import Fraction
+
+from trigroup import fulfillment
+from trigroup.complexes import (
+    AbstractLabelledComplex,
+    abstract_from_walks,
+    edges_in_no_face,
+    forced_counts,
+    ref_edge,
+)
+from trigroup.fulfillment import FaceStructure
+from trigroup.words import triangle_word_count
+
+
+@dataclass(frozen=True)
+class FulfillmentProbe:
+    """Exact per-level fulfillment counts for i.i.d. uniform support words."""
+
+    complex: AbstractLabelledComplex
+    m: int
+    counts: tuple[int, ...]  # counts[i] = consistent i-tuples, counts[0] = 1
+
+    @property
+    def probabilities(self) -> tuple[Fraction, ...]:
+        base = triangle_word_count(self.m)
+        return tuple(
+            Fraction(c, base**i) for i, c in enumerate(self.counts)
+        )
+
+
+def exact_probabilities(Y: AbstractLabelledComplex, m: int) -> FulfillmentProbe:
+    """:func:`trigroup.fulfillment.exact_probabilities`, kept with the complex
+    it counted, as :func:`ratio_checks` reads it."""
+    return FulfillmentProbe(complex=Y, m=m, counts=fulfillment.exact_probabilities(Y, m).counts)
+
+
+def _label_levels(Y: AbstractLabelledComplex) -> int:
+    n = max(Y.labels)
+    if len(set(Y.labels)) != n:  # labels are positive, so this means 1..n
+        raise ValueError("face labels must cover 1..n")
+    return n
+
+
+def _complex_forced_counts(Y: AbstractLabelledComplex) -> list[int]:
+    return forced_counts([[ref_edge(r) for r in walk] for walk in Y.faces], Y.labels)
+
+
+def label_forcing_levels(Y: AbstractLabelledComplex) -> list[tuple[int, int]]:
+    """For each label value ``i``: the max forced-letter count among its faces."""
+    levels: dict[int, int] = {}
+    for i, forced in zip(Y.labels, _complex_forced_counts(Y)):
+        levels[i] = max(levels.get(i, 0), forced)
+    return sorted(levels.items())
+
+
+def forcing_bounds(Y: AbstractLabelledComplex) -> list[tuple[int, int]]:
+    """Per-level maximal forced-letter counts (i, delta_i)."""
+    loose = edges_in_no_face(Y)
+    if loose:
+        raise ValueError(
+            f"'edges' entry {loose[0]} lies in no face; forced-letter levels need"
+            " every edge inside a face"
+        )
+    _label_levels(Y)
+    return label_forcing_levels(Y)
+
+
+def ratio_checks(probe: FulfillmentProbe) -> list[dict]:
+    """Per-level ratio inequalities, as exact integer comparisons.
+
+    ``holds``: the nominal bound p_i/p_{i-1} <= (2m-1)^(-delta_i), i.e.
+    counts[i] * (2m-1)^delta_i <= counts[i-1] * ((2m-1)^3+1).  This is the
+    bound the chain argument aims for, but it genuinely fails on complexes
+    whose level-i faces force w_i to repeat (or invert) one of its own
+    letters: the count of words with a repeated symbol is 2m(2m-1), slightly
+    more than (2m-1)^2.  Minimal case: one face with boundary (e, e, f).
+
+    ``holds_guaranteed``: the always-valid form
+    counts[i] * (2m-1)^delta_i <= counts[i-1] * 2m(2m-1)^2, obtained by
+    counting letter choices class by class (the first free letter class has
+    up to 2m values, every later one at most 2m-1, and delta_i is at most
+    3 minus the number of free classes).  Tight on the repeated-letter
+    complexes above.
+    """
+    deltas = dict(forcing_bounds(probe.complex))
+    base = triangle_word_count(probe.m)
+    q = 2 * probe.m - 1
+    out = []
+    for i in range(1, len(probe.counts)):
+        lhs = probe.counts[i] * q ** deltas[i]
+        out.append(
+            {
+                "level": i,
+                "delta": deltas[i],
+                "count": probe.counts[i],
+                "bound": Fraction(1, q ** deltas[i]),
+                "holds": lhs <= probe.counts[i - 1] * base,
+                "holds_guaranteed": lhs <= probe.counts[i - 1] * 2 * probe.m * q**2,
+            }
+        )
+    return out
 
 
 def structure_to_complex(fs: FaceStructure) -> AbstractLabelledComplex:

@@ -37,7 +37,7 @@ from trigroup.enumeration import (
     isoperimetric_report,
     sampled_violation_trend,
 )
-from trigroup.fulfillment import exact_probabilities, ratio_checks, ratio_sweep
+from trigroup.fulfillment import ratio_sweep
 from trigroup.presentation import sample_presentation
 from trigroup.seeding import make_rng
 from trigroup.thresholds import constants_pipeline, d_crit, min_k
@@ -47,7 +47,13 @@ from trigroup.words import (
     triangle_word_count,
 )
 
-from sweep_oracle import forces_within_word, record_structure, top_level_check
+from sweep_oracle import (
+    exact_probabilities,
+    forces_within_word,
+    ratio_checks,
+    record_structure,
+    top_level_check,
+)
 
 _out_counter = itertools.count()
 

@@ -263,6 +263,15 @@ class TestFulfil:
         assert (f"error: complex file {str(loose)!r}: 'edges' entry 1 lies in no face"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("mode", [["--exact"], ["--trials", "10"]])
+    def test_label_gap_names_index(self, tmp_path, capsys, mode):
+        gap = tmp_path / "gap.json"
+        gap.write_text(dumps_complex(abstract_from_walks([(1, 2, 3), (-1, 4, 5)], [1, 3])))
+        assert main(["fulfil", "--complex", str(gap), "--m", "2", *mode]) == 2
+        assert capsys.readouterr().err == (
+            f"error: complex file {str(gap)!r}: 'index' values must cover 1..n: 2 is missing\n"
+        )
+
     def test_trials_must_be_positive(self, tmp_path, capsys, complex_files):
         assert main(["fulfil", "--complex", complex_files["shared"], "--m", "2",
                      "--trials", "0"]) == 2
@@ -529,7 +538,29 @@ class TestDeltaEst:
         bad = tmp_path / "badpres.json"
         bad.write_text(json.dumps(data))
         assert main(["delta-est", "--graph", str(bad)]) == 2
-        assert f"{named} = " in capsys.readouterr().err
+        # every density message names the ballgraph's field, not the
+        # presentation file's d
+        expected = f"'density': {named} = " if field == "density" else f"{named} = "
+        assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize("relator, problem", [
+        ("aAb", "relator (1, -1, 2) is not a cyclically reduced triangle word"),
+        ("abd", "relator (1, 2, 4) uses letters beyond rank 3"),
+    ])
+    def test_relator_field_named(self, tmp_path, capsys, ball_file, pres_file, relator,
+                                 problem):
+        # the same text from a ballgraph and from a presentation file
+        for kind, src, argv in (("graph", ball_file, ["delta-est", "--graph"]),
+                                ("presentation", pres_file, ["ball", "--radius", "1",
+                                                             "--presentation"])):
+            data = json.loads(open(src).read())
+            data["relators"] = [relator]
+            bad = tmp_path / f"{kind}.json"
+            bad.write_text(json.dumps(data))
+            assert main([*argv, str(bad)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {kind} file {str(bad)!r}: relators: {problem}\n"
+            )
 
 
 # a valid ballgraph small enough to fuzz: the ab2 line at radius 2, nine
@@ -813,6 +844,25 @@ DETERMINISM_CASES = [
     ("fig1-demo",),
     ("chain-check", "--count", "100", "--seed", "5"),
 ]
+
+
+class TestFlagRanges:
+    @pytest.mark.parametrize("argv, message", [
+        (["delta-est", "--graph", "{ball}", "--samples", "0"], "--samples must be positive"),
+        (["pipeline", "--d0", "7/20", "--long-constant", "0"],
+         "--long-constant must be positive"),
+        (["sweep", "--d0-grid", "7/20", "--long-constant", "0"],
+         "--long-constant must be positive"),
+        (["sample", "--m", "2", "--d", "3/2"], "--d must be a density in (0, 1)"),
+        (["enum-diagrams", "--presentation", "{pres}", "--epsilon", "0"],
+         "--epsilon must be positive"),
+        (["enum-diagrams", "--presentation", "{pres}", "--max-faces", "0"],
+         "--max-faces must be at least 1"),
+    ])
+    def test_range_error_names_flag(self, capsys, pres_file, ball_file, argv, message):
+        argv = [arg.format(pres=pres_file, ball=ball_file) for arg in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestByteDeterminism:

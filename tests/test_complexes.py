@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from indicator_oracle import is_least_position, is_min_label
+from sweep_oracle import label_forcing_levels
 from trigroup.complexes import (
     AbstractLabelledComplex,
     LabelledComplex,
@@ -22,7 +23,6 @@ from trigroup.complexes import (
     edges_in_no_face,
     forced_counts,
     is_reduced_diagram,
-    label_forcing_levels,
     random_abstract_complex,
     red,
     red_contributions,

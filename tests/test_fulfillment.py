@@ -1,25 +1,24 @@
 """Fulfilment by word tuples, exact probabilities, and the closed-form counter."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
+from trigroup.cli import main
 from trigroup.complexes import (
     AbstractLabelledComplex,
     abstract_from_walks,
+    dumps_complex,
     forced_counts,
-    label_forcing_levels,
     random_abstract_complex,
 )
 from trigroup.fulfillment import (
     FaceStructure,
     count_letter_assignments,
-    exact_probabilities,
     fulfils,
-    forcing_bounds,
     montecarlo_fulfillment,
-    ratio_checks,
     ratio_sweep,
     structure_counts,
     structure_of,
@@ -34,7 +33,10 @@ from trigroup.seeding import make_rng
 from trigroup.words import enumerate_triangle_words, triangle_word_count
 
 from sweep_oracle import (
+    exact_probabilities,
     forces_within_word,
+    forcing_bounds,
+    ratio_checks,
     record_structure,
     structure_to_complex,
     top_level_check,
@@ -438,26 +440,39 @@ class TestSweep:
         with pytest.raises(ValueError):
             ratio_sweep(max_faces=4)
 
-    def test_top_level_check_matches_functionals(self):
-        # the sweep's top-level check, fed one random structure, must give the
-        # ratio that structure_counts and the complex's forcing levels give
-        ms = (1, 2, 3)
-        bases = [triangle_word_count(m) for m in ms]
-        gbases = [2 * m * (2 * m - 1) ** 2 for m in ms]
-        powers = [[(2 * m - 1) ** d for d in range(4)] for m in ms]
-        for i in range(60):
-            rng = make_rng(31, "dt", i)
-            fs = structure_of(random_abstract_complex(rng, 3))
-            n = max(fs.labels)
+    def test_level_check_matches_oracle(self, tmp_path):
+        # fulfil --exact's rows and the sweep's top-level verdicts both come
+        # from one level check; the oracle recomputes them from the exhaustive
+        # counts, with delta taken label by label over the whole complex
+        corpus = [random_abstract_complex(make_rng(31, "level", i), 3) for i in range(30)]
+        corpus += [build([(1, 1, 1)], (1,)), REPEAT, build([(1, 2, 3), (2, 1, 4)], (1, 1))]
+        ms = (1, 2)
+        path = tmp_path / "complex.json"
+        out = tmp_path / "out.json"
+        for Y in corpus:
+            path.write_text(dumps_complex(Y))
+            fs = structure_of(Y)
             groups = [[f for f in range(fs.face_count) if fs.labels[f] == j]
-                      for j in range(1, n + 1)]
+                      for j in range(1, max(fs.labels) + 1)]
             tightest = [(0, 1) for _ in ms]
-            nominal, _ = _top_level_check(fs.classes, fs.signs, groups[-1], groups[:-1],
-                                          ms, bases, gbases, powers, {}, tightest)
-            counts = structure_counts(fs, ms)
-            delta = dict(label_forcing_levels(structure_to_complex(fs)))[n]
+            nominal, guaranteed = _top_level_check(
+                fs.classes, fs.signs, groups[-1], groups[:-1], ms, {}, tightest
+            )
             for j, m in enumerate(ms):
-                lhs = counts[n][j] * (2 * m - 1) ** delta
-                assert (m in nominal) == (lhs > counts[n - 1][j] * bases[j]), fs
-                ratio = Fraction(lhs, counts[n - 1][j] * gbases[j]) if lhs else 0
-                assert Fraction(*tightest[j]) == ratio, fs
+                probe = exact_probabilities(Y, m)
+                oracle = ratio_checks(probe)
+                status = main(["fulfil", "--complex", str(path), "--m", str(m), "--exact",
+                               "--out", str(out)])
+                assert status == (0 if all(row["holds"] for row in oracle) else 1), Y
+                assert json.loads(out.read_text())["levels"] == [
+                    {**row, "bound": str(row["bound"]),
+                     "probability": str(probe.probabilities[row["level"]])}
+                    for row in oracle
+                ], (Y, m)
+                top = oracle[-1]
+                assert (m in nominal) == (not top["holds"]), (Y, m)
+                assert (m in guaranteed) == (not top["holds_guaranteed"]), (Y, m)
+                q = 2 * m - 1
+                side = probe.counts[-1] * q ** top["delta"]
+                cap = probe.counts[-2] * 2 * m * q**2
+                assert Fraction(*tightest[j]) == (Fraction(side, cap) if side else 0), (Y, m)
