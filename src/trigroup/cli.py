@@ -259,7 +259,7 @@ def cmd_fulfil(args) -> tuple[dict, int]:
     if not args.exact:
         trials = args.trials if args.trials is not None else 10_000
         if trials < 1:
-            raise CliError("trials must be positive")
+            raise CliError("--trials must be positive")
         try:
             result = montecarlo_fulfillment(Y, args.m, trials, args.seed)
         except ValueError as exc:

@@ -47,8 +47,9 @@ _WILSON_Z = 2.5758293035489004
 
 
 def _label_groups(labels: Sequence[int]) -> list[list[int]]:
-    """The faces of each label 1..n, in face order.  Labels must be positive
-    and every one of 1..n must occur."""
+    """The faces of each label 1..n, in face order.  Every one of 1..n must
+    occur; labels below 1 are refused earlier, by ``AbstractLabelledComplex``
+    and ``FaceStructure``."""
     groups: list[list[int]] = [[] for _ in range(max(labels))]
     for f, label in enumerate(labels):
         groups[label - 1].append(f)
@@ -194,6 +195,9 @@ class FaceStructure:
                 seen.add(c)
                 if c != len(seen) - 1 or self.signs[s] != 1:
                     raise ValueError("classes must appear in order, first sign +1")
+        for f, label in enumerate(self.labels):
+            if label < 1:
+                raise ValueError(f"face {f} has label {label}; labels must be positive")
 
 
 def structure_of(Y: AbstractLabelledComplex) -> FaceStructure:
@@ -300,8 +304,6 @@ def structure_counts(fs: FaceStructure, ms: Sequence[int]) -> list[tuple[int, ..
     a letter assignment to the merged edge classes avoiding the
     cyclic-reduction relations, counted by inclusion-exclusion.
     """
-    if min(fs.labels) < 1:
-        raise ValueError("labels must cover 1..n")
     groups = _label_groups(fs.labels)
     sizes = [2 * m for m in ms]
     memo: dict = {}

@@ -275,7 +275,7 @@ class TestFulfil:
     def test_trials_must_be_positive(self, tmp_path, capsys, complex_files):
         assert main(["fulfil", "--complex", complex_files["shared"], "--m", "2",
                      "--trials", "0"]) == 2
-        assert capsys.readouterr().err == "error: trials must be positive\n"
+        assert capsys.readouterr().err == "error: --trials must be positive\n"
 
 
 class TestPipeline:

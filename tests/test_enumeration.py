@@ -1,6 +1,8 @@
 """Diagram enumeration: completeness, dedup, reducedness, reports."""
 
 import functools
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,8 @@ from trigroup.enumeration import (
     sampled_violation_trend,
     _attach,
     _canonical,
+    _row,
+    _to_diagram,
 )
 from trigroup.fulfillment import fulfils
 from trigroup.presentation import TriangularPresentation, sample_presentation
@@ -111,8 +115,6 @@ def isomorphic(d1, d2):
 
 def brute_force_diagrams(p, max_faces):
     """Every reachable gluing order, deduplicated by pairwise isomorphism."""
-    from trigroup.enumeration import _to_diagram
-
     relators = p.relators
     seeds = [
         (tuple(word), (((1, 2, 3), i + 1),), (1, 2, 3))
@@ -415,3 +417,129 @@ class TestCanonicalForm:
         moved = relabelled(state, names, flips, order, turns, shift)
         assert _canonical(moved) == _canonical(state)
         assert _canonical(moved) == canon_oracle._canonical(moved)
+
+
+# ---------------------------------------------------------------------------
+# report rows read off the search state against the validated diagram
+
+DEEP = DiagramBudget(3, sample_presentation(10, Fraction(17, 50), 0), Fraction(1, 25))
+
+
+def report_sha256(report):
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+# the two-face diagram of ABC_ADE: faces abc and Ade share the a-edge
+SHARED = ((1, 2, 3, 4, 5), (((1, 2, 3), 1), ((-1, 4, 5), 2)), (4, 5, 2, 3))
+# abc and its inverse glued along all three edges: a sphere
+ABC_CBA = pres([(1, 2, 3), (-3, -2, -1)])
+SPHERE = ((1, 2, 3), (((1, 2, 3), 1), ((-3, -2, -1), 2)), ())
+
+# hand-corrupted states, one per check of the VanKampenDiagram validator:
+# (presentation, state, the message both paths must raise)
+MUTANTS = {
+    "bad-edge-reference": (
+        ABC_ADE, (SHARED[0], (((1, 0, 3), 1), SHARED[1][1]), SHARED[2]),
+        "bad edge reference 0",
+    ),
+    "empty-face-walk": (ABC_ADE, (SHARED[0], SHARED[1] + (((), 1),), SHARED[2]), "empty face walk"),
+    "label-zero": (
+        ABC_ADE, (SHARED[0], (SHARED[1][0], ((-1, 4, 5), 0)), SHARED[2]),
+        "labels must be positive",
+    ),
+    "label-past-the-relators": (
+        ABC_ADE, (SHARED[0], (SHARED[1][0], ((-1, 4, 5), 3)), SHARED[2]),
+        "face 1 labelled with unknown relator position",
+    ),
+    "two-sided-face": (
+        ABC_ADE, (SHARED[0], (((1, 2), 1), SHARED[1][1]), SHARED[2]),
+        "face 0 walk does not spell its relator",
+    ),
+    "zero-letter": (ABC_ADE, ((0, 2, 3, 4, 5),) + SHARED[1:], "letter codes must be nonzero"),
+    "flipped-letter": (
+        ABC_ADE, ((1, 2, 3, -4, 5),) + SHARED[1:], "face 1 walk does not spell its relator",
+    ),
+    "edge-in-three-face-sides": (
+        ABC_ADE, (SHARED[0], SHARED[1] + (SHARED[1][0],), SHARED[2]),
+        "an edge of a planar diagram lies in at most two face sides",
+    ),
+    "edge-outside-every-face": (
+        ABC_ADE, (SHARED[0] + (1,),) + SHARED[1:], "diagram has an edge outside every face",
+    ),
+    "boundary-missing-an-edge": (
+        ABC_ADE, SHARED[:2] + ((4, 5, 2),),
+        "boundary walk must cover each degree-1 edge exactly once",
+    ),
+    "unclosed-boundary": (ABC_ADE, SHARED[:2] + ((4, 5, 3, 2),), "boundary is not a closed walk"),
+    "broken-euler-count": (
+        ABC_CBA, SPHERE, "diagram must be contractible (Euler characteristic 1)",
+    ),
+}
+
+
+class TestRowPath:
+    @pytest.mark.parametrize("corpus", sorted(ORACLE_CORPORA))
+    def test_matches_validated_diagram(self, corpus):
+        p, max_faces = ORACLE_CORPORA[corpus]
+        states = canonicalised_states(p, max_faces)
+        assert states
+        for state in states:
+            D = _to_diagram(state, p)
+            assert _row(state, p.relators) == (D.area, D.boundary_length, cancel(D))
+
+    def test_base_state_is_valid(self):
+        assert _row(SHARED, ABC_ADE.relators) == (2, 4, 1)
+        assert _to_diagram(SHARED, ABC_ADE).boundary_length == 4
+
+    @pytest.mark.parametrize("mutant", sorted(MUTANTS))
+    def test_mutant_refused_alike(self, mutant):
+        p, state, message = MUTANTS[mutant]
+        with pytest.raises(ValueError) as built:
+            _to_diagram(state, p)
+        with pytest.raises(ValueError) as row:
+            _row(state, p.relators)
+        assert str(row.value) == str(built.value) == message
+
+    def test_reference_past_the_edges_refused(self):
+        # _to_diagram ends in an IndexError inside close_walks here
+        state = (SHARED[0], (SHARED[1][0], ((-1, 4, 6), 2)), SHARED[2])
+        with pytest.raises(ValueError, match="^bad edge reference 6$"):
+            _row(state, ABC_ADE.relators)
+
+    def test_identity_flag_can_fail(self, monkeypatch):
+        row = enumeration._row
+
+        def cancel_off_by_one(state, relators):
+            area, rim, c = row(state, relators)
+            return area, rim, c + 1
+
+        monkeypatch.setattr(enumeration, "_row", cancel_off_by_one)
+        rep = isoperimetric_report(DiagramBudget(2, ABC_ADE))
+        assert not rep["identity_holds"]
+
+    def test_report_builds_no_diagram(self, monkeypatch):
+        def refuse(state, presentation):
+            raise AssertionError("isoperimetric_report built a VanKampenDiagram")
+
+        monkeypatch.setattr(enumeration, "_to_diagram", refuse)
+        rep = isoperimetric_report(DEEP)
+        assert (rep["total"], rep["violations"]) == (2649, 10)
+        assert rep["identity_holds"] and rep["equivalence_holds"]
+
+
+class TestGoldenReports:
+    """sha256 of ``json.dumps(report, sort_keys=True)``, as the reports read
+    when every row was taken from a validated ``VanKampenDiagram``."""
+
+    def test_deep_report(self):
+        rep = isoperimetric_report(DEEP)
+        assert report_sha256(rep) == (
+            "dda23c18b10238b70d786f2f88cb5799c9582fcd0be99a62ea8f45eb473efa90"
+        )
+
+    def test_trend(self):
+        rep = sampled_violation_trend((10, 40), Fraction(17, 50), Fraction(1, 25), 2, 3, 1)
+        assert [row["diagrams"] for row in rep["per_m"]] == [517, 2707]
+        assert report_sha256(rep) == (
+            "0a80eb25939b366cb6758f782d1436314acfbf7ecc8657cb4cc7372f073a3e4e"
+        )

@@ -364,6 +364,10 @@ class TestCountingKernel:
         with pytest.raises(ValueError, match="slot"):
             FaceStructure((0, 1, 2, 3), (1, 1, 1, 1), (1,))
 
+    def test_structure_label_below_one(self):
+        with pytest.raises(ValueError, match="^face 0 has label 0; labels must be positive$"):
+            FaceStructure((0, 1, 2, 0, 3, 4), (1, 1, 1, 1, 1, 1), (0, 1))
+
 
 def _orbit_key(fs):
     """The least encoding of a labelled structure over its face orders."""
