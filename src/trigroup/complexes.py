@@ -54,30 +54,30 @@ class AbstractLabelledComplex:
     labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for t, h in self.edges:
-            if not (0 <= t < self.vertex_count and 0 <= h < self.vertex_count):
+        # the validators read edges and letters inline, without method calls:
+        # enumeration validates a diagram per emitted search state
+        edges = self.edges
+        n = self.vertex_count
+        for t, h in edges:
+            if not (0 <= t < n and 0 <= h < n):
                 raise ValueError("edge endpoint out of range")
         for walk in self.faces:
             if not walk:
                 raise ValueError("empty face walk")
             for r in walk:
-                if r == 0 or abs(r) > len(self.edges):
+                if r == 0 or abs(r) > len(edges):
                     raise ValueError(f"bad edge reference {r}")
-            for a, b in zip(walk, walk[1:] + walk[:1]):
-                if self.ref_head(a) != self.ref_tail(b):
+            # the head of each step is the tail of the next, cyclically
+            a = walk[-1]
+            for b in walk:
+                head = edges[a - 1][1] if a > 0 else edges[-a - 1][0]
+                if head != (edges[b - 1][0] if b > 0 else edges[-b - 1][1]):
                     raise ValueError(f"walk {walk} is not a closed path")
+                a = b
         if len(self.labels) != len(self.faces):
             raise ValueError("one label per face required")
-        if any(i < 1 for i in self.labels):
+        if min(self.labels, default=1) < 1:
             raise ValueError("labels must be positive")
-
-    def ref_tail(self, ref: int) -> int:
-        t, h = self.edges[ref_edge(ref)]
-        return t if ref > 0 else h
-
-    def ref_head(self, ref: int) -> int:
-        t, h = self.edges[ref_edge(ref)]
-        return h if ref > 0 else t
 
     @property
     def edge_count(self) -> int:
@@ -102,7 +102,7 @@ class LabelledComplex(AbstractLabelledComplex):
         AbstractLabelledComplex.__post_init__(self)
         if len(self.letters) != len(self.edges):
             raise ValueError("one letter per edge required")
-        if any(c == 0 for c in self.letters):
+        if 0 in self.letters:
             raise ValueError("letter codes must be nonzero")
 
     def face_word(self, f: int) -> Word:
@@ -123,24 +123,28 @@ class VanKampenDiagram(LabelledComplex):
     def __post_init__(self) -> None:
         LabelledComplex.__post_init__(self)
         rels = self.presentation.relators
-        for f, walk in enumerate(self.faces):
-            pos = self.labels[f] - 1
-            if not 0 <= pos < len(rels):
+        letters, edges = self.letters, self.edges
+        for f, (walk, label) in enumerate(zip(self.faces, self.labels)):
+            if not 0 < label <= len(rels):
                 raise ValueError(f"face {f} labelled with unknown relator position")
-            if self.face_word(f) != rels[pos]:
+            spelled = tuple([letters[r - 1] if r > 0 else -letters[-r - 1] for r in walk])
+            if spelled != rels[label - 1]:
                 raise ValueError(f"face {f} walk does not spell its relator")
         degs = edge_degrees(self)
-        if any(d > 2 for d in degs):
+        if max(degs, default=0) > 2:
             raise ValueError("an edge of a planar diagram lies in at most two face sides")
-        if any(d == 0 for d in degs):
+        if 0 in degs:
             raise ValueError("diagram has an edge outside every face")
-        rim = sorted(ref_edge(r) for r in self.boundary)
-        if rim != sorted(e for e, d in enumerate(degs) if d == 1):
+        rim = sorted([abs(r) - 1 for r in self.boundary])
+        if rim != [e for e, d in enumerate(degs) if d == 1]:
             raise ValueError("boundary walk must cover each degree-1 edge exactly once")
-        for a, b in zip(self.boundary, self.boundary[1:] + self.boundary[:1]):
-            if self.ref_head(a) != self.ref_tail(b):
+        a = self.boundary[-1] if self.boundary else 0
+        for b in self.boundary:
+            head = edges[a - 1][1] if a > 0 else edges[-a - 1][0]
+            if head != (edges[b - 1][0] if b > 0 else edges[-b - 1][1]):
                 raise ValueError("boundary is not a closed walk")
-        if self.vertex_count - self.edge_count + self.face_count != 1:
+            a = b
+        if self.vertex_count - len(edges) + len(self.faces) != 1:
             raise ValueError("diagram must be contractible (Euler characteristic 1)")
 
     @property
@@ -161,7 +165,7 @@ def edge_degrees(Y: AbstractLabelledComplex) -> list[int]:
     degs = [0] * Y.edge_count
     for walk in Y.faces:
         for r in walk:
-            degs[ref_edge(r)] += 1
+            degs[abs(r) - 1] += 1
     return degs
 
 
@@ -379,26 +383,33 @@ def close_walks(edge_count: int, walks: Iterable[Walk]) -> tuple[int, tuple[tupl
     Endpoint slots 2e (tail) and 2e+1 (head) are merged wherever consecutive
     walk steps must share a vertex; unconstrained endpoints stay distinct.
     """
-    uf = UnionFind(2 * edge_count)
-
-    def tail_slot(ref: int) -> int:
-        e = ref_edge(ref)
-        return 2 * e if ref > 0 else 2 * e + 1
-
-    def head_slot(ref: int) -> int:
-        e = ref_edge(ref)
-        return 2 * e + 1 if ref > 0 else 2 * e
-
+    # a union-find over the slots, inlined: enumeration closes the walks of
+    # every emitted diagram.  A merge keeps the smaller root, so one
+    # ascending pass resolves every slot to its root at the end.
+    root = list(range(2 * edge_count))
     for walk in walks:
-        for a, b in zip(walk, walk[1:] + walk[:1]):
-            uf.union(head_slot(a), tail_slot(b))
+        if not walk:
+            continue
+        a = walk[-1]
+        for b in walk:
+            # head slot of step a, tail slot of step b
+            x = 2 * a - 1 if a > 0 else -2 * a - 2
+            y = 2 * b - 2 if b > 0 else -2 * b - 1
+            while root[x] != x:
+                x = root[x]
+            while root[y] != y:
+                y = root[y]
+            if x < y:
+                root[y] = x
+            elif y < x:
+                root[x] = y
+            a = b
     names: dict[int, int] = {}
-    edges = []
-    for e in range(edge_count):
-        t = names.setdefault(uf.find(2 * e), len(names))
-        h = names.setdefault(uf.find(2 * e + 1), len(names))
-        edges.append((t, h))
-    return len(names), tuple(edges)
+    for x, r in enumerate(root):
+        root[x] = root[r]
+        names.setdefault(root[x], len(names))
+    ids = [names[r] for r in root]
+    return len(names), tuple(zip(ids[::2], ids[1::2]))
 
 
 def abstract_from_walks(walks: Sequence[Walk], labels: Sequence[int]) -> AbstractLabelledComplex:

@@ -17,13 +17,11 @@ key equals that position's minimum go on, so a losing root is dropped at its
 first worse key instead of being encoded to full depth.  Output is
 deterministic: by face count, then canonical form.
 
-The search yields states, not diagrams.  ``enumerate_reduced_diagrams`` maps
-each to a validated ``VanKampenDiagram``.  ``isoperimetric_report`` needs only
-a row of integers per diagram, the area, the boundary length and ``cancel``;
-it reads them off the state in one flat pass (``_row``) that makes every check
-of the ``VanKampenDiagram`` validator, with the same messages, and counts
-``cancel`` from the edge degrees, so its ``identity_holds`` flag compares an
-independent count against area and boundary.
+Every emitted diagram is a validated ``VanKampenDiagram``, and
+``isoperimetric_report`` reads its rows off those diagrams, so each row has
+passed every check of the validator.  ``cancel`` is counted from the edge
+degrees, not derived from area and boundary, so ``identity_holds`` compares
+an independent count against them.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterator, Sequence
 
-from .complexes import VanKampenDiagram, Walk, close_walks, side_trace
+from .complexes import VanKampenDiagram, Walk, cancel, close_walks, side_trace
 from .presentation import TriangularPresentation, sample_presentation
 from .seeding import derive_seed
 
@@ -222,8 +220,7 @@ def _canonical(state: _State) -> tuple:
 
 def _to_diagram(state: _State, presentation: TriangularPresentation) -> VanKampenDiagram:
     letters, faces, boundary = state
-    walks = tuple(w for w, _ in faces)
-    labels = tuple(l for _, l in faces)
+    walks, labels = zip(*faces)
     vertex_count, edges = close_walks(len(letters), walks)
     return VanKampenDiagram(
         vertex_count=vertex_count,
@@ -270,17 +267,18 @@ def _grow(state: _State, relators, index) -> Iterator[_State]:
                         yield grown
 
 
-def _reduced_states(budget: DiagramBudget) -> Iterator[_State]:
-    """The search state of every reduced disc diagram with at most
-    ``budget.max_faces`` faces, one per isomorphism class, in emission order."""
-    relators = budget.presentation.relators
+def enumerate_reduced_diagrams(budget: DiagramBudget) -> Iterator[VanKampenDiagram]:
+    """All reduced disc diagrams with at most ``budget.max_faces`` faces,
+    exactly once per labelled combinatorial isomorphism class."""
+    presentation = budget.presentation
+    relators = presentation.relators
     index = _slot_index(relators)
     level: dict[tuple, _State] = {}
     for p, word in enumerate(relators):
         state: _State = (tuple(word), (((1, 2, 3), p + 1),), (1, 2, 3))
         level.setdefault(_canonical(state), state)
     for canon in sorted(level):
-        yield level[canon]
+        yield _to_diagram(level[canon], presentation)
     for _ in range(budget.max_faces - 1):
         nxt: dict[tuple, _State] = {}
         for canon in sorted(level):
@@ -288,86 +286,7 @@ def _reduced_states(budget: DiagramBudget) -> Iterator[_State]:
                 nxt.setdefault(_canonical(grown), grown)
         level = nxt
         for canon in sorted(level):
-            yield level[canon]
-
-
-def enumerate_reduced_diagrams(budget: DiagramBudget) -> Iterator[VanKampenDiagram]:
-    """All reduced disc diagrams with at most ``budget.max_faces`` faces,
-    exactly once per labelled combinatorial isomorphism class."""
-    presentation = budget.presentation
-    for state in _reduced_states(budget):
-        yield _to_diagram(state, presentation)
-
-
-def _row(state: _State, relators) -> tuple[int, int, int]:
-    """``(area, |bD|, cancel)`` of a search state, after every check that
-    ``_to_diagram(state, ...)`` makes, with the same messages, in flat loops.
-
-    The vertices are the classes of endpoint slots 2e (tail) and 2e+1 (head)
-    that closing every face walk merges, as in ``close_walks``; a merge keeps
-    the smaller root, so one ascending pass resolves every slot to its root.
-    ``cancel`` is counted from the edge degrees.
-    """
-    letters, faces, boundary = state
-    E = len(letters)
-    slot_root = list(range(2 * E))
-    merges = 0
-    degrees = [0] * E
-    for walk, _ in faces:
-        if not walk:
-            raise ValueError("empty face walk")
-        for r in walk:
-            if r == 0 or not -E <= r <= E:
-                raise ValueError(f"bad edge reference {r}")
-            degrees[abs(r) - 1] += 1
-        prev = walk[-1]
-        for r in walk:
-            # head of the previous step meets the tail of this one
-            x = 2 * prev - 1 if prev > 0 else -2 * prev - 2
-            y = 2 * r - 2 if r > 0 else -2 * r - 1
-            while slot_root[x] != x:
-                x = slot_root[x]
-            while slot_root[y] != y:
-                y = slot_root[y]
-            if x != y:
-                if x < y:
-                    slot_root[y] = x
-                else:
-                    slot_root[x] = y
-                merges += 1
-            prev = r
-    for _, label in faces:
-        if label < 1:
-            raise ValueError("labels must be positive")
-    if 0 in letters:
-        raise ValueError("letter codes must be nonzero")
-    for f, (walk, label) in enumerate(faces):
-        if label > len(relators):
-            raise ValueError(f"face {f} labelled with unknown relator position")
-        word = relators[label - 1]
-        if len(walk) != len(word):
-            raise ValueError(f"face {f} walk does not spell its relator")
-        for r, c in zip(walk, word):
-            if (letters[r - 1] if r > 0 else -letters[-r - 1]) != c:
-                raise ValueError(f"face {f} walk does not spell its relator")
-    if max(degrees) > 2:
-        raise ValueError("an edge of a planar diagram lies in at most two face sides")
-    if 0 in degrees:
-        raise ValueError("diagram has an edge outside every face")
-    if sorted([abs(r) - 1 for r in boundary]) != [e for e, d in enumerate(degrees) if d == 1]:
-        raise ValueError("boundary walk must cover each degree-1 edge exactly once")
-    for x in range(2 * E):
-        slot_root[x] = slot_root[slot_root[x]]
-    for a, b in zip(boundary, boundary[1:] + boundary[:1]):
-        head = 2 * a - 1 if a > 0 else -2 * a - 2
-        tail = 2 * b - 2 if b > 0 else -2 * b - 1
-        if slot_root[head] != slot_root[tail]:
-            raise ValueError("boundary is not a closed walk")
-    # V - E + F with V = 2E - merges
-    if E - merges + len(faces) != 1:
-        raise ValueError("diagram must be contractible (Euler characteristic 1)")
-    # every degree is 1 or 2 here, so the excess sum((deg - 1)+) counts 2s
-    return len(faces), len(boundary), degrees.count(2)
+            yield _to_diagram(level[canon], presentation)
 
 
 def euler_check(D: VanKampenDiagram) -> bool:
@@ -384,13 +303,11 @@ def euler_check(D: VanKampenDiagram) -> bool:
 def isoperimetric_report(budget: DiagramBudget) -> dict:
     """Both displayed inequalities and their equivalence on every diagram.
 
-    Each row comes straight from a search state through ``_row``, which makes
-    every check of the ``VanKampenDiagram`` validator without building one.
     The area form cancel(D) <= 3(d+eps)|D| and the boundary form
-    |bD| >= 3(1-2d-2eps)|D| are compared independently, as integer
-    cross-multiplications, and must agree diagram by diagram.
-    ``identity_holds`` checks 3|D| = |bD| + 2 cancel(D), with cancel(D)
-    counted from the edge degrees, not derived from area and boundary.
+    |bD| >= 3(1-2d-2eps)|D| are computed independently, as integer
+    cross-multiplications, and must agree diagram by diagram, via the
+    identity 3|D| = |bD| + 2 cancel(D).  ``identity_holds`` checks that
+    identity with cancel(D) counted from the edge degrees.
     """
     d = budget.presentation.density
     eps = budget.epsilon
@@ -398,13 +315,13 @@ def isoperimetric_report(budget: DiagramBudget) -> dict:
     boundary_rate = 3 * (1 - 2 * d - 2 * eps)
     c_num, c_den = cancel_rate.numerator, cancel_rate.denominator
     b_num, b_den = boundary_rate.numerator, boundary_rate.denominator
-    relators = budget.presentation.relators
     rows = []
     violations = 0
     identity_ok = True
     equivalence_ok = True
-    for state in _reduced_states(budget):
-        area, rim, c = _row(state, relators)
+    for D in enumerate_reduced_diagrams(budget):
+        c = cancel(D)
+        area, rim = D.area, D.boundary_length
         cancel_ok = c * c_den <= c_num * area
         boundary_ok = rim * b_den >= b_num * area
         if not cancel_ok:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import close_walks_oracle
 from indicator_oracle import is_least_position, is_min_label
 from sweep_oracle import label_forcing_levels
 from trigroup.complexes import (
@@ -83,6 +84,42 @@ class TestStructure:
     def test_nonpositive_label_rejected(self):
         with pytest.raises(ValueError):
             abstract_from_walks([(1, 2, 3)], (0,))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: AbstractLabelledComplex(1, ((0, 1),), ((1,),), (1,)),
+             "edge endpoint out of range"),
+            (lambda: AbstractLabelledComplex(1, ((0, 0),), ((),), (1,)), "empty face walk"),
+            (lambda: AbstractLabelledComplex(1, ((0, 0),), ((-2,),), (1,)),
+             "bad edge reference -2"),
+            (lambda: AbstractLabelledComplex(3, ((0, 1), (1, 2)), ((1, 2),), (1,)),
+             "walk (1, 2) is not a closed path"),
+            (lambda: AbstractLabelledComplex(3, ((0, 1), (1, 2)), ((-2, -1),), (1,)),
+             "walk (-2, -1) is not a closed path"),
+            (lambda: AbstractLabelledComplex(1, ((0, 0),), ((1,),), (1, 1)),
+             "one label per face required"),
+            (lambda: AbstractLabelledComplex(1, ((0, 0),), ((1,),), (0,)),
+             "labels must be positive"),
+            (lambda: LabelledComplex(1, ((0, 0),), ((1,),), (1,), letters=()),
+             "one letter per edge required"),
+            (lambda: LabelledComplex(1, ((0, 0),), ((1,),), (1,), letters=(0,)),
+             "letter codes must be nonzero"),
+        ],
+    )
+    def test_refusal_messages(self, build, message):
+        with pytest.raises(ValueError) as refused:
+            build()
+        assert str(refused.value) == message
+
+    def test_close_walks_matches_oracle_on_random_complexes(self):
+        rng = make_rng(17, "close-walks")
+        for _ in range(300):
+            walks = random_abstract_complex(rng).faces
+            edge_count = max(abs(r) for walk in walks for r in walk)
+            assert close_walks(edge_count, walks) == close_walks_oracle.close_walks(
+                edge_count, walks
+            )
 
 
 class TestCancel:

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from trigroup import enumeration
 from trigroup.complexes import (
+    VanKampenDiagram,
     abstract_from_walks,
     cancel,
+    close_walks,
     is_reduced_diagram,
     red,
 )
@@ -24,13 +26,13 @@ from trigroup.enumeration import (
     sampled_violation_trend,
     _attach,
     _canonical,
-    _row,
     _to_diagram,
 )
 from trigroup.fulfillment import fulfils
 from trigroup.presentation import TriangularPresentation, sample_presentation
 
 import canon_oracle
+import close_walks_oracle
 from relator_classes import has_proper_power, relators_distinct_up_to_symmetry
 
 
@@ -420,7 +422,7 @@ class TestCanonicalForm:
 
 
 # ---------------------------------------------------------------------------
-# report rows read off the search state against the validated diagram
+# the validated diagram behind every report row
 
 DEEP = DiagramBudget(3, sample_presentation(10, Fraction(17, 50), 0), Fraction(1, 25))
 
@@ -436,7 +438,7 @@ ABC_CBA = pres([(1, 2, 3), (-3, -2, -1)])
 SPHERE = ((1, 2, 3), (((1, 2, 3), 1), ((-3, -2, -1), 2)), ())
 
 # hand-corrupted states, one per check of the VanKampenDiagram validator:
-# (presentation, state, the message both paths must raise)
+# (presentation, state, the message _to_diagram must raise)
 MUTANTS = {
     "bad-edge-reference": (
         ABC_ADE, (SHARED[0], (((1, 0, 3), 1), SHARED[1][1]), SHARED[2]),
@@ -477,62 +479,51 @@ MUTANTS = {
 }
 
 
-class TestRowPath:
+class TestDiagramValidation:
     @pytest.mark.parametrize("corpus", sorted(ORACLE_CORPORA))
-    def test_matches_validated_diagram(self, corpus):
+    def test_close_walks_matches_oracle(self, corpus):
         p, max_faces = ORACLE_CORPORA[corpus]
         states = canonicalised_states(p, max_faces)
         assert states
-        for state in states:
-            D = _to_diagram(state, p)
-            assert _row(state, p.relators) == (D.area, D.boundary_length, cancel(D))
+        for letters, faces, _ in states:
+            walks = [w for w, _ in faces]
+            assert close_walks(len(letters), walks) == close_walks_oracle.close_walks(
+                len(letters), walks
+            )
 
     def test_base_state_is_valid(self):
-        assert _row(SHARED, ABC_ADE.relators) == (2, 4, 1)
-        assert _to_diagram(SHARED, ABC_ADE).boundary_length == 4
+        D = _to_diagram(SHARED, ABC_ADE)
+        assert (D.area, D.boundary_length, cancel(D)) == (2, 4, 1)
 
     @pytest.mark.parametrize("mutant", sorted(MUTANTS))
-    def test_mutant_refused_alike(self, mutant):
+    def test_mutant_refused(self, mutant):
         p, state, message = MUTANTS[mutant]
         with pytest.raises(ValueError) as built:
             _to_diagram(state, p)
-        with pytest.raises(ValueError) as row:
-            _row(state, p.relators)
-        assert str(row.value) == str(built.value) == message
-
-    def test_reference_past_the_edges_refused(self):
-        # _to_diagram ends in an IndexError inside close_walks here
-        state = (SHARED[0], (SHARED[1][0], ((-1, 4, 6), 2)), SHARED[2])
-        with pytest.raises(ValueError, match="^bad edge reference 6$"):
-            _row(state, ABC_ADE.relators)
+        assert str(built.value) == message
 
     def test_identity_flag_can_fail(self, monkeypatch):
-        row = enumeration._row
-
-        def cancel_off_by_one(state, relators):
-            area, rim, c = row(state, relators)
-            return area, rim, c + 1
-
-        monkeypatch.setattr(enumeration, "_row", cancel_off_by_one)
+        monkeypatch.setattr(enumeration, "cancel", lambda D: cancel(D) + 1)
         rep = isoperimetric_report(DiagramBudget(2, ABC_ADE))
         assert not rep["identity_holds"]
-
-    def test_report_builds_no_diagram(self, monkeypatch):
-        def refuse(state, presentation):
-            raise AssertionError("isoperimetric_report built a VanKampenDiagram")
-
-        monkeypatch.setattr(enumeration, "_to_diagram", refuse)
-        rep = isoperimetric_report(DEEP)
-        assert (rep["total"], rep["violations"]) == (2649, 10)
-        assert rep["identity_holds"] and rep["equivalence_holds"]
 
 
 class TestGoldenReports:
     """sha256 of ``json.dumps(report, sort_keys=True)``, as the reports read
     when every row was taken from a validated ``VanKampenDiagram``."""
 
-    def test_deep_report(self):
+    def test_deep_report(self, monkeypatch):
+        # every row comes from a diagram that passed the validator
+        validated = []
+        check = VanKampenDiagram.__post_init__
+
+        def counted(D):
+            check(D)
+            validated.append(D)
+
+        monkeypatch.setattr(VanKampenDiagram, "__post_init__", counted)
         rep = isoperimetric_report(DEEP)
+        assert len(validated) == rep["total"] == 2649
         assert report_sha256(rep) == (
             "dda23c18b10238b70d786f2f88cb5799c9582fcd0be99a62ea8f45eb473efa90"
         )
