@@ -58,6 +58,7 @@ class AbstractLabelledComplex:
         # enumeration validates a diagram per emitted search state
         edges = self.edges
         n = self.vertex_count
+        E = len(edges)
         for t, h in edges:
             if not (0 <= t < n and 0 <= h < n):
                 raise ValueError("edge endpoint out of range")
@@ -65,7 +66,7 @@ class AbstractLabelledComplex:
             if not walk:
                 raise ValueError("empty face walk")
             for r in walk:
-                if r == 0 or abs(r) > len(edges):
+                if r == 0 or not -E <= r <= E:
                     raise ValueError(f"bad edge reference {r}")
             # the head of each step is the tail of the next, cyclically
             a = walk[-1]
