@@ -52,19 +52,6 @@ class DiagramBudget:
             raise ValueError("epsilon must be positive")
 
 
-def _ref_letter(ref: int, letters: Sequence[int]) -> int:
-    return letters[abs(ref) - 1] if ref > 0 else -letters[abs(ref) - 1]
-
-
-def _face_side(faces, edge: int):
-    """The unique (face word slot) currently holding a boundary edge."""
-    for walk, label in faces:
-        for t, r in enumerate(walk):
-            if abs(r) == edge:
-                return label, t, 1 if r > 0 else -1
-    raise AssertionError("boundary edge missing from every face")
-
-
 def _attach(
     state: _State,
     pos: int,
@@ -81,15 +68,31 @@ def _attach(
     B = len(boundary)
     if k > B:
         return None
-    arc = tuple(boundary[(pos + j) % B] for j in range(k))
+    arc = (boundary + boundary)[pos : pos + k]
     word = relators[rel_pos]
-    block = arc if mirror else tuple(-r for r in reversed(arc))
+    block = arc if mirror else tuple([-r for r in reversed(arc)])
     walk = [0, 0, 0]
-    for j in range(k):
+    for j, r in enumerate(block):
         slot = (start + j) % 3
-        if _ref_letter(block[j], letters) != word[slot]:
+        if (letters[r - 1] if r > 0 else -letters[-r - 1]) != word[slot]:
             return None
-        walk[slot] = block[j]
+        walk[slot] = r
+    # reducedness across each newly interior edge, read off the one face
+    # slot that holds it (a boundary edge lies in exactly one)
+    for j, r in enumerate(block):
+        e = abs(r)
+        for old_walk, old_label in faces:
+            if e in old_walk or -e in old_walk:
+                break
+        else:
+            raise AssertionError("boundary edge missing from every face")
+        t_old = old_walk.index(e) if e in old_walk else old_walk.index(-e)
+        s_old = 1 if old_walk[t_old] > 0 else -1
+        s_new = 1 if r > 0 else -1
+        if side_trace(relators[old_label - 1], t_old, s_old) == side_trace(
+            word, (start + j) % 3, s_new
+        ):
+            return None
     new_letters = list(letters)
     fresh: list[int] = []
     for j in range(k, 3):
@@ -98,16 +101,8 @@ def _attach(
         ref = len(new_letters)
         walk[slot] = ref
         fresh.append(ref)
-    # reducedness across each newly interior edge
-    for j in range(k):
-        slot = (start + j) % 3
-        old_label, t_old, s_old = _face_side(faces, abs(block[j]))
-        old_word = relators[old_label - 1]
-        s_new = 1 if block[j] > 0 else -1
-        if side_trace(old_word, t_old, s_old) == side_trace(word, slot, s_new):
-            return None
-    path = tuple(fresh) if not mirror else tuple(-r for r in reversed(fresh))
-    keep = tuple(boundary[(pos + k + j) % B] for j in range(B - k))
+    path = tuple(fresh) if not mirror else tuple([-r for r in reversed(fresh)])
+    keep = (boundary + boundary)[pos + k : pos + B]
     return (
         tuple(new_letters),
         faces + ((tuple(walk), rel_pos + 1),),
@@ -249,18 +244,18 @@ def _grow(state: _State, relators, index) -> Iterator[_State]:
     with, so work scales with matches rather than with the relator count."""
     letters, _, boundary = state
     B = len(boundary)
+    rim = [letters[r - 1] if r > 0 else -letters[-r - 1] for r in boundary]
     for pos in range(B):
-        first = _ref_letter(boundary[pos], letters)
         for k in (1, 2):
             if k > B:
                 continue
             for mirror in (False, True):
                 if mirror:
                     # block starts with the arc's first ref as-is
-                    want = first
+                    want = rim[pos]
                 else:
                     # block is the arc reversed and negated
-                    want = -_ref_letter(boundary[(pos + k - 1) % B], letters)
+                    want = -rim[(pos + k - 1) % B]
                 for rel_pos, start in index.get(want, ()):
                     grown = _attach(state, pos, k, rel_pos, start, mirror, relators)
                     if grown is not None:
