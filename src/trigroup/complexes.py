@@ -383,19 +383,25 @@ def close_walks(edge_count: int, walks: Iterable[Walk]) -> tuple[int, tuple[tupl
 
     Endpoint slots 2e (tail) and 2e+1 (head) are merged wherever consecutive
     walk steps must share a vertex; unconstrained endpoints stay distinct.
+    A reference 0 or beyond ``edge_count`` raises ``ValueError``.
     """
     # a union-find over the slots, inlined: enumeration closes the walks of
     # every emitted diagram.  A merge keeps the smaller root, so one
     # ascending pass resolves every slot to its root at the end.
-    root = list(range(2 * edge_count))
+    slots = 2 * edge_count
+    root = list(range(slots))
     for walk in walks:
         if not walk:
             continue
         a = walk[-1]
+        if a == 0 or not -edge_count <= a <= edge_count:
+            raise ValueError(f"bad edge reference {a}")
         for b in walk:
             # head slot of step a, tail slot of step b
             x = 2 * a - 1 if a > 0 else -2 * a - 2
             y = 2 * b - 2 if b > 0 else -2 * b - 1
+            if not 0 <= y < slots:  # b is 0 (y = -1) or beyond edge_count
+                raise ValueError(f"bad edge reference {b}")
             while root[x] != x:
                 x = root[x]
             while root[y] != y:

@@ -313,12 +313,14 @@ def structure_counts(fs: FaceStructure, ms: Sequence[int]) -> list[tuple[int, ..
     ]
 
 
-def _top_delta(classes: Sequence[int], top: list[int], lower_groups: list[list[int]]) -> int:
+def _top_delta(
+    classes: Sequence[int], top: Sequence[int], lower_groups: Sequence[Sequence[int]]
+) -> int:
     """delta of the ``top`` face group over ``lower_groups``: the most letters
     of one top face already forced by the groups below, earlier top faces or
     earlier positions of its own walk (see
     :func:`trigroup.complexes.forced_counts`)."""
-    groups = lower_groups + [top]
+    groups = [*lower_groups, top]
     walks = [classes[3 * f : 3 * f + 3] for group in groups for f in group]
     labels = [level for level, group in enumerate(groups, 1) for _ in group]
     return max(forced_counts(walks, labels)[-len(top) :])  # the top faces come last
@@ -428,21 +430,84 @@ def _permuted_encoding(
     return tuple(out_c), tuple(out_s)
 
 
+def _encoding_order(classes: Sequence[int], signs: Sequence[int], order: Sequence[int]) -> int:
+    """-1, 0 or 1 as the encoding of the slots read in ``order`` is less than,
+    equal to or greater than ``(classes, signs)``.
+
+    This is the comparison of ``_permuted_encoding`` with ``(classes, signs)``
+    (``order`` lists the slots of the permuted faces), made slot by slot:
+    classes first, signs only on a full class tie, and it stops at the first
+    difference.
+    """
+    rename: dict[int, int] = {}
+    for own, slot in zip(classes, order):
+        c = rename.setdefault(classes[slot], len(rename))
+        if c != own:
+            return -1 if c < own else 1
+    flip: dict[int, int] = {}
+    for own, slot in zip(signs, order):
+        s = signs[slot]
+        s *= flip.setdefault(classes[slot], s)
+        if s != own:
+            return -1 if s < own else 1
+    return 0
+
+
+def _slot_order(perm: Sequence[int]) -> tuple[int, ...]:
+    return tuple(3 * f + t for f in perm for t in range(3))
+
+
+def _stabilizer(classes, signs, perms, orders) -> tuple | None:
+    """The face permutations fixing the encoding ``(classes, signs)``, or None
+    when some permutation makes it smaller: the partition is then not the
+    least of its orbit.  ``perms`` starts with the identity, and ``orders``
+    holds each permutation's ``_slot_order``."""
+    stabilizer = [perms[0]]
+    for perm, order in zip(perms[1:], orders[1:]):
+        diff = _encoding_order(classes, signs, order)
+        if diff < 0:
+            return None
+        if diff == 0:
+            stabilizer.append(perm)
+    return tuple(stabilizer)
+
+
+def _shared_counts(classes, signs, sizes, memo):
+    """``_group_counts`` for one partition, shared by its configurations.
+
+    Keyed on the group set, as sorted tuples of sorted faces: the count
+    depends neither on the order of the groups nor on which face represents
+    its group.  Every configuration of ``_structure_configs`` lists its
+    faces in increasing order.
+    """
+    shared: dict[tuple, tuple[int, ...]] = {}
+
+    def counts(groups) -> tuple[int, ...]:
+        key = tuple(sorted(groups))
+        got = shared.get(key)
+        if got is None:
+            got = shared[key] = _group_counts(classes, signs, groups, sizes, memo)
+        return got
+
+    return counts
+
+
 def _top_level_check(
-    classes, signs, top: list[int], lower_groups: list[list[int]], ms, memo, tightest,
+    classes, top: tuple[int, ...], lower_groups, ms, counts, tightest,
 ) -> tuple[list[int], list[int]]:
     """Check the nominal and guaranteed top-level ratio bounds at every m.
 
-    Returns (ms violating the nominal bound, ms violating the guaranteed
-    one); see :func:`_ratio_sides` for the two inequalities.  ``tightest[j]``
-    is raised to this structure's guaranteed ratio at ``ms[j]``, kept as an
-    integer pair (numerator, denominator) and compared by cross-multiplying.
+    ``counts(groups)`` gives the consistent word tuples of a list of face
+    groups at every m.  Returns (ms violating the nominal bound, ms violating
+    the guaranteed one); see :func:`_ratio_sides` for the two inequalities.
+    ``tightest[j]`` is raised to this structure's guaranteed ratio at
+    ``ms[j]``, kept as an integer pair (numerator, denominator) and compared
+    by cross-multiplying.
     """
-    sizes = [2 * m for m in ms]
-    full = _group_counts(classes, signs, lower_groups + [top], sizes, memo)
+    full = counts([*lower_groups, top])
     if not any(full):
         return [], []  # zero consistent tuples at the top level
-    lowc = _group_counts(classes, signs, lower_groups, sizes, memo)
+    lowc = counts(lower_groups)
     delta = _top_delta(classes, top, lower_groups)
     nominal: list[int] = []
     guaranteed: list[int] = []
@@ -458,19 +523,25 @@ def _top_level_check(
     return nominal, guaranteed
 
 
-def _structure_configs(k: int, stabilizer: list) -> list[tuple[list[int], list[list[int]]]]:
+_Config = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
+
+
+def _structure_configs(k: int, stabilizer) -> tuple[_Config, ...]:
     """All (top group, lower grouping) shapes on k faces, up to the stabilizer.
 
     Only the top level of each structure needs checking: the lower levels are
     top levels of smaller structures enumerated separately.  The order of
     lower labels never changes the count, so lower faces only need grouping.
+    Every group lists its faces in increasing order.  The result depends
+    only on ``k`` and the stabilizer, which takes few values, so
+    ``ratio_sweep`` computes it once per stabilizer and shares the tuples.
     """
     if k == 1:
-        return [([0], [])]
-    configs: list[tuple[list[int], list[list[int]]]] = []
+        return (((0,), ()),)
+    configs: list[_Config] = []
     seen: set[tuple] = set()
 
-    def canon(top: list[int], lowers: list[list[int]]) -> tuple:
+    def canon(top: tuple[int, ...], lowers: tuple[tuple[int, ...], ...]) -> tuple:
         best = None
         for perm in stabilizer:
             t = tuple(sorted(perm[f] for f in top))
@@ -480,25 +551,25 @@ def _structure_configs(k: int, stabilizer: list) -> list[tuple[list[int], list[l
                 best = cand
         return best
 
-    def add(top: list[int], lowers: list[list[int]]) -> None:
+    def add(top: tuple[int, ...], lowers: tuple[tuple[int, ...], ...]) -> None:
         c = canon(top, lowers)
         if c not in seen:
             seen.add(c)
             configs.append((top, lowers))
 
-    faces = list(range(k))
+    faces = tuple(range(k))
     if k == 2:
-        add(faces, [])  # one label
+        add(faces, ())  # one label
         for c in faces:
-            add([c], [[1 - c]])
+            add((c,), ((1 - c,),))
     else:
-        add(faces, [])  # n = 1
+        add(faces, ())  # n = 1
         for c in faces:
-            rest = [f for f in faces if f != c]
-            add([c], [rest])  # n = 2, singleton on top
-            add(rest, [[c]])  # n = 2, pair on top
-            add([c], [[rest[0]], [rest[1]]])  # n = 3 (lower order irrelevant)
-    return configs
+            rest = tuple(f for f in faces if f != c)
+            add((c,), (rest,))  # n = 2, singleton on top
+            add(rest, ((c,),))  # n = 2, pair on top
+            add((c,), ((rest[0],), (rest[1],)))  # n = 3 (lower order irrelevant)
+    return tuple(configs)
 
 
 def ratio_sweep(max_faces: int = 3, ms: Sequence[int] = (1, 2, 3)) -> dict:
@@ -506,20 +577,30 @@ def ratio_sweep(max_faces: int = 3, ms: Sequence[int] = (1, 2, 3)) -> dict:
     with at most ``max_faces`` faces, at every m in ``ms``.
 
     Structures are deduplicated under face permutations (orientation flips of
-    an edge class are part of the enumeration itself); for each structure only
-    the top label level is checked, lower levels being top levels of smaller
-    structures.  ``violations`` lists structures beating the nominal
-    (2m-1)^(-delta) bound.  These exist, and every one lies in the
-    within-word forcing family described in :func:`_ratio_sides`, though
-    most members of that family do not violate.  ``guaranteed_violations``
-    collects failures of the provable 2m(2m-1)^(2-delta) form, checked on
-    every structure, and stays empty.  ``guaranteed_tightest`` maps each m to
-    the largest ratio of a top level's side of that bound to its other side,
+    an edge class are part of the enumeration itself): a signed partition is
+    kept when no face permutation gives it a smaller encoding.  Each
+    permutation is compared with it slot by slot and dropped at the first
+    difference (``_encoding_order``), so a partition that is not the least
+    of its orbit is rejected at the first smaller permutation, and the
+    permutations that tie to the end form its stabilizer.  For each
+    structure only the top label level is checked, lower levels being top
+    levels of smaller structures; the configurations of one partition share
+    their counts through ``_shared_counts``, and share with every partition
+    of the same stabilizer one ``_structure_configs``.
+
+    ``violations`` lists structures beating the nominal (2m-1)^(-delta)
+    bound.  These exist, and every one lies in the within-word forcing
+    family described in :func:`_ratio_sides`, though most members of that
+    family do not violate.  ``guaranteed_violations`` collects failures of
+    the provable 2m(2m-1)^(2-delta) form, checked on every structure, and
+    stays empty.  ``guaranteed_tightest`` maps each m to the largest ratio of
+    a top level's side of that bound to its other side,
     full*(2m-1)^delta / (lower*2m(2m-1)^2), as a fraction string; the bound
     holds everywhere exactly when no ratio exceeds 1.
     """
     if max_faces > 3:
         raise ValueError("sweep supports at most 3 faces")
+    sizes = [2 * m for m in ms]
     memo: dict = {}
     tightest = [(0, 1) for _ in ms]
     report = {
@@ -532,25 +613,29 @@ def ratio_sweep(max_faces: int = 3, ms: Sequence[int] = (1, 2, 3)) -> dict:
     }
     for k in range(1, max_faces + 1):
         perms = list(itertools.permutations(range(k)))
+        orders = [_slot_order(p) for p in perms]
+        configs_of: dict[tuple, tuple[_Config, ...]] = {}
         n_structures = 0
         for classes, signs in _iter_signed_partitions(3 * k):
-            encodings = [_permuted_encoding(classes, signs, p) for p in perms]
-            me = (classes, signs)
-            if min(encodings) != me:
+            stabilizer = _stabilizer(classes, signs, perms, orders)
+            if stabilizer is None:
                 continue
-            stabilizer = [p for p, enc in zip(perms, encodings) if enc == me]
-            for top, lowers in _structure_configs(k, stabilizer):
+            configs = configs_of.get(stabilizer)
+            if configs is None:
+                configs = configs_of[stabilizer] = _structure_configs(k, stabilizer)
+            counts = _shared_counts(classes, signs, sizes, memo)
+            for top, lowers in configs:
                 n_structures += 1
                 report["checks"] += len(ms)
                 nominal, guaranteed = _top_level_check(
-                    classes, signs, top, lowers, ms, memo, tightest
+                    classes, top, lowers, ms, counts, tightest
                 )
                 if nominal or guaranteed:
-                    record = {
+                    record = {  # fresh lists: the configurations are shared
                         "classes": list(classes),
                         "signs": list(signs),
-                        "top": top,
-                        "lower_groups": lowers,
+                        "top": list(top),
+                        "lower_groups": [list(g) for g in lowers],
                     }
                     if nominal:
                         report["violations"].append(dict(record, ms=nominal))

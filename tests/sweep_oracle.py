@@ -8,6 +8,12 @@ exhaustive counts of :func:`exact_probabilities`, with delta_i from
 :func:`forcing_bounds` and :func:`label_forcing_levels`, which take the
 forced-letter level label by label over the whole complex.
 
+The sweep keeps a signed partition when no face permutation gives it a
+smaller encoding, and compares each permutation slot by slot, stopping at the
+first difference.  :func:`encoding_sign` and :func:`stabilizer_of` make the
+same decisions from the full encodings of every permutation, as the sweep
+once did.
+
 A sweep record names a structure by its slot ``classes`` and ``signs``, the
 faces of its top label (``top``) and the grouping of the faces below it
 (``lower_groups``).  The helpers here rebuild it as a labelled complex for the
@@ -17,8 +23,10 @@ code.  :func:`structure_to_complex`, the inverse of
 needs it, so it lives with the tests.
 """
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from trigroup import fulfillment
 from trigroup.complexes import (
@@ -163,3 +171,36 @@ def forces_within_word(record: dict) -> bool:
 def top_level_check(fs: FaceStructure, m: int) -> dict:
     """The top-level entry of :func:`ratio_checks` on the exhaustive counts."""
     return ratio_checks(exact_probabilities(structure_to_complex(fs), m))[-1]
+
+
+def encoding_sign(classes, signs, perm: Sequence[int]) -> int:
+    """-1, 0 or 1: the sign of ``_permuted_encoding(classes, signs, perm)``
+    minus ``(classes, signs)``, comparing the full tuples."""
+    enc = fulfillment._permuted_encoding(classes, signs, perm)
+    me = (tuple(classes), tuple(signs))
+    return (enc > me) - (enc < me)
+
+
+def stabilizer_of(classes, signs, perms: Sequence[Sequence[int]]) -> tuple | None:
+    """None when some permutation in ``perms`` gives a smaller encoding, else
+    the permutations whose encoding equals ``(classes, signs)``."""
+    encodings = [fulfillment._permuted_encoding(classes, signs, p) for p in perms]
+    me = (tuple(classes), tuple(signs))
+    if min(encodings) != me:
+        return None
+    return tuple(p for p, enc in zip(perms, encodings) if enc == me)
+
+
+def random_signed_partition(rng: random.Random, slots: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A signed restricted-growth string, drawn slot by slot: each slot
+    joins one of the classes so far or opens the next one, uniformly, and a
+    slot that joins a class takes either sign."""
+    classes: list[int] = []
+    signs: list[int] = []
+    used = 0
+    for _ in range(slots):
+        c = rng.randrange(used + 1)
+        classes.append(c)
+        signs.append(1 if c == used else rng.choice((1, -1)))
+        used = max(used, c + 1)
+    return tuple(classes), tuple(signs)

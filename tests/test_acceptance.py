@@ -10,6 +10,7 @@ at its two-face budget, so a companion test without a verdict line pins the
 violations of one fixed presentation at three faces.
 """
 
+import hashlib
 import itertools
 import json
 import time
@@ -231,6 +232,10 @@ def test_criterion_06_exact_ratio_oracle(capsys):
         "within_word_family": in_family == nominal,
         "brute_force_sample": all(brute_force_agrees(v) for v in sample),
         "corrected_bound_holds": corrected == 0,
+        "report_sha256": hashlib.sha256(
+            json.dumps(report, sort_keys=True).encode()
+        ).hexdigest()
+        == "2a3567812fc491293d21dff757fae852021c3b58a7d667878ed380aa74bdb295",
     }
     elapsed = time.perf_counter() - start
     checks["within_budget"] = elapsed < 300.0

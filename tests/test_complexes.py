@@ -62,6 +62,16 @@ class TestStructure:
         assert edges[1][1] == edges[2][0]
         assert edges[2][1] == edges[0][0]
 
+    @pytest.mark.parametrize("edge_count, walks, bad", [
+        (5, [(1, 2, 6)], 6),  # past the edge count: was a bare IndexError
+        (3, [(1, 2, 0)], 0),  # 0: was read as the last edge
+        (3, [(1, -4, 2)], -4),
+        (3, [(1, 2, 3), (2, 0, 1)], 0),
+    ])
+    def test_close_walks_rejects_bad_reference(self, edge_count, walks, bad):
+        with pytest.raises(ValueError, match=f"^bad edge reference {bad}$"):
+            close_walks(edge_count, walks)
+
     def test_repeated_edge_forces_loop(self):
         Y = make_abstract([(1, 1, 2)], (1,))
         # e1 twice in a row forces tail = head, and the corner identifications

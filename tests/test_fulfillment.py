@@ -1,5 +1,6 @@
 """Fulfilment by word tuples, exact probabilities, and the closed-form counter."""
 
+import hashlib
 import itertools
 import json
 from fractions import Fraction
@@ -24,8 +25,14 @@ from trigroup.fulfillment import (
     structure_of,
 )
 from trigroup.fulfillment import (
+    _encoding_order,
+    _group_counts,
     _iter_signed_partitions,
     _permuted_encoding,
+    _shared_counts,
+    _slot_order,
+    _stabilizer,
+    _structure_configs,
     _top_level_check,
 )
 from trigroup.presentation import TriangularPresentation
@@ -33,11 +40,14 @@ from trigroup.seeding import make_rng
 from trigroup.words import enumerate_triangle_words, triangle_word_count
 
 from sweep_oracle import (
+    encoding_sign,
     exact_probabilities,
     forces_within_word,
     forcing_bounds,
+    random_signed_partition,
     ratio_checks,
     record_structure,
+    stabilizer_of,
     structure_to_complex,
     top_level_check,
 )
@@ -377,7 +387,65 @@ def _orbit_key(fs):
     )
 
 
+def _swept_partitions(k, samples):
+    """Every signed partition on k faces, or a seeded sample of ``samples``
+    at k = 3, which has too many to check each against every encoding."""
+    if k < 3:
+        return list(_iter_signed_partitions(3 * k))
+    rng = make_rng(16, "sweep-sample", k)
+    return [random_signed_partition(rng, 3 * k) for _ in range(samples)]
+
+
 class TestSweep:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_early_exit_matches_full_encodings(self, k):
+        # the slot-by-slot comparison decides as the full encodings do: the
+        # sign of encoding(p) - (classes, signs) for every face permutation,
+        # and which partitions are kept, with which stabilizer
+        perms = list(itertools.permutations(range(k)))
+        orders = [_slot_order(p) for p in perms]
+        partitions = _swept_partitions(k, 2_000)
+        if k == 3:  # S_3 fixes three copies of one face; one transposition a pair
+            partitions += [((0, 1, 2) * 3, (1,) * 9), ((0, 1, 2, 0, 1, 2, 3, 4, 5), (1,) * 9)]
+        kept = fixed = 0
+        for classes, signs in partitions:
+            for perm, order in zip(perms, orders):
+                assert _encoding_order(classes, signs, order) == encoding_sign(
+                    classes, signs, perm), (classes, signs, perm)
+            stabilizer = _stabilizer(classes, signs, perms, orders)
+            assert stabilizer == stabilizer_of(classes, signs, perms), (classes, signs)
+            kept += stabilizer is not None
+            fixed += stabilizer is not None and len(stabilizer) > 1
+        assert fixed > 0 or k == 1
+        assert 0 < kept < len(partitions) or k == 1
+
+    @pytest.mark.parametrize("k, samples", [(1, 0), (2, 0), (3, 400)])
+    def test_shared_counts_match_fresh_counts(self, k, samples):
+        # the counts one partition's configurations share, keyed on the group
+        # set, are the counts of each configuration's own groups
+        sizes = [2, 4, 6]
+        perms = list(itertools.permutations(range(k)))
+        orders = [_slot_order(p) for p in perms]
+        memo = {}
+        checked = 0
+        for classes, signs in _swept_partitions(k, samples):
+            stabilizer = _stabilizer(classes, signs, perms, orders)
+            if stabilizer is None:
+                continue
+            counts = _shared_counts(classes, signs, sizes, memo)
+            for top, lowers in _structure_configs(k, stabilizer):
+                for groups in ([*lowers, top], lowers):
+                    assert counts(groups) == _group_counts(classes, signs, groups, sizes, {}), (
+                        classes, signs, top, lowers, groups)
+                    checked += 1
+        assert checked > 20
+
+    def test_report_hash_two_faces(self):
+        # the whole report, byte for byte; criterion 6 pins the three-face one
+        report = ratio_sweep(max_faces=2, ms=(1, 2, 3))
+        assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == (
+            "8b1685b90de3789c572eccaf1be27bf0f7453d523250eb3b6af10f3ed0447469")
+
     def test_partition_counts_small(self):
         assert sum(1 for _ in _iter_signed_partitions(3)) == 11
 
@@ -456,11 +524,12 @@ class TestSweep:
         for Y in corpus:
             path.write_text(dumps_complex(Y))
             fs = structure_of(Y)
-            groups = [[f for f in range(fs.face_count) if fs.labels[f] == j]
+            groups = [tuple(f for f in range(fs.face_count) if fs.labels[f] == j)
                       for j in range(1, max(fs.labels) + 1)]
             tightest = [(0, 1) for _ in ms]
+            counts = _shared_counts(fs.classes, fs.signs, [2 * m for m in ms], {})
             nominal, guaranteed = _top_level_check(
-                fs.classes, fs.signs, groups[-1], groups[:-1], ms, {}, tightest
+                fs.classes, groups[-1], groups[:-1], ms, counts, tightest
             )
             for j, m in enumerate(ms):
                 probe = exact_probabilities(Y, m)
