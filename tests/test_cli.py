@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import hashlib
 import io
 import itertools
 import json
@@ -309,6 +310,30 @@ class TestPipeline:
     def test_nonpositive_d0_rejected(self, capsys, argv):
         assert main(argv) == 2
         assert "d0 = " in capsys.readouterr().err
+
+
+class TestReportBytes:
+    """The stdout of the constants reports, byte for byte, at the default
+    seed environment."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["pipeline", "--d0", "7/20"],
+         "917644806e43728e1357ea58d54d7c836759bff2bb300fd0f3bfb6bf176602e9"),
+        (["sweep", "--d0-grid", "3/10,1/3,7/20,19/50"],
+         "00fcaa558f951f6f17c3e5ffd5bde1d068cbb0289ec210fbc562ab2252ab71e5"),
+    ])
+    def test_stdout_sha256(self, capsys, monkeypatch, argv, digest):
+        monkeypatch.delenv("TRIGROUP_SEED", raising=False)
+        assert main([*argv, "--seed", "0"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("flag", ["--A1", "--A2"])
+    def test_overflowing_bound_rejected(self, capsys, monkeypatch, flag):
+        # 1e400 is exact, but the lower bound it sets overflows a float
+        monkeypatch.delenv("TRIGROUP_SEED", raising=False)
+        assert main(["pipeline", "--d0", "7/20", flag, "1e400", "--seed", "0"]) == 2
+        assert "lower_bound must be finite" in capsys.readouterr().err
 
 
 class TestSweep:
