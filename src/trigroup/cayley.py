@@ -45,6 +45,7 @@ from .presentation import (
     json_count,
     json_int,
     json_list,
+    json_require,
 )
 from .seeding import make_rng
 from .words import (
@@ -467,9 +468,7 @@ def ballgraph_chunks(g: BallGraph, meta: dict) -> Iterator[str]:
 def ball_from_json_dict(data: dict) -> BallGraph:
     if data.get("format") != "ballgraph":
         raise ValueError("not a ball graph file (missing format tag)")
-    for name in ("m", "density", "relators", "radius", "vertices"):
-        if name not in data:
-            raise ValueError(f"missing field {name!r}")
+    json_require(data, ("m", "density", "relators", "radius", "vertices"))
     m = json_int(data["m"], "'m'")
     relators = json_list(data["relators"], "'relators'")
     try:

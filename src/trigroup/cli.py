@@ -92,7 +92,9 @@ def _default_seed() -> int:
         raise CliError(f"environment variable {SEED_ENV}={raw!r} is not an integer")
 
 
-def _load_json(path: str, kind: str) -> dict:
+def _load(path: str, kind: str, parse):
+    """``parse`` applied to the JSON object in the file at ``path``; each
+    failure is a CliError that names the file."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -102,7 +104,10 @@ def _load_json(path: str, kind: str) -> dict:
         raise CliError(f"{kind} file {path!r}: invalid JSON ({exc})")
     if not isinstance(data, dict):
         raise CliError(f"{kind} file {path!r}: expected a JSON object")
-    return data
+    try:
+        return parse(data)
+    except (ValueError, TypeError) as exc:
+        raise CliError(f"{kind} file {path!r}: {exc}")
 
 
 def _write_chunks(path: str, chunks: Iterable[str], flag: str) -> None:
@@ -111,30 +116,6 @@ def _write_chunks(path: str, chunks: Iterable[str], flag: str) -> None:
             fh.writelines(chunks)
     except OSError as exc:
         raise CliError(f"{flag} {path!r}: cannot write ({exc.strerror or exc})")
-
-
-def _require_fields(data: dict, fields, kind: str, path: str) -> None:
-    for field in fields:
-        if field not in data:
-            raise CliError(f"{kind} file {path!r}: missing field {field!r}")
-
-
-def load_presentation(path: str) -> TriangularPresentation:
-    data = _load_json(path, "presentation")
-    _require_fields(data, ("m", "d", "seed", "relators"), "presentation", path)
-    try:
-        return TriangularPresentation.from_json(data)
-    except (ValueError, TypeError) as exc:
-        raise CliError(f"presentation file {path!r}: {exc}")
-
-
-def load_complex(path: str):
-    data = _load_json(path, "complex")
-    _require_fields(data, ("vertices", "edges", "faces"), "complex", path)
-    try:
-        return complex_from_json(data)
-    except (ValueError, TypeError) as exc:
-        raise CliError(f"complex file {path!r}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +189,7 @@ def cmd_words(args) -> tuple[dict, int]:
 
 
 def cmd_cancel(args) -> tuple[dict, int]:
-    Y = load_complex(args.complex)
+    Y = _load(args.complex, "complex", complex_from_json)
     degrees = edge_degrees(Y)
     payload = {
         "vertices": Y.vertex_count,
@@ -222,7 +203,7 @@ def cmd_cancel(args) -> tuple[dict, int]:
 
 
 def cmd_red(args) -> tuple[dict, int]:
-    Y = load_complex(args.complex)
+    Y = _load(args.complex, "complex", complex_from_json)
     payload = {
         "red": red(Y),
         "contributions": red_contributions(Y),
@@ -236,7 +217,7 @@ def cmd_enum_diagrams(args) -> tuple[dict, int]:
         raise CliError("--max-faces must be at least 1")
     if args.epsilon <= 0:
         raise CliError("--epsilon must be positive")
-    p = load_presentation(args.presentation)
+    p = _load(args.presentation, "presentation", TriangularPresentation.from_json)
     if args.max_faces > args.face_cap:
         raise CliError(
             f"max faces {args.max_faces} above the cap {args.face_cap};"
@@ -249,7 +230,7 @@ def cmd_enum_diagrams(args) -> tuple[dict, int]:
 
 
 def cmd_fulfil(args) -> tuple[dict, int]:
-    Y = load_complex(args.complex)
+    Y = _load(args.complex, "complex", complex_from_json)
     if args.m < 1:
         raise CliError("--m must be at least 1")
     if Y.face_count == 0:
@@ -313,7 +294,7 @@ def cmd_pipeline(args) -> tuple[dict, int]:
         long_constant=args.long_constant,
         digits=args.precision,
     )
-    return report.to_json_dict(), EXIT_OK
+    return report, EXIT_OK
 
 
 def cmd_sweep(args) -> tuple[dict, int]:
@@ -330,7 +311,7 @@ def cmd_sweep(args) -> tuple[dict, int]:
 
 
 def cmd_ball(args) -> tuple[BallGraph, int]:
-    p = load_presentation(args.presentation)
+    p = _load(args.presentation, "presentation", TriangularPresentation.from_json)
     try:
         g = build_ball(p, args.radius, max_vertices=args.max_vertices)
     except ValueError as exc:
@@ -343,11 +324,7 @@ def cmd_ball(args) -> tuple[BallGraph, int]:
 def cmd_delta_est(args) -> tuple[dict, int]:
     if args.samples < 1:
         raise CliError("--samples must be positive")
-    data = _load_json(args.graph, "graph")
-    try:
-        g = ball_from_json_dict(data)
-    except (ValueError, TypeError) as exc:
-        raise CliError(f"graph file {args.graph!r}: {exc}")
+    g = _load(args.graph, "graph", ball_from_json_dict)
     estimate = slim_delta_estimate(g, args.samples, args.seed)
     closed = len(g.closed_vertices())
     payload = {

@@ -27,7 +27,13 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .presentation import TriangularPresentation, json_count, json_int, json_list
+from .presentation import (
+    TriangularPresentation,
+    json_count,
+    json_int,
+    json_list,
+    json_require,
+)
 from .words import Word, invert_word
 
 Walk = tuple[int, ...]
@@ -487,6 +493,7 @@ def complex_from_json(obj: dict) -> AbstractLabelledComplex:
     def ints(value: object, field: str) -> tuple[int, ...]:
         return tuple(json_int(x, field) for x in json_list(value, field))
 
+    json_require(obj, ("vertices", "edges", "faces"))
     edges = tuple(ints(pair, "'edges' entry") for pair in json_list(obj["edges"], "'edges'"))
     if any(len(pair) != 2 for pair in edges):
         raise ValueError("'edges' entries must be [tail, head] pairs")

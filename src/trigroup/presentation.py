@@ -80,6 +80,13 @@ def json_count(value: object, field: str) -> int:
     return n
 
 
+def json_require(obj: dict, fields) -> None:
+    """Raise a ValueError naming the first of ``fields`` missing from ``obj``."""
+    for name in fields:
+        if name not in obj:
+            raise ValueError(f"missing field {name!r}")
+
+
 def json_list(value: object, field: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{field} = {value!r}: expected a JSON list")
@@ -96,9 +103,7 @@ def relator_count(m: int, d: Fraction) -> int:
     """
     if m < 1:
         raise ValueError("rank must be >= 1")
-    d = Fraction(d)
-    if not 0 < d < 1:
-        raise ValueError("density must lie in (0, 1)")
+    d = _check_density(Fraction(d))
     base = (2 * m - 1) ** (3 * d.numerator)
     return integer_root(base, d.denominator)
 
@@ -132,6 +137,7 @@ class TriangularPresentation:
 
     @staticmethod
     def from_json(obj: dict) -> "TriangularPresentation":
+        json_require(obj, ("m", "d", "seed", "relators"))
         relators = json_list(obj["relators"], "relators")
         try:
             words = tuple(word_from_json(w) for w in relators)

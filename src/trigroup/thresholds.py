@@ -13,10 +13,10 @@ lhs(d') < rhs(d') - 1/k is only ever decided exactly, by :func:`min_k` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 # Scale tying the thin-triangle constant to the neighbourhood radii used in
 # the stability arguments; the four-point-definition variant is 100.
@@ -206,56 +206,11 @@ def delta_hyp(d) -> Fraction:
     return 12 / (1 - 2 * d)
 
 
-@dataclass(frozen=True)
-class ConstantsReport:
-    d0: Fraction
-    d_crit: float
-    d_prime: float
-    delta: Fraction
-    k: int
-    A1: Fraction
-    A2: Fraction
-    A3: Fraction
-    long_constant: int
-    L: int
-    N: int
-    lower_bound: float
-    upper_bound: float
-    precise: Mapping[str, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.k < 1 or self.L < 1 or self.N < 1:
-            raise ValueError("k, L, N must be positive")
-        # rounding is monotone: an exact upper < lower can round to equal floats
-        if not (self.upper_bound <= self.lower_bound):
-            raise ValueError("the closing inequality failed at the chosen parameters")
-        for name in ("d_crit", "d_prime", "lower_bound", "upper_bound"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "d0": str(self.d0),
-            "d_crit": self.d_crit,
-            "d_prime": self.d_prime,
-            "delta": str(self.delta),
-            "k": self.k,
-            "A1": str(self.A1),
-            "A2": str(self.A2),
-            "A3": str(self.A3),
-            "long_constant": self.long_constant,
-            "L": self.L,
-            "N": self.N,
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-            "precise": dict(self.precise),
-        }
-
-
 def constants_pipeline(
     d0, A1=0, A2=0, long_constant: int = SLIMNESS_SCALE, digits: int = 50
-) -> ConstantsReport:
-    """Derive (d', delta, k, L, N) and evaluate the two closing bounds.
+) -> dict:
+    """Derive (d', delta, k, L, N) and evaluate the two closing bounds, as
+    the JSON report of ``trigroup pipeline``.
 
     L is the smallest integer at least ceil(4*long_constant*delta
     + 4*delta + 2) for which the upper estimate C(k+1,2)*(lhs(d')*2L + A1)
@@ -298,31 +253,34 @@ def constants_pipeline(
     n_exact = k * reach * reach
     N = math.ceil(n_exact)
 
-    precise = {
-        "d_crit": d_crit_digits(digits),
-        "d_prime": _decimal_str(dp, digits),
-        "lhs_d_prime": _decimal_str(lhs_dp, digits),
-        "rhs_d_prime": _decimal_str(_rhs_exact(dp), digits),
-        "lower_bound": _decimal_str(lower_exact, digits),
-        "upper_bound": _decimal_str(upper_exact, digits),
-        "N_exact": str(n_exact),
+    # a huge |A1| or |A2| can round a bound to an infinite float
+    bounds = {"lower_bound": _float(lower_exact), "upper_bound": _float(upper_exact)}
+    for name, value in bounds.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+    return {
+        "d0": str(d0),
+        "d_crit": d_crit(),
+        "d_prime": _float(dp),
+        "delta": str(delta),
+        "k": k,
+        "A1": str(A1),
+        "A2": str(A2),
+        "A3": str(A3),
+        "long_constant": long_constant,
+        "L": L,
+        "N": N,
+        **bounds,
+        "precise": {
+            "d_crit": d_crit_digits(digits),
+            "d_prime": _decimal_str(dp, digits),
+            "lhs_d_prime": _decimal_str(lhs_dp, digits),
+            "rhs_d_prime": _decimal_str(_rhs_exact(dp), digits),
+            "lower_bound": _decimal_str(lower_exact, digits),
+            "upper_bound": _decimal_str(upper_exact, digits),
+            "N_exact": str(n_exact),
+        },
     }
-    return ConstantsReport(
-        d0=d0,
-        d_crit=d_crit(),
-        d_prime=_float(dp),
-        delta=delta,
-        k=k,
-        A1=A1,
-        A2=A2,
-        A3=A3,
-        long_constant=long_constant,
-        L=L,
-        N=N,
-        lower_bound=_float(lower_exact),
-        upper_bound=_float(upper_exact),
-        precise=precise,
-    )
 
 
 def constants_sweep(d0_values: Sequence, A1=0, A2=0, long_constant: int = SLIMNESS_SCALE) -> list[dict]:
@@ -330,7 +288,5 @@ def constants_sweep(d0_values: Sequence, A1=0, A2=0, long_constant: int = SLIMNE
     rows = []
     for d0 in d0_values:
         report = constants_pipeline(d0, A1, A2, long_constant)
-        rows.append(
-            {"d0": str(report.d0), "k": report.k, "L": report.L, "N": report.N}
-        )
+        rows.append({key: report[key] for key in ("d0", "k", "L", "N")})
     return rows

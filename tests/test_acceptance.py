@@ -278,19 +278,19 @@ def test_criterion_08_constants_pipeline(capsys):
     report = constants_pipeline(Fraction(7, 20))
     floor_l = 4 * 800 * 40 + 4 * 40 + 2
     expected_n = 3 * (floor_l + 1600 * 40) ** 2
-    upper_50 = Decimal(report.precise["upper_bound"])
-    lower_50 = Decimal(report.precise["lower_bound"])
+    upper_50 = Decimal(report["precise"]["upper_bound"])
+    lower_50 = Decimal(report["precise"]["lower_bound"])
     checks = {
-        "k": min_k(Fraction(7, 20)) == 3 and report.k == 3,
-        "delta": report.delta == 40,
-        "L": report.L == floor_l == 128162,
-        "N": report.N == expected_n,
-        "closing": report.upper_bound < report.lower_bound,
+        "k": min_k(Fraction(7, 20)) == 3 and report["k"] == 3,
+        "delta": report["delta"] == "40",
+        "L": report["L"] == floor_l == 128162,
+        "N": report["N"] == expected_n,
+        "closing": report["upper_bound"] < report["lower_bound"],
         "closing_50digit": upper_50 < lower_50,
     }
     ok = all(checks.values())
     _verdict(capsys, 8, ok,
-             f"d0=7/20: k=3, delta=40, L={report.L}, N=k(L+1600*40)^2, "
+             f"d0=7/20: k=3, delta=40, L={report['L']}, N=k(L+1600*40)^2, "
              f"upper {upper_50:.6f} < lower {lower_50:.6f} at 50 digits")
     assert checks == {key: True for key in checks}
 

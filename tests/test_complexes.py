@@ -569,6 +569,17 @@ class TestJson:
         assert dumps_complex(SHARED_EDGE) == dumps_complex(SHARED_EDGE)
         assert dumps_complex(SHARED_EDGE).endswith("\n")
 
+    @pytest.mark.parametrize("field", ["vertices", "edges", "faces"])
+    def test_missing_field_named(self, field):
+        obj = complex_to_json(SHARED_EDGE)
+        del obj[field]
+        with pytest.raises(ValueError, match=f"^missing field '{field}'$"):
+            complex_from_json(obj)
+
+    def test_first_missing_field_named(self):
+        with pytest.raises(ValueError, match="^missing field 'edges'$"):
+            complex_from_json({"vertices": 1})
+
     def test_fields(self):
         obj = complex_to_json(SHARED_EDGE)
         assert set(obj) == {"vertices", "edges", "faces"}

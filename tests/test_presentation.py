@@ -135,6 +135,17 @@ class TestSampling:
         # byte stability of the serialized form
         assert p.dumps() == TriangularPresentation.loads(p.dumps()).dumps()
 
+    @pytest.mark.parametrize("field", ["m", "d", "seed", "relators"])
+    def test_missing_field_named(self, field):
+        obj = sample_presentation(2, Fraction(1, 3), seed=7).to_json()
+        del obj[field]
+        with pytest.raises(ValueError, match=f"^missing field '{field}'$"):
+            TriangularPresentation.loads(json.dumps(obj))
+
+    def test_first_missing_field_named(self):
+        with pytest.raises(ValueError, match="^missing field 'd'$"):
+            TriangularPresentation.loads('{"m": 2}')
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TriangularPresentation(2, Fraction(1, 3), 0, ((1, -1, 2),))

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from trigroup.thresholds import (
     SLIMNESS_SCALE,
-    ConstantsReport,
     constants_pipeline,
     constants_sweep,
     d_crit,
@@ -39,7 +38,7 @@ def rhs(x: float) -> float:
 
 
 def d_prime(d0: Fraction) -> float:
-    return constants_pipeline(d0).d_prime
+    return constants_pipeline(d0)["d_prime"]
 
 
 def mp_oracle():
@@ -123,14 +122,17 @@ def mp_precise(r, digits):
     for the cancellation near lhs(d') = 0, correctly rounded to ``digits``
     and laid out by mpmath's own printer."""
     with mpmath.workdps(2 * digits + 40):
-        frac = lambda x: mpmath.mpf(x.numerator) / x.denominator
+        def frac(text):
+            x = Fraction(text)
+            return mpmath.mpf(x.numerator) / x.denominator
+
         dc = mpmath.mpf(11) / 12 - mpmath.sqrt(41) / 12
-        dp = (frac(r.d0) + dc) / 2
+        dp = (frac(r["d0"]) + dc) / 2
         l = 4 * (3 * dp - 1) / (3 * (1 - 2 * dp))
-        pairs = r.k * (r.k + 1) // 2
-        lower_coeff = 3 * pairs * (1 - 2 * dp) + mpmath.mpf((r.k + 1) * (r.k - 2)) / 2
-        lower = lower_coeff * r.L + frac(r.A2)
-        upper = 2 * pairs * l * r.L + pairs * frac(r.A1)
+        pairs = r["k"] * (r["k"] + 1) // 2
+        lower_coeff = 3 * pairs * (1 - 2 * dp) + mpmath.mpf((r["k"] + 1) * (r["k"] - 2)) / 2
+        lower = lower_coeff * r["L"] + frac(r["A2"])
+        upper = 2 * pairs * l * r["L"] + pairs * frac(r["A1"])
         values = {"d_crit": dc, "d_prime": dp, "lhs_d_prime": l, "rhs_d_prime": 2 - 3 * dp,
                   "lower_bound": lower, "upper_bound": upper}
         return {key: mpmath.libmp.to_str(v._mpf_, digits, strip_zeros=False)
@@ -249,9 +251,9 @@ class TestE1Bound:
     def test_linear_in_L(self):
         wide = constants_pipeline(D35)
         narrow = constants_pipeline(D35, long_constant=SLIMNESS_SCALE_4POINT)
-        assert wide.L != narrow.L
-        assert wide.upper_bound / wide.L == pytest.approx(
-            narrow.upper_bound / narrow.L, rel=1e-12
+        assert wide["L"] != narrow["L"]
+        assert wide["upper_bound"] / wide["L"] == pytest.approx(
+            narrow["upper_bound"] / narrow["L"], rel=1e-12
         )
 
     def test_at_the_root(self):
@@ -263,47 +265,38 @@ class TestE1Bound:
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 2e-5  # coefficient ~ 12 eps near the edge
 
-    def test_requires_positive_L(self):
-        r = constants_pipeline(D35)
-        with pytest.raises(ValueError, match="L"):
-            ConstantsReport(
-                d0=r.d0, d_crit=r.d_crit, d_prime=r.d_prime, delta=r.delta,
-                k=r.k, A1=r.A1, A2=r.A2, A3=r.A3, long_constant=r.long_constant,
-                L=0, N=r.N, lower_bound=r.lower_bound, upper_bound=r.upper_bound,
-            )
-
 
 class TestPipeline:
     def test_frozen_reference_values(self):
         r = constants_pipeline(D35)
-        assert r.delta == 40
-        assert r.k == 3
-        assert r.A3 == 0
-        assert r.L == 4 * 800 * 40 + 4 * 40 + 2 == 128162
-        assert r.N == 3 * (128162 + 2 * 800 * 40) ** 2 == 3 * 192162**2
+        assert r["delta"] == "40"
+        assert r["k"] == 3
+        assert r["A3"] == "0"
+        assert r["L"] == 4 * 800 * 40 + 4 * 40 + 2 == 128162
+        assert r["N"] == 3 * (128162 + 2 * 800 * 40) ** 2 == 3 * 192162**2
 
     def test_bounds_against_hand_formulas(self):
         r = constants_pipeline(D35)
         dp = d_prime(D35)
-        lower = 1.5 * (1 - 2 * dp) * 6 * 2 * r.L + 2 * r.L
-        upper = 6 * lhs(dp) * 2 * r.L
-        assert abs(r.lower_bound - lower) < 1e-6 * lower
-        assert abs(r.upper_bound - upper) < 1e-6 * upper
-        assert r.upper_bound < r.lower_bound
+        lower = 1.5 * (1 - 2 * dp) * 6 * 2 * r["L"] + 2 * r["L"]
+        upper = 6 * lhs(dp) * 2 * r["L"]
+        assert abs(r["lower_bound"] - lower) < 1e-6 * lower
+        assert abs(r["upper_bound"] - upper) < 1e-6 * upper
+        assert r["upper_bound"] < r["lower_bound"]
 
     def test_fifty_digit_route_agrees(self):
         r = constants_pipeline(D35)
         _, dp, l, _ = mp_oracle()
         with mpmath.workdps(60):
-            assert abs(mpmath.mpf(r.precise["d_prime"]) - dp) < mpmath.mpf("1e-45")
-            assert abs(mpmath.mpf(r.precise["lhs_d_prime"]) - l) < mpmath.mpf("1e-44")
-        assert abs(float(r.precise["lower_bound"]) - r.lower_bound) < 1e-12 * r.lower_bound
-        assert abs(float(r.precise["upper_bound"]) - r.upper_bound) < 1e-12 * r.upper_bound
+            assert abs(mpmath.mpf(r["precise"]["d_prime"]) - dp) < mpmath.mpf("1e-45")
+            assert abs(mpmath.mpf(r["precise"]["lhs_d_prime"]) - l) < mpmath.mpf("1e-44")
+        for key in ("lower_bound", "upper_bound"):
+            assert abs(float(r["precise"][key]) - r[key]) < 1e-12 * r[key]
 
     def test_pinned_report(self):
         # the decimals reported since the first release, byte for byte
         r = constants_pipeline(D35)
-        assert r.precise == {
+        assert r["precise"] == {
             "N_exact": "110778702732",
             "d_crit": "0.38307298021392927612598186044818222795663165561492",
             "d_prime": "0.36653649010696463806299093022409111397831582780746",
@@ -312,8 +305,8 @@ class TestPipeline:
             "rhs_d_prime": "0.90039052967910608581102720932772665806505251657763",
             "upper_bound": "765221.83152520807289790258605424446795568088958224",
         }
-        assert (r.d_crit, r.d_prime) == (0.38307298021392927, 0.36653649010696465)
-        assert (r.lower_bound, r.upper_bound) == (872102.2127768032, 765221.8315252081)
+        assert (r["d_crit"], r["d_prime"]) == (0.38307298021392927, 0.36653649010696465)
+        assert (r["lower_bound"], r["upper_bound"]) == (872102.2127768032, 765221.8315252081)
 
     @pytest.mark.parametrize("d0", [
         Fraction(1, 10), Fraction(7, 20), Fraction(19, 50),
@@ -325,40 +318,40 @@ class TestPipeline:
             for A1, A2, long_constant in ((0, 0, 800), (10**6, 0, 1), (0, 10**9, 100)):
                 r = constants_pipeline(d0, A1, A2, long_constant, digits)
                 expected = mp_precise(r, digits)
-                got = {key: r.precise[key] for key in expected}
+                got = {key: r["precise"][key] for key in expected}
                 assert got == expected, (d0, digits, A1, A2, long_constant)
 
     def test_four_point_variant(self):
         r = constants_pipeline(D35, long_constant=SLIMNESS_SCALE_4POINT)
-        assert r.L == 4 * 100 * 40 + 4 * 40 + 2 == 16162
-        assert r.N == 3 * (16162 + 2 * 100 * 40) ** 2
+        assert r["L"] == 4 * 100 * 40 + 4 * 40 + 2 == 16162
+        assert r["N"] == 3 * (16162 + 2 * 100 * 40) ** 2
 
     def test_additive_constants_push_L(self):
         r = constants_pipeline(D35, A1=Fraction(10**6))
-        assert r.A3 == 6 * 10**6
-        assert r.L > 128162
-        assert r.upper_bound < r.lower_bound
+        assert r["A3"] == str(6 * 10**6)
+        assert r["L"] > 128162
+        assert r["upper_bound"] < r["lower_bound"]
         # minimality: one step down the closing inequality fails
-        dp_exact = r.precise
+        dp_exact = r["precise"]
         with mpmath.workdps(50):
             _, dp, l, _ = mp_oracle()
             alpha = 2 * 6 * (mpmath.mpf(3) / 2 * (1 - 2 * dp) - l) + mpmath.mpf(2)
             a3 = mpmath.mpf(6 * 10**6)
-            assert alpha * r.L - a3 > 0
-            assert alpha * (r.L - 1) - a3 <= 0
+            assert alpha * r["L"] - a3 > 0
+            assert alpha * (r["L"] - 1) - a3 <= 0
 
     def test_margin_below_float_resolution(self):
         # k = 1 and a tiny per-L margin push L to ~1.8e18; the exact margin
         # is positive while both bounds round to the same float
         r = constants_pipeline(Fraction("0.2835936864527"), A1=10**6, long_constant=1)
-        assert r.k == 1 and r.L == 1782982151252038204
-        assert r.lower_bound == r.upper_bound
-        assert r.precise["upper_bound"] < r.precise["lower_bound"]
+        assert r["k"] == 1 and r["L"] == 1782982151252038204
+        assert r["lower_bound"] == r["upper_bound"]
+        assert r["precise"]["upper_bound"] < r["precise"]["lower_bound"]
 
     def test_A2_lowers_nothing_below_floor(self):
         r = constants_pipeline(D35, A2=Fraction(10**9))
-        assert r.L == 128162  # A3 < 0: floor still binds
-        assert r.A3 == -(10**9)
+        assert r["L"] == 128162  # A3 < 0: floor still binds
+        assert r["A3"] == str(-(10**9))
 
     def test_supercritical_rejected(self):
         with pytest.raises(ValueError, match="critical"):
@@ -370,17 +363,17 @@ class TestPipeline:
         with pytest.raises(ValueError, match="finite"):
             constants_pipeline(D35, A2=float("inf"))
 
-    def test_report_validation(self):
-        r = constants_pipeline(D35)
-        with pytest.raises(ValueError, match="closing inequality"):
-            ConstantsReport(
-                d0=r.d0, d_crit=r.d_crit, d_prime=r.d_prime, delta=r.delta,
-                k=r.k, A1=r.A1, A2=r.A2, A3=r.A3, long_constant=r.long_constant,
-                L=r.L, N=r.N, lower_bound=1.0, upper_bound=2.0,
-            )
+    @pytest.mark.parametrize("A1, A2, name", [
+        (0, -Fraction(10) ** 400, "lower_bound"),
+        # a negative A1 drags the upper bound alone below every float
+        (-Fraction(10) ** 400, 0, "upper_bound"),
+    ])
+    def test_overflowing_bound_rejected(self, A1, A2, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            constants_pipeline(D35, A1, A2)
 
     def test_json_dict(self):
-        d = constants_pipeline(D35).to_json_dict()
+        d = constants_pipeline(D35)
         assert d["d0"] == "7/20" and d["delta"] == "40" and d["k"] == 3
         assert d["precise"]["N_exact"] == str(3 * 192162**2)
 
