@@ -23,6 +23,16 @@ emission copies the rows within R through the breadth-first numbering.
 in the bytes of the indented ``json.dumps`` of ``ball_to_json_dict``,
 which stays as its test oracle.
 
+``ball_from_json_dict`` validates a ballgraph in one pass over its vertices.
+Besides each vertex's own fields, it tallies every edge at its second end,
+the slot whose target was numbered earlier: the inverse slot there must lead
+back, and the two distances must differ by at most one.  When the tally
+shows every edge's inverse leading back and distances that a breadth-first
+search from vertex 0 would reproduce, the ball is accepted without another
+scan.  Otherwise ``_check_links`` and ``_check_distances`` scan the whole
+ball, only to word the refusal, with the messages and precedence they have
+always had; ``build_ball`` runs ``_check_links`` on every ball it emits.
+
 Slimness probing is local: the geodesics between two corners come from
 breadth-first balls grown around both corners until they meet, which span
 the shortest paths between them, and a side's distance to the other two
@@ -98,17 +108,6 @@ class BallGraph:
                 f"'edges' hold {len(self.adj)} slots and 'closed' {len(self.closed)}"
                 f" flags for {n} vertices of {k} slots each"
             )
-        adj = self.adj
-        for i, w in enumerate(adj):
-            if w == -1:
-                continue
-            v, s = divmod(i, k)
-            if not 0 <= w < n:
-                raise ValueError(f"'edges' of vertex {v} point to {w}, not a vertex")
-            if adj[w * k + (s ^ 1)] != v:
-                raise ValueError(
-                    f"'edges' of vertex {v}: edge labels must be consistent under inversion"
-                )
 
     @property
     def vertex_count(self) -> int:
@@ -131,6 +130,22 @@ class BallGraph:
 
     def closed_vertices(self) -> list[int]:
         return [v for v in range(self.vertex_count) if self.closed[v]]
+
+
+def _check_links(g: BallGraph) -> None:
+    """Refuse an edge that points to no vertex, and one whose inverse slot
+    at its target does not lead back."""
+    adj, n, k = g.adj, g.vertex_count, g.stride
+    for i, w in enumerate(adj):
+        if w == -1:
+            continue
+        v, s = divmod(i, k)
+        if not 0 <= w < n:
+            raise ValueError(f"'edges' of vertex {v} point to {w}, not a vertex")
+        if adj[w * k + (s ^ 1)] != v:
+            raise ValueError(
+                f"'edges' of vertex {v}: edge labels must be consistent under inversion"
+            )
 
 
 def _relator_variants(relators: Sequence[Word]) -> list[Word]:
@@ -368,13 +383,15 @@ def build_ball(
         flat.extend(
             -1 if w < 0 else new_id.get(find(w), -1) for w in rows[v * k : v * k + k]
         )
-    return BallGraph(
+    g = BallGraph(
         presentation=p,
         radius=R,
         distances=tuple(dist[v] for v in order),
         closed=tuple(-1 not in flat[i * k : i * k + k] for i in range(len(order))),
         adj=tuple(flat),
     )
+    _check_links(g)
+    return g
 
 
 def _letter_key(c: int, m: int) -> str:
@@ -466,6 +483,26 @@ def ballgraph_chunks(g: BallGraph, meta: dict) -> Iterator[str]:
 
 
 def ball_from_json_dict(data: dict) -> BallGraph:
+    """The ball in a ``ballgraph`` JSON object, or a ValueError naming the
+    field that keeps it from being one.
+
+    One pass over the vertices checks each vertex's fields and fills
+    ``adj``.  It also tallies the links: slot ``s`` of vertex ``v`` with a
+    target ``w < v`` is its edge's second end, read after the whole row of
+    ``w``, so the pass checks there that slot ``s ^ 1`` of ``w`` leads back
+    to ``v``, that the two distances differ by at most one, and which end,
+    if either, has a neighbour one step nearer vertex 0.  The ball is
+    accepted without further scans when every such check held, the second
+    ends are half of all edge slots, every vertex but 0 has a nearer
+    neighbour and no distance exceeds ``radius``.  Equal halves make the
+    second ends' partners all of the first ends, so every edge's inverse
+    leads back (a self-loop has no second end, and takes the slow path);
+    and distances that start at 0, move by at most one along each edge and
+    fall by one towards vertex 0 from every other vertex are exactly those
+    of a breadth-first search.  Otherwise ``_check_links`` and
+    ``_check_distances`` scan the whole ball, to word the refusal; an input
+    that passes both is accepted all the same.
+    """
     if data.get("format") != "ballgraph":
         raise ValueError("not a ball graph file (missing format tag)")
     json_require(data, ("m", "density", "relators", "radius", "vertices"))
@@ -492,6 +529,11 @@ def ball_from_json_dict(data: dict) -> BallGraph:
             f" above the limit {MAX_ADJACENCY_SLOTS}"
         )
     adj = [-1] * (n * k)
+    distances: list[int] = []
+    closed_flags: list[bool] = []
+    nearer = bytearray(n)  # 1 once a neighbour one step nearer vertex 0 is seen
+    linked = True  # every second end checked so far leads back, within one step
+    ends = second_ends = 0
     slots: dict[str, int] = {}
     for v, vertex in enumerate(vertices):
         if not isinstance(vertex, dict):
@@ -517,18 +559,39 @@ def ball_from_json_dict(data: dict) -> BallGraph:
             if adj[base + s] != -1:
                 raise ValueError(f"'edges' of vertex {v} name letter {key!r} twice")
             adj[base + s] = w
+            if w < v:
+                second_ends += 1
+                dw = distances[w]
+                if adj[w * k + (s ^ 1)] != v or not dw - 1 <= distance <= dw + 1:
+                    linked = False
+                elif distance > dw:
+                    nearer[v] = 1
+                elif distance < dw:
+                    nearer[w] = 1
         if closed is not (len(edges) == k):
             raise ValueError(
                 f"'closed' of vertex {v} is {closed!r} with {len(edges)} of its {k} edges"
             )
+        ends += len(edges)
+        distances.append(distance)
+        closed_flags.append(closed)
     g = BallGraph(
         presentation=p,
         radius=json_count(data["radius"], "'radius'"),
-        distances=tuple(vertex["distance"] for vertex in vertices),
-        closed=tuple(vertex["closed"] for vertex in vertices),
+        distances=tuple(distances),
+        closed=tuple(closed_flags),
         adj=tuple(adj),
     )
-    _check_distances(g)
+    # the constructor has refused an empty ball and a distance of vertex 0
+    # other than 0, so nearer[0] stays 0
+    if not (
+        linked
+        and ends == 2 * second_ends
+        and nearer.count(0) == 1
+        and g.radius >= max(distances)
+    ):
+        _check_links(g)
+        _check_distances(g)
     return g
 
 

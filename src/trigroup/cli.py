@@ -96,12 +96,14 @@ def _load(path: str, kind: str, parse):
     """``parse`` applied to the JSON object in the file at ``path``; each
     failure is a CliError that names the file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise CliError(f"{kind} file {path!r}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
         raise CliError(f"{kind} file {path!r}: invalid JSON ({exc})")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{kind} file {path!r}: not UTF-8 text ({exc})")
     if not isinstance(data, dict):
         raise CliError(f"{kind} file {path!r}: expected a JSON object")
     try:

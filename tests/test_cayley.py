@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+import ball_loader_oracle
 import fold_oracle
 import slim_oracle
+from trigroup import cayley
 from trigroup.cayley import (
     STRIP_PRESENTATION,
     BallGraph,
@@ -16,6 +18,7 @@ from trigroup.cayley import (
     ball_from_json_dict,
     ballgraph_chunks,
     slim_delta_estimate,
+    _check_links,
     _geodesics,
     _slimness_defect,
     strip_diagram,
@@ -26,6 +29,7 @@ from trigroup.complexes import UnionFind, cancel, is_reduced_diagram, walk_lette
 from trigroup.enumeration import euler_check
 from trigroup.presentation import TriangularPresentation, sample_presentation
 from trigroup.thresholds import delta_hyp
+from trigroup.words import all_letters, word_to_str
 
 
 def free_presentation(m):
@@ -157,25 +161,45 @@ class TestBallGraphValidation:
                 adj=(-1, -1),
             )
 
+    # the link scan left the constructor for _check_links, which build_ball
+    # runs on its output and the loader runs to word a refusal
     def test_inverse_consistency(self):
         with pytest.raises(ValueError, match="consistent under inversion"):
-            BallGraph(
+            _check_links(BallGraph(
                 presentation=free_presentation(1),
                 radius=1,
                 distances=(0, 1),
                 closed=(False, False),
                 adj=(1, -1, -1, -1),
-            )
+            ))
+
+    def test_inverse_consistency_loaded(self):
+        with pytest.raises(ValueError, match="consistent under inversion"):
+            ball_from_json_dict(_ballgraph_doc(1, 1, [(0, {"a": 1}), (1, {})]))
 
     def test_edge_outside_vertex_list(self):
         with pytest.raises(ValueError, match="'edges' of vertex 0 point to 5, not a vertex"):
-            BallGraph(
+            _check_links(BallGraph(
                 presentation=free_presentation(1),
                 radius=0,
                 distances=(0,),
                 closed=(False,),
                 adj=(5, -1),
-            )
+            ))
+
+    def test_edge_outside_vertex_list_loaded(self):
+        with pytest.raises(ValueError, match="'edges' of vertex 0 point to 5, not a vertex"):
+            ball_from_json_dict(_ballgraph_doc(1, 0, [(0, {"a": 5})]))
+
+
+def _ballgraph_doc(m, radius, vertices):
+    """A ballgraph of the free group of rank m from (distance, edges) pairs."""
+    return {
+        "format": "ballgraph", "m": m, "density": "1/5", "seed": None, "relators": [],
+        "radius": radius,
+        "vertices": [{"distance": d, "closed": len(edges) == 2 * m, "edges": edges}
+                     for d, edges in vertices],
+    }
 
 
 class TestJsonRoundTrip:
@@ -270,6 +294,133 @@ class TestFoldOracle:
     def test_matches_dict_row_fold_at_radius_5(self):
         p = sample_presentation(4, Fraction(1, 6), 1)
         assert build_ball(p, 5) == fold_oracle.build_ball(p, 5)
+
+
+def _copy_doc(doc: dict) -> dict:
+    """A ballgraph document whose vertices and edge maps can be edited."""
+    return {**doc, "vertices": [{**vertex, "edges": dict(vertex["edges"])}
+                                for vertex in doc["vertices"]]}
+
+
+def _renumbered(doc: dict, seed: int) -> dict:
+    """The ball with every vertex but the origin renumbered at random, so
+    that ids no longer follow the breadth-first order."""
+    vertices = doc["vertices"]
+    rest = list(range(1, len(vertices)))
+    random.Random(seed).shuffle(rest)
+    new_id = [0, *rest]
+    moved = [None] * len(vertices)
+    for v, vertex in enumerate(vertices):
+        moved[new_id[v]] = {**vertex, "edges": {key: new_id[w]
+                                                for key, w in vertex["edges"].items()}}
+    return {**doc, "vertices": moved}
+
+
+def _mutate_ball(doc: dict, rng: random.Random) -> None:
+    """One random edit of a ballgraph that the per-vertex checks let through:
+    a retargeted, dropped or swapped edge, a distance off by -1, +1 or +2, a
+    radius one short, or a mirrored pair of new edges.  ``closed`` follows
+    the edges, so the link and distance checks decide."""
+    m, vertices = doc["m"], doc["vertices"]
+    keys = [word_to_str((c,)) for c in all_letters(m)]
+    v = rng.randrange(len(vertices))
+    touched = [vertices[v]]
+    edges = touched[0]["edges"]
+    kind = rng.randrange(6)
+    if kind == 0 and edges:
+        edges[rng.choice(sorted(edges))] = rng.randrange(len(vertices))
+    elif kind == 1 and edges:
+        del edges[rng.choice(sorted(edges))]
+    elif kind == 2:
+        touched[0]["distance"] += rng.choice((-1, 1, 2))
+    elif kind == 3:
+        doc["radius"] -= 1
+    elif kind == 4 and len(edges) >= 2:
+        a, b = rng.sample(sorted(edges), 2)
+        edges[a], edges[b] = edges[b], edges[a]
+    elif kind == 5:
+        w = rng.randrange(len(vertices))
+        s = rng.randrange(2 * m)
+        if keys[s] not in edges and keys[s ^ 1] not in vertices[w]["edges"]:
+            edges[keys[s]] = w
+            vertices[w]["edges"][keys[s ^ 1]] = v
+            touched.append(vertices[w])
+    for vertex in touched:
+        vertex["closed"] = len(vertex["edges"]) == 2 * m
+
+
+def _load_outcome(load, doc: dict):
+    try:
+        return load(doc)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestLoaderOracle:
+    """The one-pass ballgraph loader against the two-scan loader it replaced."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """Calls of the loader's two whole-ball scans."""
+        calls = []
+        for name in ("_check_links", "_check_distances"):
+            scan = getattr(cayley, name)
+            monkeypatch.setattr(cayley, name,
+                                lambda g, name=name, scan=scan: calls.append(name) or scan(g))
+        return calls
+
+    @pytest.mark.parametrize("p", [case[1] for case in FOLD_CORPUS],
+                             ids=[case[0] for case in FOLD_CORPUS])
+    def test_corpus_balls_scanned_only_for_self_loops(self, p, scans):
+        # a generator that is trivial in the group is a self-loop at every
+        # vertex; several corpus groups are trivial at this scale
+        for R in range(4):
+            g = build_ball(p, R)
+            scans.clear()
+            doc = ball_to_json_dict(g)
+            assert ball_from_json_dict(doc) == g == ball_loader_oracle.ball_from_json_dict(doc)
+            loops = any(w == i // g.stride for i, w in enumerate(g.adj))
+            assert scans == (["_check_links", "_check_distances"] if loops else [])
+
+    def test_renumbered_ball_loads_without_scans(self, scans):
+        doc = _renumbered(ball_to_json_dict(build_ball(sample_presentation(4, Fraction(1, 6), 1), 3)), 5)
+        scans.clear()
+        g = ball_from_json_dict(doc)
+        assert scans == []
+        assert g == ball_loader_oracle.ball_from_json_dict(doc)
+        assert g.distances != tuple(sorted(g.distances))
+
+    def test_self_loop_pair_loads_through_scans(self, scans):
+        # slots a and A of the origin both lead back to it: consistent, but
+        # neither is a second end, so only the scans can accept it
+        doc = _ballgraph_doc(1, 0, [(0, {"a": 0, "A": 0})])
+        g = ball_from_json_dict(doc)
+        assert scans == ["_check_links", "_check_distances"]
+        assert g == ball_loader_oracle.ball_from_json_dict(doc)
+        assert g.adj == (0, 0)
+
+    def test_mutated_balls_agree(self):
+        bases = [ball_to_json_dict(build_ball(p, R)) for p, R in (
+            (STRIP_PRESENTATION, 3),
+            (sample_presentation(2, Fraction(1, 5), 0), 3),
+            (sample_presentation(3, Fraction(1, 4), 0), 2),
+            (sample_presentation(4, Fraction(1, 6), 1), 2),
+        )]
+        bases.append(_renumbered(bases[-1], 2))
+        rng = random.Random(18)
+        accepted = refused = 0
+        for i in range(2000):
+            doc = _copy_doc(bases[i % len(bases)])
+            for _ in range(rng.randint(1, 2)):
+                _mutate_ball(doc, rng)
+            new = _load_outcome(ball_from_json_dict, doc)
+            assert new == _load_outcome(ball_loader_oracle.ball_from_json_dict, doc), i
+            if isinstance(new, str):
+                refused += 1
+            else:
+                accepted += 1
+        # both outcomes are well represented: 225 accepted, 1,775 refused
+        assert accepted >= 200 and refused >= 1500
 
 
 def _cli_ball_matches_dump(tmp_path, capsys, p_json, R) -> str:

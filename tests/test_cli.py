@@ -841,6 +841,16 @@ class TestPlumbing:
                      "--out", str(path)]) == 2
         assert f"--out {str(path)!r}: cannot write" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, argv", [("complex", ["red", "--complex"]),
+                                            ("graph", ["delta-est", "--graph"])])
+    def test_non_utf8_file_named(self, tmp_path, capsys, kind, argv):
+        bad = tmp_path / "latin.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert main([*argv, str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {kind} file {str(bad)!r}: not UTF-8 text ("
+        )
+
     def test_cli_import_leaves_out_sympy(self):
         # Q(sqrt(41)) arithmetic runs on the standard library alone
         src = os.path.dirname(os.path.dirname(trigroup.__file__))
