@@ -23,15 +23,11 @@ emission copies the rows within R through the breadth-first numbering.
 in the bytes of the indented ``json.dumps`` of ``ball_to_json_dict``,
 which stays as its test oracle.
 
-``ball_from_json_dict`` validates a ballgraph in one pass over its vertices.
-Besides each vertex's own fields, it tallies every edge at its second end,
-the slot whose target was numbered earlier: the inverse slot there must lead
-back, and the two distances must differ by at most one.  When the tally
-shows every edge's inverse leading back and distances that a breadth-first
-search from vertex 0 would reproduce, the ball is accepted without another
-scan.  Otherwise ``_check_links`` and ``_check_distances`` scan the whole
-ball, only to word the refusal, with the messages and precedence they have
-always had; ``build_ball`` runs ``_check_links`` on every ball it emits.
+``ball_from_json_dict`` checks a ballgraph's links and distances in its one
+pass over the vertices, by a tally taken at each edge's second end, the slot
+whose target was numbered earlier.  The whole-ball scans ``_check_links`` and
+``_check_distances`` run only when the tally cannot accept, to word the
+refusal; ``build_ball`` runs ``_check_links`` on every ball it emits.
 
 Slimness probing is local: the geodesics between two corners come from
 breadth-first balls grown around both corners until they meet, which span

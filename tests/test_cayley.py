@@ -161,8 +161,9 @@ class TestBallGraphValidation:
                 adj=(-1, -1),
             )
 
-    # the link scan left the constructor for _check_links, which build_ball
-    # runs on its output and the loader runs to word a refusal
+    # the constructor makes only the cheap checks; _check_links scans the
+    # links, on every ball build_ball emits and on a ballgraph the loader's
+    # tally cannot accept
     def test_inverse_consistency(self):
         with pytest.raises(ValueError, match="consistent under inversion"):
             _check_links(BallGraph(
@@ -190,6 +191,12 @@ class TestBallGraphValidation:
     def test_edge_outside_vertex_list_loaded(self):
         with pytest.raises(ValueError, match="'edges' of vertex 0 point to 5, not a vertex"):
             ball_from_json_dict(_ballgraph_doc(1, 0, [(0, {"a": 5})]))
+
+    def test_build_ball_checks_links(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(cayley, "_check_links", checked.append)
+        g = build_ball(STRIP_PRESENTATION, 2)
+        assert checked == [g]
 
 
 def _ballgraph_doc(m, radius, vertices):
@@ -383,7 +390,8 @@ class TestLoaderOracle:
             assert scans == (["_check_links", "_check_distances"] if loops else [])
 
     def test_renumbered_ball_loads_without_scans(self, scans):
-        doc = _renumbered(ball_to_json_dict(build_ball(sample_presentation(4, Fraction(1, 6), 1), 3)), 5)
+        g = build_ball(sample_presentation(4, Fraction(1, 6), 1), 3)
+        doc = _renumbered(ball_to_json_dict(g), 5)
         scans.clear()
         g = ball_from_json_dict(doc)
         assert scans == []
