@@ -262,39 +262,73 @@ def _merged_key(
     Returns ``(class_count, constraints)`` or None when no word tuple can be
     consistent (a letter forced equal to its own inverse, or a word position
     forced equal to the inverse of its cyclic predecessor).
+
+    One flat pass over the slots, with no union-find object.  Merging: every
+    face of a group carries its group's word, so each slot of a later face
+    is identified with the same slot of the group's first face.  ``link``
+    maps an absorbed class to ``(class it joined, sign of the absorbed class
+    relative to it)``; the larger class id always joins the smaller, so a
+    class's root is the least id it was merged with.  A group of one face
+    merges nothing, and a set of singleton groups skips this step.
+    Constraints: along each group's first face, the letter at position t+1
+    must not be the inverse of the letter at t, which for slot roots a, b
+    with signs sa, sb reads ``L[a] != -sa*sb * L[b]``.  Each class on a
+    later face shares a root with a slot of its group's first face, so the
+    roots met there are all the classes of the key, which renames them in
+    increasing order and sorts the constraints.  Its labelling is not
+    canonical, but the counts of ``count_letter_assignments`` depend only on
+    the constraints up to renaming.
     """
-    present = sorted({f for g in groups for f in g})
-    ids = sorted({classes[3 * f + t] for f in present for t in range(3)})
-    local = {c: i for i, c in enumerate(ids)}
-    uf = SignedUnionFind(len(ids))
+    link: dict[int, tuple[int, int]] = {}
     for group in groups:
-        rep = group[0]
+        r = 3 * group[0]
         for f in group[1:]:
+            s = 3 * f
             for t in range(3):
-                a = local[classes[3 * rep + t]]
-                b = local[classes[3 * f + t]]
-                rel = signs[3 * rep + t] * signs[3 * f + t]
-                if not uf.union(a, b, rel):
-                    return None
+                a = classes[r + t]
+                sa = signs[r + t]
+                while a in link:
+                    a, x = link[a]
+                    sa *= x
+                b = classes[s + t]
+                sb = signs[s + t]
+                while b in link:
+                    b, x = link[b]
+                    sb *= x
+                if a == b:
+                    if sa != sb:
+                        return None  # a letter forced equal to its inverse
+                elif a < b:
+                    link[b] = (a, sa * sb)
+                else:
+                    link[a] = (b, sa * sb)
     raw: set[tuple[int, int, int]] = set()
+    roots: set[int] = set()
     for group in groups:
-        rep = group[0]
-        slots = [
-            uf.find(local[classes[3 * rep + t]]) for t in range(3)
-        ]
+        r = 3 * group[0]
+        slots = []
         for t in range(3):
-            (ra, sa) = slots[t]
-            (rb, sb) = slots[(t + 1) % 3]
-            twist = -(signs[3 * rep + t] * sa) * (signs[3 * rep + (t + 1) % 3] * sb)
-            if ra == rb:
+            a = classes[r + t]
+            sa = signs[r + t]
+            while a in link:
+                a, x = link[a]
+                sa *= x
+            slots.append((a, sa))
+            roots.add(a)
+        for t in range(3):
+            a, sa = slots[t]
+            b, sb = slots[t - 2]  # position t + 1, cyclically
+            twist = -sa * sb
+            if a == b:
                 if twist == 1:
                     return None  # the word could never be cyclically reduced
                 continue  # x != x^-1 holds for free
-            raw.add((min(ra, rb), max(ra, rb), twist))
-    roots = sorted({uf.find(local[c])[0] for c in ids})
-    rename = {r: i for i, r in enumerate(roots)}
-    constraints = tuple(sorted((rename[a], rename[b], t) for a, b, t in raw))
-    return len(roots), constraints
+            raw.add((a, b, twist) if a < b else (b, a, twist))
+    n = len(roots)
+    if max(roots) == n - 1:  # the roots are 0..n-1 already
+        return n, tuple(sorted(raw))
+    rename = {c: i for i, c in enumerate(sorted(roots))}
+    return n, tuple(sorted((rename[a], rename[b], t) for a, b, t in raw))
 
 
 def structure_counts(fs: FaceStructure, ms: Sequence[int]) -> list[tuple[int, ...]]:

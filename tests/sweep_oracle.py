@@ -21,6 +21,12 @@ brute-force counter and test its shape without the sweep's own forced-letter
 code.  :func:`structure_to_complex`, the inverse of
 :func:`trigroup.fulfillment.structure_of`, does the rebuilding; no command
 needs it, so it lives with the tests.
+
+:func:`_merged_key` is the counting key as it was built with a
+``SignedUnionFind`` over locally renamed classes, kept as the oracle of the
+flat pass in :func:`trigroup.fulfillment._merged_key`: both refuse the same
+group sets, and otherwise give keys with the same class count and the same
+letter-assignment counts, though their labellings may differ.
 """
 
 import random
@@ -31,6 +37,7 @@ from typing import Sequence
 from trigroup import fulfillment
 from trigroup.complexes import (
     AbstractLabelledComplex,
+    SignedUnionFind,
     abstract_from_walks,
     edges_in_no_face,
     forced_counts,
@@ -204,3 +211,48 @@ def random_signed_partition(rng: random.Random, slots: int) -> tuple[tuple[int, 
         signs.append(1 if c == used else rng.choice((1, -1)))
         used = max(used, c + 1)
     return tuple(classes), tuple(signs)
+
+
+def _merged_key(
+    classes: Sequence[int],
+    signs: Sequence[int],
+    groups: Sequence[Sequence[int]],
+):
+    """Reduce faces sharing a word, then normalize to a memoizable key.
+
+    Returns ``(class_count, constraints)`` or None when no word tuple can be
+    consistent (a letter forced equal to its own inverse, or a word position
+    forced equal to the inverse of its cyclic predecessor).
+    """
+    present = sorted({f for g in groups for f in g})
+    ids = sorted({classes[3 * f + t] for f in present for t in range(3)})
+    local = {c: i for i, c in enumerate(ids)}
+    uf = SignedUnionFind(len(ids))
+    for group in groups:
+        rep = group[0]
+        for f in group[1:]:
+            for t in range(3):
+                a = local[classes[3 * rep + t]]
+                b = local[classes[3 * f + t]]
+                rel = signs[3 * rep + t] * signs[3 * f + t]
+                if not uf.union(a, b, rel):
+                    return None
+    raw: set[tuple[int, int, int]] = set()
+    for group in groups:
+        rep = group[0]
+        slots = [
+            uf.find(local[classes[3 * rep + t]]) for t in range(3)
+        ]
+        for t in range(3):
+            (ra, sa) = slots[t]
+            (rb, sb) = slots[(t + 1) % 3]
+            twist = -(signs[3 * rep + t] * sa) * (signs[3 * rep + (t + 1) % 3] * sb)
+            if ra == rb:
+                if twist == 1:
+                    return None  # the word could never be cyclically reduced
+                continue  # x != x^-1 holds for free
+            raw.add((min(ra, rb), max(ra, rb), twist))
+    roots = sorted({uf.find(local[c])[0] for c in ids})
+    rename = {r: i for i, r in enumerate(roots)}
+    constraints = tuple(sorted((rename[a], rename[b], t) for a, b, t in raw))
+    return len(roots), constraints

@@ -267,7 +267,12 @@ FOLD_CORPUS = [
                  (3, Fraction(1, 3)), (4, Fraction(1, 6)), (2, Fraction(2, 5)),
                  (3, Fraction(2, 5)))
     for s in range(3)
-] + [("strip", STRIP_PRESENTATION)]
+] + [("strip", STRIP_PRESENTATION)] + [
+    # balls that keep growing, with no self-loop, unlike the trivial
+    # generators of several presentations above
+    (f"m{m}-d{d.numerator}_{d.denominator}-seed{s}", sample_presentation(m, d, s))
+    for m, d, s in ((4, Fraction(1, 4), 0), (3, Fraction(3, 10), 0), (5, Fraction(1, 5), 1))
+]
 
 
 class TestFoldOracle:

@@ -884,6 +884,10 @@ DETERMINISM_CASES = [
 class TestFlagRanges:
     @pytest.mark.parametrize("argv, message", [
         (["delta-est", "--graph", "{ball}", "--samples", "0"], "--samples must be positive"),
+        (["ball", "--presentation", "{pres}", "--radius", "2", "--max-vertices", "0"],
+         "--max-vertices must be positive"),
+        (["ball", "--presentation", "{pres}", "--radius", "2", "--max-vertices", "-5"],
+         "--max-vertices must be positive"),
         (["pipeline", "--d0", "7/20", "--long-constant", "0"],
          "--long-constant must be positive"),
         (["sweep", "--d0-grid", "7/20", "--long-constant", "0"],

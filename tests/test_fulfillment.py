@@ -15,6 +15,7 @@ from trigroup.complexes import (
     forced_counts,
     random_abstract_complex,
 )
+from trigroup import fulfillment
 from trigroup.fulfillment import (
     FaceStructure,
     count_letter_assignments,
@@ -28,6 +29,8 @@ from trigroup.fulfillment import (
     _encoding_order,
     _group_counts,
     _iter_signed_partitions,
+    _label_groups,
+    _merged_key,
     _permuted_encoding,
     _shared_counts,
     _slot_order,
@@ -39,6 +42,7 @@ from trigroup.presentation import TriangularPresentation
 from trigroup.seeding import make_rng
 from trigroup.words import enumerate_triangle_words, triangle_word_count
 
+import sweep_oracle
 from sweep_oracle import (
     encoding_sign,
     exact_probabilities,
@@ -61,6 +65,11 @@ SINGLE = build([(1, 2, 3)], (1,))
 REPEAT = build([(1, 1, 2)], (1,))
 SHARED = build([(1, 2, 3), (1, 4, 5)], (1, 2))
 DOUBLED = build([(1, 2, 3), (1, 2, 3)], (1, 2))  # disc doubled across its rim
+# six labels, above the sizes the sweep checks
+CHAIN6 = build([(1, 2, 3), (-3, 4, 5), (-5, 6, 7), (-7, 8, 9), (-9, 10, 11), (-11, 1, 12)],
+               (1, 2, 3, 4, 5, 6))
+FAN6 = build([(1, 2, 3), (-1, 4, 5), (-4, 6, 7), (2, 8, 9), (-8, -6, 10), (3, 11, 1)],
+             (6, 5, 4, 3, 2, 1))
 
 
 def presentation(relators, m=3, density="1/5", seed=0):
@@ -341,13 +350,9 @@ class TestCountingKernel:
 
     def test_closed_form_beyond_the_exhaustive_caps(self):
         # m = 4, 5 and six-label complexes, above the sizes the sweep checks
-        chain6 = build([(1, 2, 3), (-3, 4, 5), (-5, 6, 7), (-7, 8, 9), (-9, 10, 11),
-                        (-11, 1, 12)], (1, 2, 3, 4, 5, 6))
-        fan6 = build([(1, 2, 3), (-1, 4, 5), (-4, 6, 7), (2, 8, 9), (-8, -6, 10),
-                      (3, 11, 1)], (6, 5, 4, 3, 2, 1))
         cases = [(Y, m) for Y in (SINGLE, REPEAT, SHARED, DOUBLED) for m in (4, 5)]
         cases += [(build([(1, 1, 1)], (1,)), 5), (build([(1, 2, 3), (2, 1, 4)], (1, 1)), 5)]
-        cases += [(chain6, 1), (fan6, 1)]
+        cases += [(CHAIN6, 1), (FAN6, 1)]
         for Y, m in cases:
             got = tuple(c for (c,) in structure_counts(structure_of(Y), (m,)))
             assert got == exact_probabilities(Y, m).counts, (Y, m)
@@ -439,6 +444,71 @@ class TestSweep:
                         classes, signs, top, lowers, groups)
                     checked += 1
         assert checked > 20
+
+    def test_merged_key_matches_oracle(self, monkeypatch):
+        # the flat pass against the union-find key it replaced: both refuse
+        # together, or they count the same classes and the same assignments
+        asked = []
+
+        def record(classes, signs, groups):
+            asked.append((classes, signs, [tuple(g) for g in groups]))
+            return _merged_key(classes, signs, groups)
+
+        monkeypatch.setattr(fulfillment, "_merged_key", record)
+        ratio_sweep(max_faces=2, ms=(1, 2, 3))
+        assert len(asked) == 2_234
+        for classes, signs in _swept_partitions(3, 400):
+            # the trivial stabilizer: every configuration on three faces
+            for top, lowers in _structure_configs(3, ((0, 1, 2),)):
+                asked.append((classes, signs, [*lowers, top]))
+                if lowers:  # no key is asked for the empty tuple
+                    asked.append((classes, signs, list(lowers)))
+        hand = [
+            ((0, 0, 0), (1, 1, 1), [(0,)]),  # the (e, e, e) face
+            ((0, 0, 1), (1, -1, 1), [(0,)]),  # (e, e^-1, f) is never reduced
+            ((0, 1, 2, 0, 3, 4), (1, 1, 1, -1, 1, 1), [(0, 1)]),  # e = e^-1
+            ((0, 1, 2, 2, 1, 0), (1, 1, 1, -1, -1, -1), [(0, 1)]),  # reversed copy: f = f^-1
+        ]
+        fixed = ((0, 1, 2) * 3, (1,) * 9)  # S_3 fixes the three copies of one face
+        hand += [(*fixed, groups) for groups in
+                 ([(0, 1, 2)], [(0,), (1,), (2,)], [(0, 1), (2,)], [(2,), (0, 1)])]
+        for Y in (CHAIN6, FAN6, build([(1, 2, 3), (-3, 4, 5), (-5, 6, 7), (-7, 8, 9)],
+                                      (1, 1, 1, 1))):
+            fs = structure_of(Y)
+            groups = _label_groups(fs.labels)
+            hand += [(fs.classes, fs.signs, groups[:i]) for i in range(1, len(groups) + 1)]
+        asked += hand
+        refused = 0
+        for classes, signs, groups in asked:
+            got = _merged_key(classes, signs, groups)
+            want = sweep_oracle._merged_key(classes, signs, groups)
+            assert (got is None) == (want is None), (classes, signs, groups)
+            if got is None:
+                refused += 1
+                continue
+            assert got[0] == want[0], (classes, signs, groups)
+            assert count_letter_assignments(*got, (2, 4, 6)) == count_letter_assignments(
+                *want, (2, 4, 6)), (classes, signs, groups)
+        assert refused > 0
+        assert [_merged_key(*case) is None for case in hand[:4]] == [False, True, True, True]
+
+    def test_work_counts_two_faces(self, monkeypatch):
+        # deterministic work of ratio_sweep(2): one key per distinct group set
+        # of a kept partition, one count per distinct key
+        calls = {"key": 0, "count": 0}
+
+        def counted_key(*args):
+            calls["key"] += 1
+            return _merged_key(*args)
+
+        def counted_count(*args):
+            calls["count"] += 1
+            return count_letter_assignments(*args)
+
+        monkeypatch.setattr(fulfillment, "_merged_key", counted_key)
+        monkeypatch.setattr(fulfillment, "count_letter_assignments", counted_count)
+        ratio_sweep(max_faces=2, ms=(1, 2, 3))
+        assert calls == {"key": 2_234, "count": 45}
 
     def test_report_hash_two_faces(self):
         # the whole report, byte for byte; criterion 6 pins the three-face one
