@@ -884,10 +884,6 @@ DETERMINISM_CASES = [
 class TestFlagRanges:
     @pytest.mark.parametrize("argv, message", [
         (["delta-est", "--graph", "{ball}", "--samples", "0"], "--samples must be positive"),
-        (["ball", "--presentation", "{pres}", "--radius", "2", "--max-vertices", "0"],
-         "--max-vertices must be positive"),
-        (["ball", "--presentation", "{pres}", "--radius", "2", "--max-vertices", "-5"],
-         "--max-vertices must be positive"),
         (["pipeline", "--d0", "7/20", "--long-constant", "0"],
          "--long-constant must be positive"),
         (["sweep", "--d0-grid", "7/20", "--long-constant", "0"],
@@ -897,6 +893,10 @@ class TestFlagRanges:
          "--epsilon must be positive"),
         (["enum-diagrams", "--presentation", "{pres}", "--max-faces", "0"],
          "--max-faces must be at least 1"),
+        (["ball", "--presentation", "{pres}", "--radius", "2", "--max-vertices", "0"],
+         "--max-vertices must be positive"),
+        (["ball", "--presentation", "{pres}", "--radius", "2", "--max-vertices", "-5"],
+         "--max-vertices must be positive"),
     ])
     def test_range_error_names_flag(self, capsys, pres_file, ball_file, argv, message):
         argv = [arg.format(pres=pres_file, ball=ball_file) for arg in argv]
