@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .complexes import UnionFind, VanKampenDiagram, close_walks
+from .complexes import VanKampenDiagram, close_walks
 from .presentation import (
     TriangularPresentation,
     density_from_str,
@@ -208,23 +208,34 @@ def build_ball(
     second = [[(s0, s2) for s0, s1, s2 in cycles if s1 == s] for s in range(k)]
     third = [[(s0, s1) for s0, s1, s2 in cycles if s2 == s] for s in range(k)]
 
-    uf = UnionFind(1)
-    find, parent = uf.find, uf.parent
+    # a union-find over the ids, with path halving; a merge keeps the smaller
+    # root.  parent[x] == x exactly when x is a root, which hot loops test
+    # before calling find
+    parent = [0]
     rows = blank[:]  # slot s of id v at v * k + s; -1 for no edge
     depth = [0]  # an upper bound on the distance from the origin
     done = bytearray(1)  # expanded within R: a full star, its cycles deduced
     queue = [0]
     deduced: list[int] = []  # slots v * k + s whose edge is new to root v
 
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
     def merge(a: int, b: int) -> None:
         """Join two ids, moving each absorbed root's row onto the kept root;
         slots that collide there are joined in turn."""
         pending = [(a, b)]
         while pending:
-            gone = uf.union(*pending.pop())
-            if gone < 0:
+            a, b = pending.pop()
+            keep, gone = find(a), find(b)
+            if keep == gone:
                 continue
-            keep = find(gone)
+            if gone < keep:
+                keep, gone = gone, keep
+            parent[gone] = keep
             kb, gb = keep * k, gone * k
             for s in range(k):
                 tgt = rows[gb + s]
@@ -316,7 +327,8 @@ def build_ball(
                 raise ValueError(
                     f"vertex budget {max_vertices} exceeded at radius {R}"
                 )
-            w = uf.add()
+            w = len(parent)
+            parent.append(w)
             rows.extend(blank)
             depth.append(depth[v] + 1)
             done.append(0)

@@ -315,6 +315,8 @@ def cmd_sweep(args) -> tuple[dict, int]:
 def cmd_ball(args) -> tuple[BallGraph, int]:
     if args.max_vertices < 1:
         raise CliError("--max-vertices must be positive")
+    if args.radius < 0:
+        raise CliError("--radius must be nonnegative")
     p = _load(args.presentation, "presentation", TriangularPresentation.from_json)
     try:
         g = build_ball(p, args.radius, max_vertices=args.max_vertices)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .complexes import AbstractLabelledComplex, SignedUnionFind, forced_counts, ref_edge
+from .complexes import AbstractLabelledComplex, forced_counts, ref_edge
 from .seeding import make_rng
 from .words import Word, enumerate_triangle_words, sample_triangle_word
 
@@ -227,11 +227,16 @@ def count_letter_assignments(
     closed under negation and has ``x`` letters (x even, no fixed point of
     negation).  Returns the count for each x in ``sizes``, by
     inclusion-exclusion over constraint subsets with parity tracking.
+
+    Including a constraint identifies ``a`` with ``t * b``.  As in
+    :func:`_merged_key`, ``link`` maps an absorbed class to ``(class it
+    joined, sign of the absorbed class relative to it)``, and the larger id
+    joins the smaller.  The include branch sets one link and the exclude
+    branch deletes it, so the recursion's own stack undoes the merges.
     """
     pows = [[x**c for c in range(n_classes + 1)] for x in sizes]
     totals = [0] * len(sizes)
-    uf = SignedUnionFind(n_classes)
-    union, undo, absorbed = uf.union, uf.undo, uf.absorbed
+    link: dict[int, tuple[int, int]] = {}
     last = len(constraints)
 
     def rec(i: int, parity: int, comp: int) -> None:
@@ -239,14 +244,24 @@ def count_letter_assignments(
             for j in range(len(sizes)):
                 totals[j] += parity * pows[j][comp]
             return
-        merges = len(absorbed)
-        if not union(*constraints[i]):
-            rec(i + 1, parity, comp)  # contradictory: the include branch is empty
-        elif len(absorbed) > merges:
-            rec(i + 1, -parity, comp - 1)  # include the constraint's equality
-            undo()
-            rec(i + 1, parity, comp)  # exclude it
-        # else implied: including and excluding cancel pairwise
+        a, b, t = constraints[i]
+        sa = sb = 1
+        while a in link:
+            a, x = link[a]
+            sa *= x
+        while b in link:
+            b, x = link[b]
+            sb *= x
+        if a == b:
+            if sa * t * sb != 1:
+                rec(i + 1, parity, comp)  # contradictory: the include branch is empty
+            return  # else implied: including and excluding cancel pairwise
+        if a > b:
+            a, b = b, a
+        link[b] = (a, sa * t * sb)
+        rec(i + 1, -parity, comp - 1)  # include the constraint's equality
+        del link[b]
+        rec(i + 1, parity, comp)  # exclude it
 
     rec(0, 1, n_classes)
     return tuple(totals)

@@ -1,12 +1,14 @@
 """``close_walks`` through ``UnionFind`` method calls, kept as the oracle for
-the inlined slot union-find in ``trigroup.complexes``.  Unchanged from that
-version apart from its imports."""
+the inlined slot union-find in ``trigroup.complexes``.  The class now lives
+in ``union_find``, a test helper, since no kernel of the package uses it.
+Unchanged from that version apart from its imports."""
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from trigroup.complexes import UnionFind, Walk, ref_edge
+from trigroup.complexes import Walk, ref_edge
+from union_find import UnionFind
 
 
 def close_walks(edge_count: int, walks: Iterable[Walk]) -> tuple[int, tuple[tuple[int, int], ...]]:

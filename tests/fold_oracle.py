@@ -12,10 +12,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from trigroup.cayley import DEFAULT_VERTEX_BUDGET, BallGraph
-from trigroup.complexes import UnionFind
 from trigroup.presentation import TriangularPresentation
 from trigroup.seeding import make_rng
 from trigroup.words import Word, all_letters, invert_word, rotations
+from union_find import UnionFind
 
 
 def _relator_variants(relators: Sequence[Word]) -> list[Word]:

@@ -27,6 +27,13 @@ needs it, so it lives with the tests.
 flat pass in :func:`trigroup.fulfillment._merged_key`: both refuse the same
 group sets, and otherwise give keys with the same class count and the same
 letter-assignment counts, though their labellings may differ.
+
+:func:`count_letter_assignments` is the counter as it ran on an undoable
+``SignedUnionFind`` (union by size, an ``absorbed`` log to tell a merge from
+an implied constraint), kept as the oracle of the counter in
+:func:`trigroup.fulfillment.count_letter_assignments`, which keeps its
+forest in a ``link`` dict and undoes merges on the recursion's stack.  Both
+union-find classes now live in ``union_find``, a test helper.
 """
 
 import random
@@ -37,7 +44,6 @@ from typing import Sequence
 from trigroup import fulfillment
 from trigroup.complexes import (
     AbstractLabelledComplex,
-    SignedUnionFind,
     abstract_from_walks,
     edges_in_no_face,
     forced_counts,
@@ -45,6 +51,7 @@ from trigroup.complexes import (
 )
 from trigroup.fulfillment import FaceStructure
 from trigroup.words import triangle_word_count
+from union_find import SignedUnionFind
 
 
 @dataclass(frozen=True)
@@ -256,3 +263,39 @@ def _merged_key(
     rename = {r: i for i, r in enumerate(roots)}
     constraints = tuple(sorted((rename[a], rename[b], t) for a, b, t in raw))
     return len(roots), constraints
+
+
+def count_letter_assignments(
+    n_classes: int,
+    constraints: Sequence[tuple[int, int, int]],
+    sizes: Sequence[int],
+) -> tuple[int, ...]:
+    """Assignments of alphabet letters to classes avoiding forbidden relations.
+
+    Each constraint ``(a, b, t)`` forbids ``L[a] = t * L[b]``; the alphabet is
+    closed under negation and has ``x`` letters (x even, no fixed point of
+    negation).  Returns the count for each x in ``sizes``, by
+    inclusion-exclusion over constraint subsets with parity tracking.
+    """
+    pows = [[x**c for c in range(n_classes + 1)] for x in sizes]
+    totals = [0] * len(sizes)
+    uf = SignedUnionFind(n_classes)
+    union, undo, absorbed = uf.union, uf.undo, uf.absorbed
+    last = len(constraints)
+
+    def rec(i: int, parity: int, comp: int) -> None:
+        if i == last:
+            for j in range(len(sizes)):
+                totals[j] += parity * pows[j][comp]
+            return
+        merges = len(absorbed)
+        if not union(*constraints[i]):
+            rec(i + 1, parity, comp)  # contradictory: the include branch is empty
+        elif len(absorbed) > merges:
+            rec(i + 1, -parity, comp - 1)  # include the constraint's equality
+            undo()
+            rec(i + 1, parity, comp)  # exclude it
+        # else implied: including and excluding cancel pairwise
+
+    rec(0, 1, n_classes)
+    return tuple(totals)

@@ -9,6 +9,7 @@ import pytest
 import ball_loader_oracle
 import fold_oracle
 import slim_oracle
+from union_find import UnionFind
 from trigroup import cayley
 from trigroup.cayley import (
     STRIP_PRESENTATION,
@@ -25,7 +26,7 @@ from trigroup.cayley import (
     fig1_demo,
 )
 from trigroup.cli import main
-from trigroup.complexes import UnionFind, cancel, is_reduced_diagram, walk_letters
+from trigroup.complexes import cancel, is_reduced_diagram, walk_letters
 from trigroup.enumeration import euler_check
 from trigroup.presentation import TriangularPresentation, sample_presentation
 from trigroup.thresholds import delta_hyp

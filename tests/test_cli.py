@@ -897,9 +897,17 @@ class TestFlagRanges:
          "--max-vertices must be positive"),
         (["ball", "--presentation", "{pres}", "--radius", "2", "--max-vertices", "-5"],
          "--max-vertices must be positive"),
+        (["sample", "--m", "0", "--d", "1/4"], "--m must be at least 1"),
+        (["words", "--m", "0"], "--m must be at least 1"),
+        (["fulfil", "--complex", "{shared}", "--m", "0", "--exact"], "--m must be at least 1"),
+        (["chain-check", "--count", "0"], "--count must be positive"),
+        (["chain-check", "--max-faces", "0"], "--max-faces must be positive"),
+        (["ball", "--presentation", "{pres}", "--radius", "-1"], "--radius must be nonnegative"),
     ])
-    def test_range_error_names_flag(self, capsys, pres_file, ball_file, argv, message):
-        argv = [arg.format(pres=pres_file, ball=ball_file) for arg in argv]
+    def test_range_error_names_flag(self, capsys, pres_file, ball_file, complex_files, argv,
+                                    message):
+        argv = [arg.format(pres=pres_file, ball=ball_file, shared=complex_files["shared"])
+                for arg in argv]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 

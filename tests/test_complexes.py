@@ -9,6 +9,7 @@ import pytest
 import close_walks_oracle
 from indicator_oracle import is_least_position, is_min_label
 from sweep_oracle import label_forcing_levels
+from union_find import SignedUnionFind, UnionFind
 from trigroup.complexes import (
     AbstractLabelledComplex,
     LabelledComplex,
@@ -29,8 +30,6 @@ from trigroup.complexes import (
     red_contributions,
     ref_edge,
     side_trace,
-    SignedUnionFind,
-    UnionFind,
 )
 from trigroup.fulfillment import fulfils
 from trigroup.presentation import TriangularPresentation

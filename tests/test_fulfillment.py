@@ -320,6 +320,23 @@ class TestCountingKernel:
     def test_no_constraints(self):
         assert count_letter_assignments(2, [], (4,)) == (16,)
 
+    def test_matches_union_find_counter(self):
+        # the link-dict counter against the SignedUnionFind one it replaced
+        sizes = (2, 4, 6, 8)
+        implied = (1, [(0, 0, 1)])  # L[a] = L[a] always holds: nothing avoids it
+        contradictory = (1, [(0, 0, -1)])  # L[a] = -L[a] never holds
+        assert count_letter_assignments(*implied, sizes) == (0, 0, 0, 0)
+        assert count_letter_assignments(*contradictory, sizes) == sizes
+        cases = [implied, contradictory]
+        rng = make_rng(99, "counter")
+        for _ in range(400):
+            n = rng.randint(1, 9)
+            cases.append((n, [(rng.randrange(n), rng.randrange(n), rng.choice((1, -1)))
+                              for _ in range(rng.randint(0, 12))]))
+        for n, constraints in cases:
+            assert count_letter_assignments(n, constraints, sizes) == (
+                sweep_oracle.count_letter_assignments(n, constraints, sizes)), (n, constraints)
+
     def test_repeat_edge_polynomial(self):
         # faces (e,e,f): x**2 - x
         fs = FaceStructure((0, 0, 1), (1, 1, 1), (1,))
