@@ -67,7 +67,9 @@ from .words import (
 
 DEFAULT_VERTEX_BUDGET = 200_000
 # the loader refuses a ballgraph whose adjacency would need more slots
-# (V * 2m) than this, rather than allocate it: about 130 MB of references
+# (V * 2m) than this, rather than allocate it: about 130 MB of references.
+# The fold stops before its rows pass it, so it writes no ball the loader
+# refuses
 MAX_ADJACENCY_SLOTS = 1 << 24
 # the slimness estimate tries up to SIDE_CAP geodesics per side of a
 # triangle and up to COMBO_CAP choices of its three sides
@@ -183,7 +185,9 @@ def build_ball(
     edges pushed, since deductions skipped the cycles based at it, and the
     fold resumes.  There are no rounds: every step fills a slot, merges two
     ids or allocates one, and allocation stops at ``max_vertices``, so the
-    fold terminates.
+    fold terminates.  It also stops where the rows would hold more than
+    ``MAX_ADJACENCY_SLOTS`` slots, the limit at which the loader refuses a
+    ball, so a fold at large m refuses before its rows outgrow memory.
 
     ``max_vertices`` counts every id the fold allocates, absorbed vertices
     and the frontier at R+1 included, not only emitted vertices: the
@@ -198,6 +202,16 @@ def build_ball(
     if R < 0:
         raise ValueError("radius must be nonnegative")
     k = 2 * p.m
+    # every id gets a row of k slots, so the loader's limit on a ball's
+    # slots also caps the ids the fold may allocate
+    slot_cap = MAX_ADJACENCY_SLOTS // k
+    too_wide = (
+        f"the radius-{R} ball at m={p.m} needs more than {slot_cap} vertices of"
+        f" {k} adjacency slots each, above the limit of {MAX_ADJACENCY_SLOTS} slots"
+    )
+    if slot_cap < 1:
+        raise ValueError(too_wide)
+    cap = min(max_vertices, slot_cap)
     blank = [-1] * k
     cycles = [tuple(_slot(c) for c in w) for w in _relator_variants(p.relators)]
     rng = make_rng(_order_seed, "fold") if _order_seed is not None else None
@@ -323,7 +337,9 @@ def build_ball(
         for s in range(k):
             if rows[vb + s] >= 0:
                 continue
-            if len(parent) >= max_vertices:
+            if len(parent) >= cap:
+                if cap == slot_cap:
+                    raise ValueError(too_wide)
                 raise ValueError(
                     f"vertex budget {max_vertices} exceeded at radius {R}"
                 )
@@ -385,12 +401,17 @@ def build_ball(
             break
         drain()
 
-    new_id = {v: i for i, v in enumerate(order)}
-    flat: list[int] = []
-    for v in order:
-        flat.extend(
-            -1 if w < 0 else new_id.get(find(w), -1) for w in rows[v * k : v * k + k]
-        )
+    # num[x]: the ball's number for id x, -1 off the ball.  A merge keeps
+    # the smaller root and path halving keeps parent[x] <= x, so one
+    # ascending pass resolves every id through its parent's number, already
+    # resolved.  Every emitted vertex was expanded, so its row has no missing
+    # slot; the extra last entry would map one, -1, to -1
+    num = [-1] * (len(parent) + 1)
+    for i, v in enumerate(order):
+        num[v] = i
+    for x, r in enumerate(parent):
+        num[x] = num[r]
+    flat = [num[w] for v in order for w in rows[v * k : v * k + k]]
     g = BallGraph(
         presentation=p,
         radius=R,

@@ -10,11 +10,16 @@ Exit status: 0 when the requested checks pass, 1 when a check fails
 (fulfil ratio bound, enum-diagrams identity or equivalence, fig1
 postconditions, chain fuzzing, words count), 2 for bad input or
 configuration.
+
+``main`` may be called many times in one process.  The parser is built
+once, on the first call, and ``$TRIGROUP_SEED`` is read on every call, so
+each call takes the seed the environment holds at that moment.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -376,7 +381,10 @@ def cmd_chain_check(args) -> tuple[dict, int]:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: it depends on
+    no input, so ``main`` reuses it on every call."""
     parser = argparse.ArgumentParser(
         prog="trigroup",
         description="Laboratory for random triangular group presentations.",
@@ -390,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--seed",
         type=int,
-        default=_default_seed(),
         help=f"master seed; defaults to ${SEED_ENV} or 0",
     )
     common.add_argument("--out", metavar="FILE", help="write the JSON report to FILE")
@@ -490,8 +497,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     start = time.perf_counter()
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        # read on every call, and before parsing, so a bad value is reported
+        # ahead of any usage error, --help included
+        seed = _default_seed()
+        args = build_parser().parse_args(argv)
+        if args.seed is None:
+            args.seed = seed
         payload, status = args.func(args)
         _emit(payload, args)
         print(f"elapsed {time.perf_counter() - start:.3f}s", file=sys.stderr)

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,43 @@ class TestBuildBall:
         assert build_ball(p, 4, max_vertices=6_365).vertex_count == 1_265
         with pytest.raises(ValueError, match="vertex budget"):
             build_ball(p, 4, max_vertices=6_364)
+
+    def test_adjacency_limit_caps_allocation(self, monkeypatch):
+        # the free group's R=1 fold allocates the 17 ids of its R=2 ball, each
+        # with a row of 2m = 4 slots: a limit of 68 slots builds it, 67 refuses
+        # whatever the vertex budget
+        p = free_presentation(2)
+        monkeypatch.setattr(cayley, "MAX_ADJACENCY_SLOTS", 68)
+        g = build_ball(p, 1)
+        assert g.vertex_count == 5
+        assert ball_from_json_dict(ball_to_json_dict(g)) == g
+        monkeypatch.setattr(cayley, "MAX_ADJACENCY_SLOTS", 67)
+        with pytest.raises(ValueError) as exc:
+            build_ball(p, 1, max_vertices=10**9)
+        assert str(exc.value) == (
+            "the radius-1 ball at m=2 needs more than 16 vertices of 4 adjacency"
+            " slots each, above the limit of 67 slots"
+        )
+        # a smaller vertex budget fires first, with its own message
+        with pytest.raises(ValueError, match="vertex budget 10 exceeded"):
+            build_ball(p, 1, max_vertices=10)
+
+    def test_adjacency_limit_before_the_origin_row(self, monkeypatch):
+        # one row of 2m = 10,000 slots passes a limit of 9,999: the fold
+        # refuses before it allocates that row or its per-slot cycle tables
+        monkeypatch.setattr(cayley, "MAX_ADJACENCY_SLOTS", 9_999)
+        p = free_presentation(5_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=(
+                "more than 0 vertices of 10000 adjacency slots each,"
+                " above the limit of 9999 slots"
+            )):
+                build_ball(p, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 10_000  # less than one row of references
 
     @pytest.mark.parametrize("m, d, seed", [
         (2, Fraction(1, 5), 0), (2, Fraction(1, 5), 2), (4, Fraction(1, 6), 1),

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trigroup
+from trigroup import cayley
 from trigroup.cayley import (
     MAX_ADJACENCY_SLOTS,
     STRIP_PRESENTATION,
@@ -23,7 +24,7 @@ from trigroup.cayley import (
     ball_to_json_dict,
     build_ball,
 )
-from trigroup.cli import main
+from trigroup.cli import build_parser, main
 from trigroup.complexes import abstract_from_walks, complex_from_json, dumps_complex
 from trigroup.fulfillment import exact_probabilities
 from trigroup.presentation import relator_count, sample_presentation
@@ -398,6 +399,22 @@ class TestBall:
         assert main(["ball", "--presentation", pres_file, "--radius", "3",
                      "--max-vertices", "4"]) == 2
         assert "--max-vertices" in capsys.readouterr().err
+
+    def test_adjacency_limit_message(self, tmp_path, pres_file, capsys, monkeypatch):
+        # m=3 gives rows of 6 slots and the fold allocates 5 ids: 30 slots
+        # hold the ball, which delta-est then loads; 29 refuse it, and a
+        # larger vertex budget would not help
+        monkeypatch.setattr(cayley, "MAX_ADJACENCY_SLOTS", 30)
+        ball = tmp_path / "ball.json"
+        assert main(["ball", "--presentation", pres_file, "--radius", "3",
+                     "--out", str(ball)]) == 0
+        assert main(["delta-est", "--graph", str(ball), "--samples", "5"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cayley, "MAX_ADJACENCY_SLOTS", 29)
+        assert main(["ball", "--presentation", pres_file, "--radius", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "m=3" in err and "limit of 29 slots" in err
+        assert "--max-vertices" not in err
 
 
 class TestDeltaEst:
@@ -818,6 +835,49 @@ class TestPlumbing:
         monkeypatch.setenv("TRIGROUP_SEED", "pi")
         assert main(["words", "--m", "2"]) == 2
         assert "TRIGROUP_SEED" in capsys.readouterr().err
+
+    def test_env_seed_read_on_every_call(self, tmp_path, monkeypatch):
+        # the parser is built once per process; the seed is read per call,
+        # and a --seed given to one call leaves the next call's default alone
+        seen = []
+        for env, flag in (("42", ()), ("7", ()), ("7", ("--seed", "5")), ("9", ())):
+            monkeypatch.setenv("TRIGROUP_SEED", env)
+            _, doc = run_json(tmp_path, "sample", "--m", "2", "--d", "1/3", *flag)
+            meta = doc["meta"]
+            seen.append((doc["seed"], meta["seed"], meta["config"]["seed"]))
+        assert seen == [(42, 42, 42), (7, 7, 7), (5, 5, 5), (9, 9, 9)]
+
+    @pytest.mark.parametrize("argv", [["words", "--m", "x"], ["--help"]])
+    def test_bad_env_seed_before_parsing(self, argv, monkeypatch, capsys):
+        # the seed is read ahead of the parse, so it is reported before a
+        # usage error and before --help
+        monkeypatch.setenv("TRIGROUP_SEED", "pi")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: environment variable TRIGROUP_SEED='pi' is not an integer\n"
+        )
+        assert captured.out == ""
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_reused_parser_prints_fresh_help(self, tmp_path, monkeypatch, capsys):
+        # argparse wraps help to the terminal width, read from COLUMNS
+        monkeypatch.setenv("COLUMNS", "80")
+        run_json(tmp_path, "words", "--m", "2", "--seed", "3")
+        run_json(tmp_path, "sample", "--m", "2", "--d", "1/3")
+        with pytest.raises(SystemExit):
+            main(["words", "--m", "x"])
+        fresh = build_parser.__wrapped__()
+        subs = next(a for a in fresh._actions if a.dest == "subcommand").choices
+        assert len(subs) == 12
+        for argv, parser in [([], fresh), *(([name], sub) for name, sub in subs.items())]:
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--help"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == parser.format_help()
 
     def test_workers_refused(self, capsys):
         # execution is sequential: there is no worker count to configure
