@@ -627,20 +627,13 @@ def ball_from_json_dict(data: dict) -> BallGraph:
 def _check_distances(g: BallGraph) -> None:
     """Refuse stored distances that one breadth-first search from vertex 0
     does not reproduce, and a radius below the largest of them."""
-    adj, k = g.adj, g.stride
-    dist = [-1] * g.vertex_count
-    dist[0] = 0
+    reached = {0: 0}
     frontier = [0]
     level = 0
     while frontier:
         level += 1
-        nxt = []
-        for v in frontier:
-            for w in adj[v * k : v * k + k]:
-                if w >= 0 and dist[w] < 0:
-                    dist[w] = level
-                    nxt.append(w)
-        frontier = nxt
+        frontier = _expand(g, frontier, reached, level)
+    dist = [reached.get(v, -1) for v in range(g.vertex_count)]
     if dist != list(g.distances):
         v, found = next((v, d) for v, d in enumerate(dist) if d != g.distances[v])
         actual = "unreachable" if found < 0 else f"at distance {found}"

@@ -9,7 +9,12 @@ the configuration.
 Exit status: 0 when the requested checks pass, 1 when a check fails
 (fulfil ratio bound, enum-diagrams identity or equivalence, fig1
 postconditions, chain fuzzing, words count), 2 for bad input or
-configuration.
+configuration.  In process, ``main`` returns the status of every outcome,
+argparse's own included: a value it cannot parse, an unknown or a missing
+flag returns 2, and ``--help`` or ``--version`` returns 0, once argparse
+has printed what a shell run prints.  Every other refusal is a
+``ValueError`` whose message names the bad field, and each subcommand
+checks its flags before it reads a file.
 
 ``main`` may be called many times in one process.  The parser is built
 once, on the first call, and ``$TRIGROUP_SEED`` is read on every call, so
@@ -65,10 +70,6 @@ EXIT_USAGE = 2
 EXACT_LABEL_CAP = 6
 
 
-class CliError(Exception):
-    """Bad input or configuration; the message names the offending field."""
-
-
 # ---------------------------------------------------------------------------
 # parsing helpers
 
@@ -94,27 +95,27 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise CliError(f"environment variable {SEED_ENV}={raw!r} is not an integer")
+        raise ValueError(f"environment variable {SEED_ENV}={raw!r} is not an integer")
 
 
 def _load(path: str, kind: str, parse):
     """``parse`` applied to the JSON object in the file at ``path``; each
-    failure is a CliError that names the file."""
+    failure is a ValueError that names the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise CliError(f"{kind} file {path!r}: {exc.strerror or exc}")
+        raise ValueError(f"{kind} file {path!r}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
-        raise CliError(f"{kind} file {path!r}: invalid JSON ({exc})")
+        raise ValueError(f"{kind} file {path!r}: invalid JSON ({exc})")
     except UnicodeDecodeError as exc:
-        raise CliError(f"{kind} file {path!r}: not UTF-8 text ({exc})")
+        raise ValueError(f"{kind} file {path!r}: not UTF-8 text ({exc})")
     if not isinstance(data, dict):
-        raise CliError(f"{kind} file {path!r}: expected a JSON object")
+        raise ValueError(f"{kind} file {path!r}: expected a JSON object")
     try:
         return parse(data)
     except (ValueError, TypeError) as exc:
-        raise CliError(f"{kind} file {path!r}: {exc}")
+        raise ValueError(f"{kind} file {path!r}: {exc}")
 
 
 def _write_chunks(path: str, chunks: Iterable[str], flag: str) -> None:
@@ -122,7 +123,7 @@ def _write_chunks(path: str, chunks: Iterable[str], flag: str) -> None:
         with open(path, "w") as fh:
             fh.writelines(chunks)
     except OSError as exc:
-        raise CliError(f"{flag} {path!r}: cannot write ({exc.strerror or exc})")
+        raise ValueError(f"{flag} {path!r}: cannot write ({exc.strerror or exc})")
 
 
 # ---------------------------------------------------------------------------
@@ -167,18 +168,18 @@ def _emit(payload: dict | BallGraph, args: argparse.Namespace) -> None:
 
 def cmd_sample(args) -> tuple[dict, int]:
     if args.m < 1:
-        raise CliError("--m must be at least 1")
+        raise ValueError("--m must be at least 1")
     if not 0 < args.d < 1:
-        raise CliError("--d must be a density in (0, 1)")
+        raise ValueError("--d must be a density in (0, 1)")
     p = sample_presentation(args.m, args.d, args.seed)
     return p.to_json(), EXIT_OK
 
 
 def cmd_words(args) -> tuple[dict, int]:
     if args.m < 1:
-        raise CliError("--m must be at least 1")
+        raise ValueError("--m must be at least 1")
     if args.m > args.max_m:
-        raise CliError(
+        raise ValueError(
             f"m={args.m} above the enumeration cap {args.max_m};"
             f" pass --max-m {args.m} to override"
         )
@@ -221,15 +222,15 @@ def cmd_red(args) -> tuple[dict, int]:
 
 def cmd_enum_diagrams(args) -> tuple[dict, int]:
     if args.max_faces < 1:
-        raise CliError("--max-faces must be at least 1")
+        raise ValueError("--max-faces must be at least 1")
     if args.epsilon <= 0:
-        raise CliError("--epsilon must be positive")
-    p = _load(args.presentation, "presentation", TriangularPresentation.from_json)
+        raise ValueError("--epsilon must be positive")
     if args.max_faces > args.face_cap:
-        raise CliError(
+        raise ValueError(
             f"max faces {args.max_faces} above the cap {args.face_cap};"
             f" pass --face-cap {args.max_faces} to override"
         )
+    p = _load(args.presentation, "presentation", TriangularPresentation.from_json)
     budget = DiagramBudget(max_faces=args.max_faces, presentation=p, epsilon=args.epsilon)
     payload = isoperimetric_report(budget)
     ok = payload["identity_holds"] and payload["equivalence_holds"]
@@ -237,37 +238,30 @@ def cmd_enum_diagrams(args) -> tuple[dict, int]:
 
 
 def cmd_fulfil(args) -> tuple[dict, int]:
-    Y = _load(args.complex, "complex", complex_from_json)
     if args.m < 1:
-        raise CliError("--m must be at least 1")
-    if Y.face_count == 0:
-        raise CliError(
-            f"complex file {args.complex!r}: 'faces' is empty; fulfil needs at least one face"
-        )
-    if not args.exact:
-        trials = args.trials if args.trials is not None else 10_000
-        if trials < 1:
-            raise CliError("--trials must be positive")
-        try:
-            result = montecarlo_fulfillment(Y, args.m, trials, args.seed)
-        except ValueError as exc:
-            raise CliError(f"complex file {args.complex!r}: {exc}")
-        return {"mode": "montecarlo", **result}, EXIT_OK
-    n = len(set(Y.labels))
-    if n > EXACT_LABEL_CAP:
-        raise CliError(
-            f"complex file {args.complex!r}: {n} labels, above the cap of {EXACT_LABEL_CAP}"
-        )
+        raise ValueError("--m must be at least 1")
+    trials = 10_000 if args.trials is None else args.trials
+    if trials < 1:
+        raise ValueError("--trials must be positive")
+    Y = _load(args.complex, "complex", complex_from_json)
     try:
+        if Y.face_count == 0:
+            raise ValueError("'faces' is empty; fulfil needs at least one face")
+        if not args.exact:
+            result = montecarlo_fulfillment(Y, args.m, trials, args.seed)
+            return {"mode": "montecarlo", **result}, EXIT_OK
+        n = len(set(Y.labels))
+        if n > EXACT_LABEL_CAP:
+            raise ValueError(f"{n} labels, above the cap of {EXACT_LABEL_CAP}")
         checks = level_checks(structure_of(Y), args.m)
+        loose = edges_in_no_face(Y)
+        if loose:
+            raise ValueError(
+                f"'edges' entry {loose[0]} lies in no face;"
+                " forced-letter levels need every edge inside a face"
+            )
     except ValueError as exc:
-        raise CliError(f"complex file {args.complex!r}: {exc}")
-    loose = edges_in_no_face(Y)
-    if loose:
-        raise CliError(
-            f"complex file {args.complex!r}: 'edges' entry {loose[0]} lies in no face;"
-            " forced-letter levels need every edge inside a face"
-        )
+        raise ValueError(f"complex file {args.complex!r}: {exc}")
     base = triangle_word_count(args.m)
     levels = [
         {
@@ -291,9 +285,9 @@ def cmd_fulfil(args) -> tuple[dict, int]:
 
 def cmd_pipeline(args) -> tuple[dict, int]:
     if args.precision < 1:
-        raise CliError("--precision must be at least 1")
+        raise ValueError("--precision must be at least 1")
     if args.long_constant < 1:
-        raise CliError("--long-constant must be positive")
+        raise ValueError("--long-constant must be positive")
     report = constants_pipeline(
         args.d0,
         args.A1,
@@ -306,7 +300,7 @@ def cmd_pipeline(args) -> tuple[dict, int]:
 
 def cmd_sweep(args) -> tuple[dict, int]:
     if args.long_constant < 1:
-        raise CliError("--long-constant must be positive")
+        raise ValueError("--long-constant must be positive")
     rows = constants_sweep(args.d0_grid, args.A1, args.A2, long_constant=args.long_constant)
     csv_text = "d0,k,L,N\n" + "".join(
         f"{row['d0']},{row['k']},{row['L']},{row['N']}\n" for row in rows
@@ -319,22 +313,22 @@ def cmd_sweep(args) -> tuple[dict, int]:
 
 def cmd_ball(args) -> tuple[BallGraph, int]:
     if args.max_vertices < 1:
-        raise CliError("--max-vertices must be positive")
+        raise ValueError("--max-vertices must be positive")
     if args.radius < 0:
-        raise CliError("--radius must be nonnegative")
+        raise ValueError("--radius must be nonnegative")
     p = _load(args.presentation, "presentation", TriangularPresentation.from_json)
     try:
         g = build_ball(p, args.radius, max_vertices=args.max_vertices)
     except ValueError as exc:
         if "vertex budget" in str(exc):
-            raise CliError(f"{exc}; pass --max-vertices to raise it")
+            raise ValueError(f"{exc}; pass --max-vertices to raise it")
         raise
     return g, EXIT_OK
 
 
 def cmd_delta_est(args) -> tuple[dict, int]:
     if args.samples < 1:
-        raise CliError("--samples must be positive")
+        raise ValueError("--samples must be positive")
     g = _load(args.graph, "graph", ball_from_json_dict)
     estimate = slim_delta_estimate(g, args.samples, args.seed)
     closed = len(g.closed_vertices())
@@ -355,9 +349,9 @@ def cmd_fig1_demo(args) -> tuple[dict, int]:
 
 def cmd_chain_check(args) -> tuple[dict, int]:
     if args.count < 1:
-        raise CliError("--count must be positive")
+        raise ValueError("--count must be positive")
     if args.max_faces < 1:
-        raise CliError("--max-faces must be positive")
+        raise ValueError("--max-faces must be positive")
     rng = make_rng(args.seed, "chain")
     violations = 0
     first = None
@@ -500,14 +494,18 @@ def main(argv=None) -> int:
         # read on every call, and before parsing, so a bad value is reported
         # ahead of any usage error, --help included
         seed = _default_seed()
-        args = build_parser().parse_args(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse has printed its usage error, the help or the version
+            return exc.code
         if args.seed is None:
             args.seed = seed
         payload, status = args.func(args)
         _emit(payload, args)
         print(f"elapsed {time.perf_counter() - start:.3f}s", file=sys.stderr)
         return status
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -44,11 +44,6 @@ def ref_edge(ref: int) -> int:
     return abs(ref) - 1
 
 
-def walk_letters(walk: Walk, letters: Sequence[int]) -> Word:
-    """Letters spelled by a walk; negation inverts a letter code."""
-    return tuple(letters[ref_edge(r)] if r > 0 else -letters[ref_edge(r)] for r in walk)
-
-
 @dataclass(frozen=True)
 class AbstractLabelledComplex:
     """Vertices 0..vertex_count-1, edges as (tail, head), faces as walks, and
@@ -111,9 +106,6 @@ class LabelledComplex(AbstractLabelledComplex):
             raise ValueError("one letter per edge required")
         if 0 in self.letters:
             raise ValueError("letter codes must be nonzero")
-
-    def face_word(self, f: int) -> Word:
-        return walk_letters(self.faces[f], self.letters)
 
 
 @dataclass(frozen=True)
@@ -265,30 +257,20 @@ def side_trace(word: Word, t: int, sign: int) -> Word:
     return rev[s:] + rev[:s]
 
 
-def _edge_sides(Y: LabelledComplex) -> dict[int, list[tuple[int, int, int]]]:
-    """edge -> [(face, walk position, sign), ...] with multiplicity."""
-    sides: dict[int, list[tuple[int, int, int]]] = {}
-    for f, walk in enumerate(Y.faces):
-        for t, r in enumerate(walk):
-            sides.setdefault(ref_edge(r), []).append((f, t, 1 if r > 0 else -1))
-    return sides
-
-
 def is_reduced_diagram(D: VanKampenDiagram) -> bool:
     """No interior edge carries two mirror-image face sides.
 
     The test is word-level: it also catches distinct relator positions whose
-    words are rotations or inverses of one another.
+    words are rotations or inverses of one another.  Each face spells the
+    relator its label names, as the diagram's validator checked.
     """
-    for e, sides in _edge_sides(D).items():
-        if len(sides) != 2:
-            continue
-        (f1, t1, s1), (f2, t2, s2) = sides
-        u1 = side_trace(D.face_word(f1), t1, s1)
-        u2 = side_trace(D.face_word(f2), t2, s2)
-        if u1 == u2:
-            return False
-    return True
+    relators = D.presentation.relators
+    traces: dict[int, list[Word]] = {}  # edge -> the traces of its face sides
+    for walk, label in zip(D.faces, D.labels):
+        word = relators[label - 1]
+        for t, r in enumerate(walk):
+            traces.setdefault(ref_edge(r), []).append(side_trace(word, t, 1 if r > 0 else -1))
+    return all(len(sides) != 2 or sides[0] != sides[1] for sides in traces.values())
 
 
 # ---------------------------------------------------------------------------

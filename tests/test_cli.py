@@ -62,6 +62,14 @@ def ball_file(tmp_path_factory, pres_file):
     return str(path)
 
 
+def package_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(trigroup.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def run(tmp_path, *argv):
     out = tmp_path / f"out_{next(_counter)}.json"
     status = main([*argv, "--out", str(out)])
@@ -867,23 +875,74 @@ class TestPlumbing:
         monkeypatch.setenv("COLUMNS", "80")
         run_json(tmp_path, "words", "--m", "2", "--seed", "3")
         run_json(tmp_path, "sample", "--m", "2", "--d", "1/3")
-        with pytest.raises(SystemExit):
-            main(["words", "--m", "x"])
+        assert main(["words", "--m", "x"]) == 2
         fresh = build_parser.__wrapped__()
         subs = next(a for a in fresh._actions if a.dest == "subcommand").choices
         assert len(subs) == 12
         for argv, parser in [([], fresh), *(([name], sub) for name, sub in subs.items())]:
             capsys.readouterr()
-            with pytest.raises(SystemExit) as exc:
-                main([*argv, "--help"])
-            assert exc.value.code == 0
+            assert main([*argv, "--help"]) == 0
             assert capsys.readouterr().out == parser.format_help()
+
+    def test_version_returns_status(self, capsys):
+        # only the top level has --version; a subcommand refuses it
+        assert main(["--version"]) == 0
+        assert capsys.readouterr().out == f"trigroup {trigroup.__version__}\n"
+        subs = next(a for a in build_parser()._actions if a.dest == "subcommand").choices
+        for name in subs:
+            assert main([name, "--version"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: trigroup") and "error: " in err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["words", "--m", "x"], "argument --m: invalid int value: 'x'"),
+        (["words", "--m", "2", "--bogus"], "unrecognized arguments: --bogus"),
+        (["words"], "the following arguments are required: --m"),
+        (["nosuch"], "invalid choice: 'nosuch'"),
+        (["fulfil", "--complex", "c.json", "--m", "2", "--exact", "--trials", "3"],
+         "argument --trials: not allowed with argument --exact"),
+        (["words", "--m", "2", "--seed", "q"], "argument --seed: invalid int value: 'q'"),
+    ], ids=["non-integer", "unknown-flag", "missing-flag", "unknown-subcommand",
+            "exclusive-flags", "non-integer-seed"])
+    def test_usage_error_returns_2(self, capsys, argv, named):
+        # argparse's usage errors come back as a status, not as an exception
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: trigroup")
+        assert named in captured.err
+        assert captured.out == ""
+
+    def test_usage_error_from_shell(self, monkeypatch, capsys):
+        # a shell run prints the bytes an in-process call prints, and exits 2
+        monkeypatch.setenv("COLUMNS", "80")
+        proc = subprocess.run([sys.executable, "-m", "trigroup.cli", "words", "--m", "x"],
+                              env=package_env(), capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage: trigroup words [-h]")
+        assert proc.stderr.endswith("trigroup words: error: argument --m: invalid int value: 'x'\n")
+        assert main(["words", "--m", "x"]) == 2
+        assert capsys.readouterr().err == proc.stderr
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fulfil", "--complex", "{missing}", "--m", "0"], "--m must be at least 1"),
+        (["fulfil", "--complex", "{missing}", "--m", "2", "--trials", "0"],
+         "--trials must be positive"),
+        (["enum-diagrams", "--presentation", "{missing}", "--max-faces", "7"],
+         "max faces 7 above the cap 5; pass --face-cap 7 to override"),
+        (["ball", "--presentation", "{missing}", "--radius", "-1"],
+         "--radius must be nonnegative"),
+        (["delta-est", "--graph", "{missing}", "--samples", "0"], "--samples must be positive"),
+    ], ids=["fulfil-m", "fulfil-trials", "enum-diagrams-face-cap", "ball-radius",
+            "delta-est-samples"])
+    def test_flags_checked_before_files(self, tmp_path, capsys, argv, message):
+        # a bad flag is named even when the file it comes with cannot be read
+        missing = str(tmp_path / "missing.json")
+        assert main([arg.format(missing=missing) for arg in argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_workers_refused(self, capsys):
         # execution is sequential: there is no worker count to configure
-        with pytest.raises(SystemExit) as exc:
-            main(["words", "--m", "2", "--workers", "1"])
-        assert exc.value.code == 2
+        assert main(["words", "--m", "2", "--workers", "1"]) == 2
         assert "--workers" in capsys.readouterr().err
 
     def test_config_names_no_workers(self, tmp_path, pres_file):
@@ -913,11 +972,8 @@ class TestPlumbing:
 
     def test_cli_import_leaves_out_sympy(self):
         # Q(sqrt(41)) arithmetic runs on the standard library alone
-        src = os.path.dirname(os.path.dirname(trigroup.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         probe = "import sys, trigroup.cli; print('sympy' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", probe], env=env,
+        out = subprocess.run([sys.executable, "-c", probe], env=package_env(),
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 

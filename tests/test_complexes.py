@@ -524,7 +524,9 @@ class TestGlue:
         glued = LabelledComplex(nv, edges, walks, (1, 2), (1, 2, 3, 2, 3))
         assert glued.edge_count == 5
         assert cancel(glued) == 1
-        assert (glued.face_word(0), glued.face_word(1)) == ((1, 2, 3), (-1, 2, 3))
+        spelled = [tuple(glued.letters[r - 1] if r > 0 else -glued.letters[-r - 1] for r in walk)
+                   for walk in glued.faces]
+        assert spelled == [(1, 2, 3), (-1, 2, 3)]
         assert fulfils(glued, [(1, 2, 3), (-1, 2, 3)])
 
     def test_letter_mismatch_rejected(self):

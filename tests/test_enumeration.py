@@ -170,7 +170,8 @@ class TestSingleFace:
         D = ds[0]
         assert D.area == 1 and D.vertex_count == 3 and D.edge_count == 3
         assert D.boundary_length == 3
-        assert D.face_word(0) == (1, 2, 3)
+        spelled = tuple(D.letters[r - 1] if r > 0 else -D.letters[-r - 1] for r in D.faces[0])
+        assert spelled == (1, 2, 3)
         assert euler_check(D)
 
     def test_rotation_symmetric_relator_counts_once(self):
@@ -224,8 +225,9 @@ class TestEmittedInvariants:
             assert euler_check(D)
             assert is_reduced_diagram(D)
             assert 3 * D.area == D.boundary_length + 2 * cancel(D)
-            for f in range(D.face_count):
-                assert D.face_word(f) == p.relators[D.labels[f] - 1]
+            for walk, label in zip(D.faces, D.labels):
+                spelled = tuple(D.letters[r - 1] if r > 0 else -D.letters[-r - 1] for r in walk)
+                assert spelled == p.relators[label - 1]
             if relators_distinct_up_to_symmetry(p.relators) and not has_proper_power(
                 p.relators
             ):
