@@ -147,13 +147,11 @@ def _check_links(g: BallGraph) -> None:
 
 
 def _relator_variants(relators: Sequence[Word]) -> list[Word]:
-    seen: list[Word] = []
-    for r in relators:
-        for w in (r, invert_word(r)):
-            for rot in rotations(w):
-                if rot not in seen:
-                    seen.append(rot)
-    return seen
+    """Every rotation of every relator and of its inverse, each once, in order
+    of first appearance."""
+    return list(
+        dict.fromkeys(rot for r in relators for w in (r, invert_word(r)) for rot in rotations(w))
+    )
 
 
 def build_ball(

@@ -253,13 +253,14 @@ def cmd_fulfil(args) -> tuple[dict, int]:
         n = len(set(Y.labels))
         if n > EXACT_LABEL_CAP:
             raise ValueError(f"{n} labels, above the cap of {EXACT_LABEL_CAP}")
-        checks = level_checks(structure_of(Y), args.m)
+        fs = structure_of(Y)
         loose = edges_in_no_face(Y)
         if loose:
             raise ValueError(
                 f"'edges' entry {loose[0]} lies in no face;"
                 " forced-letter levels need every edge inside a face"
             )
+        checks = level_checks(fs, args.m)
     except ValueError as exc:
         raise ValueError(f"complex file {args.complex!r}: {exc}")
     base = triangle_word_count(args.m)

@@ -8,7 +8,7 @@ samples it.  For words drawn i.i.d. uniformly from the cyclically reduced
 support this module computes the per-level probabilities
 
 * in closed form by inclusion-exclusion over the cyclic-reduction constraints
-  (``structure_counts`` on the complex's incidence structure, see
+  (``_counter`` on the complex's incidence structure, see
   ``structure_of``), which scales to a sweep over *all* incidence structures
   with a bounded number of faces,
 * exhaustively (``exact_probabilities``, whose cost grows as
@@ -46,17 +46,18 @@ from .words import Word, enumerate_triangle_words, sample_triangle_word
 _WILSON_Z = 2.5758293035489004
 
 
-def _label_groups(labels: Sequence[int]) -> list[list[int]]:
+def _label_groups(labels: Sequence[int]) -> list[tuple[int, ...]]:
     """The faces of each label 1..n, in face order.  Every one of 1..n must
     occur; labels below 1 are refused earlier, by ``AbstractLabelledComplex``
-    and ``FaceStructure``."""
-    groups: list[list[int]] = [[] for _ in range(max(labels))]
+    and ``FaceStructure``.  The least missing label is at most the number of
+    distinct labels, so a far label costs no group per label below it."""
+    faces: dict[int, list[int]] = {}
     for f, label in enumerate(labels):
-        groups[label - 1].append(f)
-    for label, group in enumerate(groups, 1):
-        if not group:
+        faces.setdefault(label, []).append(f)
+    for label in range(1, len(faces) + 1):
+        if label not in faces:
             raise ValueError(f"'index' values must cover 1..n: {label} is missing")
-    return groups
+    return [tuple(faces[label]) for label in range(1, len(faces) + 1)]
 
 
 def _require_triangles(Y: AbstractLabelledComplex) -> None:
@@ -346,20 +347,34 @@ def _merged_key(
     return n, tuple(sorted((rename[a], rename[b], t) for a, b, t in raw))
 
 
-def structure_counts(fs: FaceStructure, ms: Sequence[int]) -> list[tuple[int, ...]]:
-    """counts[i][j] = consistent i-tuples of words at m = ms[j], i = 0..n.
+def _counter(classes, signs, sizes, memo):
+    """``counts(groups)``: the consistent word tuples, one word per group of
+    faces of the structure ``(classes, signs)``, at each alphabet size.
 
     Closed form: whatever the vertex structure, a consistent tuple is exactly
     a letter assignment to the merged edge classes avoiding the
-    cyclic-reduction relations, counted by inclusion-exclusion.
+    cyclic-reduction relations, counted by inclusion-exclusion.  Counts are
+    kept per group set, as sorted tuples of sorted faces (they depend neither
+    on the order of the groups nor on which face represents its group), and
+    in ``memo``, which other structures may share, per merged key.
     """
-    groups = _label_groups(fs.labels)
-    sizes = [2 * m for m in ms]
-    memo: dict = {}
-    return [
-        _group_counts(fs.classes, fs.signs, groups[:i], sizes, memo)
-        for i in range(len(groups) + 1)
-    ]
+    shared = {(): (1,) * len(sizes)}  # the empty tuple
+
+    def counts(groups) -> tuple[int, ...]:
+        key = tuple(sorted(groups))
+        got = shared.get(key)
+        if got is None:
+            merged = _merged_key(classes, signs, groups)
+            if merged is None:
+                got = (0,) * len(sizes)
+            else:
+                got = memo.get(merged)
+                if got is None:
+                    got = memo[merged] = count_letter_assignments(*merged, sizes)
+            shared[key] = got
+        return got
+
+    return counts
 
 
 def _top_delta(
@@ -399,36 +414,24 @@ def _ratio_sides(count: int, lower: int, delta: int, m: int) -> tuple[int, int, 
 def level_checks(fs: FaceStructure, m: int) -> list[dict]:
     """Per label level i = 1..n: its consistent-tuple count, delta and both
     ratio bounds at rank m (``bound`` is the nominal (2m-1)^(-delta))."""
-    counts = [c for (c,) in structure_counts(fs, (m,))]
     groups = _label_groups(fs.labels)
+    counts = _counter(fs.classes, fs.signs, (2 * m,), {})
     rows = []
-    for i in range(1, len(counts)):
+    for i in range(1, len(groups) + 1):
+        (count,), (lower,) = counts(groups[:i]), counts(groups[: i - 1])
         delta = _top_delta(fs.classes, groups[i - 1], groups[: i - 1])
-        side, nominal_cap, guaranteed_cap = _ratio_sides(counts[i], counts[i - 1], delta, m)
+        side, nominal_cap, guaranteed_cap = _ratio_sides(count, lower, delta, m)
         rows.append(
             {
                 "level": i,
                 "delta": delta,
-                "count": counts[i],
+                "count": count,
                 "bound": Fraction(1, (2 * m - 1) ** delta),
                 "holds": side <= nominal_cap,
                 "holds_guaranteed": side <= guaranteed_cap,
             }
         )
     return rows
-
-
-def _group_counts(classes, signs, groups, sizes, memo) -> tuple[int, ...]:
-    """Consistent word tuples, one word per group of faces, at each alphabet
-    size; memoized on the merged key."""
-    if not groups:
-        return (1,) * len(sizes)  # the empty tuple
-    key = _merged_key(classes, signs, groups)
-    if key is None:
-        return (0,) * len(sizes)
-    if key not in memo:
-        memo[key] = count_letter_assignments(key[0], key[1], sizes)
-    return memo[key]
 
 
 # ---------------------------------------------------------------------------
@@ -519,26 +522,6 @@ def _stabilizer(classes, signs, perms, orders) -> tuple | None:
         if diff == 0:
             stabilizer.append(perm)
     return tuple(stabilizer)
-
-
-def _shared_counts(classes, signs, sizes, memo):
-    """``_group_counts`` for one partition, shared by its configurations.
-
-    Keyed on the group set, as sorted tuples of sorted faces: the count
-    depends neither on the order of the groups nor on which face represents
-    its group.  Every configuration of ``_structure_configs`` lists its
-    faces in increasing order.
-    """
-    shared: dict[tuple, tuple[int, ...]] = {}
-
-    def counts(groups) -> tuple[int, ...]:
-        key = tuple(sorted(groups))
-        got = shared.get(key)
-        if got is None:
-            got = shared[key] = _group_counts(classes, signs, groups, sizes, memo)
-        return got
-
-    return counts
 
 
 def _top_level_check(
@@ -634,8 +617,8 @@ def ratio_sweep(max_faces: int = 3, ms: Sequence[int] = (1, 2, 3)) -> dict:
     permutations that tie to the end form its stabilizer.  For each
     structure only the top label level is checked, lower levels being top
     levels of smaller structures; the configurations of one partition share
-    their counts through ``_shared_counts``, and share with every partition
-    of the same stabilizer one ``_structure_configs``.
+    one ``_counter``, and share with every partition of the same stabilizer
+    one ``_structure_configs``.
 
     ``violations`` lists structures beating the nominal (2m-1)^(-delta)
     bound.  These exist, and every one lies in the within-word forcing
@@ -672,7 +655,7 @@ def ratio_sweep(max_faces: int = 3, ms: Sequence[int] = (1, 2, 3)) -> dict:
             configs = configs_of.get(stabilizer)
             if configs is None:
                 configs = configs_of[stabilizer] = _structure_configs(k, stabilizer)
-            counts = _shared_counts(classes, signs, sizes, memo)
+            counts = _counter(classes, signs, sizes, memo)
             for top, lowers in configs:
                 n_structures += 1
                 report["checks"] += len(ms)

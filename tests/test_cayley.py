@@ -22,6 +22,7 @@ from trigroup.cayley import (
     slim_delta_estimate,
     _check_links,
     _geodesics,
+    _relator_variants,
     _slimness_defect,
     strip_diagram,
     fig1_demo,
@@ -345,6 +346,16 @@ class TestFoldOracle:
     def test_matches_dict_row_fold_at_radius_5(self):
         p = sample_presentation(4, Fraction(1, 6), 1)
         assert build_ball(p, 5) == fold_oracle.build_ball(p, 5)
+
+    def test_relator_variants_match_list_dedup(self):
+        # the same cycles in the same order as the list-scanning dedup, with
+        # rotation-symmetric and mutually inverse relators repeating cycles
+        cases = [p.relators for _, p in FOLD_CORPUS]
+        cases += [sample_presentation(50, Fraction(2, 5), 1).relators]
+        cases += [[(1, 1, 1), (-1, -1, -1), (1, 1, 2), (2, 1, 1), (-2, -1, -1)]]
+        for relators in cases:
+            assert _relator_variants(relators) == fold_oracle._relator_variants(relators)
+        assert len(_relator_variants(cases[-1])) == 8
 
 
 def _copy_doc(doc: dict) -> dict:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trigroup
-from trigroup import cayley
+from trigroup import cayley, fulfillment
 from trigroup.cayley import (
     MAX_ADJACENCY_SLOTS,
     STRIP_PRESENTATION,
@@ -264,19 +264,30 @@ class TestFulfil:
         assert errors[0] == errors[1]
         assert f"complex file {str(digon)!r}: face 0 has 2 sides" in errors[0]
 
-    def test_exact_edge_in_no_face(self, tmp_path, capsys):
-        # edge 1 is a loop that no face walk uses
+    def test_exact_edge_in_no_face(self, tmp_path, capsys, monkeypatch):
+        # edge 1 is a loop that no face walk uses; it is refused before any
+        # count is made
         loose = tmp_path / "loose.json"
         loose.write_text(json.dumps({"vertices": 1, "edges": [[0, 0], [0, 0]],
                                      "faces": [{"index": 1, "boundary": [1, 1, 1]}]}))
+        counted = []
+        monkeypatch.setattr(fulfillment, "count_letter_assignments",
+                            lambda *args: counted.append(args))
         assert main(["fulfil", "--complex", str(loose), "--m", "2", "--exact"]) == 2
+        assert counted == []
         assert (f"error: complex file {str(loose)!r}: 'edges' entry 1 lies in no face"
                 in capsys.readouterr().err)
 
-    @pytest.mark.parametrize("mode", [["--exact"], ["--trials", "10"]])
-    def test_label_gap_names_index(self, tmp_path, capsys, mode):
+    @pytest.mark.parametrize("mode, labels", [
+        (["--exact"], [1, 3]),
+        (["--trials", "10"], [1, 3]),
+        # refused without a list per label up to the far one
+        (["--exact"], [1, 10**6]),
+        (["--trials", "10"], [1, 10**6]),
+    ], ids=["mode0", "mode1", "far-index-exact", "far-index-trials"])
+    def test_label_gap_names_index(self, tmp_path, capsys, mode, labels):
         gap = tmp_path / "gap.json"
-        gap.write_text(dumps_complex(abstract_from_walks([(1, 2, 3), (-1, 4, 5)], [1, 3])))
+        gap.write_text(dumps_complex(abstract_from_walks([(1, 2, 3), (-1, 4, 5)], labels)))
         assert main(["fulfil", "--complex", str(gap), "--m", "2", *mode]) == 2
         assert capsys.readouterr().err == (
             f"error: complex file {str(gap)!r}: 'index' values must cover 1..n: 2 is missing\n"

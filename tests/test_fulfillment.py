@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -20,19 +21,18 @@ from trigroup.fulfillment import (
     FaceStructure,
     count_letter_assignments,
     fulfils,
+    level_checks,
     montecarlo_fulfillment,
     ratio_sweep,
-    structure_counts,
     structure_of,
 )
 from trigroup.fulfillment import (
+    _counter,
     _encoding_order,
-    _group_counts,
     _iter_signed_partitions,
     _label_groups,
     _merged_key,
     _permuted_encoding,
-    _shared_counts,
     _slot_order,
     _stabilizer,
     _structure_configs,
@@ -59,6 +59,14 @@ from sweep_oracle import (
 
 def build(walks, labels):
     return abstract_from_walks(walks, labels)
+
+
+def level_counts(fs, ms):
+    """counts[i][j] = consistent i-tuples of words at m = ms[j], i = 0..n, each
+    level read from one ``_counter`` of the structure."""
+    groups = _label_groups(fs.labels)
+    counts = _counter(fs.classes, fs.signs, [2 * m for m in ms], {})
+    return [counts(groups[:i]) for i in range(len(groups) + 1)]
 
 
 SINGLE = build([(1, 2, 3)], (1,))
@@ -111,6 +119,29 @@ class TestPartialLabel:
                       lambda: structure_of(square)):
             with pytest.raises(ValueError, match="face 0 has 4 sides; words are triangles"):
                 count()
+
+
+class TestLabelGroups:
+    def test_faces_per_label(self):
+        assert _label_groups([2, 1, 2, 3]) == [(1,), (0, 2), (3,)]
+
+    @pytest.mark.parametrize("labels, missing", [([3, 3], 1), ([1, 2, 5, 7], 3), ([2, 1, 4], 3)])
+    def test_least_missing_label(self, labels, missing):
+        message = f"^'index' values must cover 1..n: {missing} is missing$"
+        with pytest.raises(ValueError, match=message):
+            _label_groups(labels)
+
+    def test_far_label_refused_without_a_list_per_label(self):
+        error = None
+        tracemalloc.start()
+        try:
+            _label_groups([1, 10**6])
+        except ValueError as exc:
+            error = str(exc)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert error == "'index' values must cover 1..n: 2 is missing"
+        assert peak < 2**20
 
 
 class TestFulfils:
@@ -340,18 +371,18 @@ class TestCountingKernel:
     def test_repeat_edge_polynomial(self):
         # faces (e,e,f): x**2 - x
         fs = FaceStructure((0, 0, 1), (1, 1, 1), (1,))
-        counts = structure_counts(fs, (1, 2, 3))
+        counts = level_counts(fs, (1, 2, 3))
         assert counts[1] == (2, 12, 30)
 
     def test_structure_counts_shared(self):
         fs = FaceStructure((0, 1, 2, 0, 3, 4), (1, 1, 1, 1, 1, 1), (1, 2))
-        counts = structure_counts(fs, (1, 2))
+        counts = level_counts(fs, (1, 2))
         assert counts[1] == (2, 28)
         assert counts[2] == (2, 196)
 
     def test_reversed_copy_has_no_words(self):
         fs = FaceStructure((0, 1, 2, 2, 1, 0), (1, 1, 1, -1, -1, -1), (1, 1))
-        counts = structure_counts(fs, (1, 2, 3))
+        counts = level_counts(fs, (1, 2, 3))
         assert counts[1] == (0, 0, 0)
 
     def test_matches_exhaustive_enumeration(self):
@@ -359,7 +390,7 @@ class TestCountingKernel:
             rng = make_rng(97, "xval", i)
             fs = structure_of(random_abstract_complex(rng, 3))
             ms = (1,) if fs.face_count == 3 and i % 3 else (1, 2)
-            fast = structure_counts(fs, ms)
+            fast = level_counts(fs, ms)
             Y = structure_to_complex(fs)
             for j, m in enumerate(ms):
                 probe = exact_probabilities(Y, m)
@@ -371,8 +402,8 @@ class TestCountingKernel:
         cases += [(build([(1, 1, 1)], (1,)), 5), (build([(1, 2, 3), (2, 1, 4)], (1, 1)), 5)]
         cases += [(CHAIN6, 1), (FAN6, 1)]
         for Y, m in cases:
-            got = tuple(c for (c,) in structure_counts(structure_of(Y), (m,)))
-            assert got == exact_probabilities(Y, m).counts, (Y, m)
+            got = tuple(row["count"] for row in level_checks(structure_of(Y), m))
+            assert (1, *got) == exact_probabilities(Y, m).counts, (Y, m)
 
     def test_structure_of_inverts_structure_to_complex(self):
         for i in range(100):
@@ -454,10 +485,10 @@ class TestSweep:
             stabilizer = _stabilizer(classes, signs, perms, orders)
             if stabilizer is None:
                 continue
-            counts = _shared_counts(classes, signs, sizes, memo)
+            counts = _counter(classes, signs, sizes, memo)
             for top, lowers in _structure_configs(k, stabilizer):
                 for groups in ([*lowers, top], lowers):
-                    assert counts(groups) == _group_counts(classes, signs, groups, sizes, {}), (
+                    assert counts(groups) == _counter(classes, signs, sizes, {})(groups), (
                         classes, signs, top, lowers, groups)
                     checked += 1
         assert checked > 20
@@ -614,7 +645,7 @@ class TestSweep:
             groups = [tuple(f for f in range(fs.face_count) if fs.labels[f] == j)
                       for j in range(1, max(fs.labels) + 1)]
             tightest = [(0, 1) for _ in ms]
-            counts = _shared_counts(fs.classes, fs.signs, [2 * m for m in ms], {})
+            counts = _counter(fs.classes, fs.signs, [2 * m for m in ms], {})
             nominal, guaranteed = _top_level_check(
                 fs.classes, groups[-1], groups[:-1], ms, counts, tightest
             )

@@ -1,8 +1,10 @@
 """Every name a module under ``src/trigroup`` imports is used in that module,
-every top-level name it defines is reached from outside its own body, and
-every method of its classes is read as an attribute somewhere."""
+every top-level name it defines is reached from outside its own body, every
+method of its classes is read as an attribute somewhere, and every function
+the bench tracer wraps exists."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -164,3 +166,36 @@ def test_guard_catches_an_unused_method():
     assert unread_methods(sources, bench_text() + " spare(") == set()
     sources["cayley"] += "\n\nx = Spare().spare\n"
     assert unread_methods(sources, bench_text()) == set()
+
+
+def wrapped_names(bench_source: str) -> dict[str, tuple[str, ...]]:
+    """The ``WRAPPED`` table of the bench tracer: module -> function names."""
+    for stmt in ast.parse(bench_source).body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "WRAPPED" for t in stmt.targets
+        ):
+            return ast.literal_eval(stmt.value)
+    raise AssertionError("no WRAPPED table")
+
+
+def unresolved_wrapped(wrapped: dict[str, tuple[str, ...]]) -> list[str]:
+    """``module.name`` for every wrapped name that ``trigroup.<module>`` lacks."""
+    return [
+        f"{module}.{name}"
+        for module, names in wrapped.items()
+        for name in names
+        if not hasattr(importlib.import_module(f"trigroup.{module}"), name)
+    ]
+
+
+def test_every_wrapped_name_resolves():
+    wrapped = wrapped_names((BENCH / "tracing.py").read_text())
+    assert "count_letter_assignments" in wrapped["fulfillment"]
+    assert unresolved_wrapped(wrapped) == [], "the bench tracer wraps names src/trigroup lacks"
+
+
+def test_guard_catches_a_missing_wrapped_name():
+    wrapped = wrapped_names((BENCH / "tracing.py").read_text())
+    wrapped["fulfillment"] += ("structure_counts",)
+    wrapped["words"] = ("spare", *wrapped["words"])
+    assert unresolved_wrapped(wrapped) == ["words.spare", "fulfillment.structure_counts"]
