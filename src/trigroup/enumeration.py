@@ -14,8 +14,10 @@ mirror images, and faces are numbered boundary-first with ties explored
 exhaustively.  The minimization is level-synchronous: every root advances
 one face position at a time, and only the partial encodings whose next face
 key equals that position's minimum go on, so a losing root is dropped at its
-first worse key instead of being encoded to full depth.  Output is
-deterministic: by face count, then canonical form.
+first worse key instead of being encoded to full depth.  The first key is
+read off boundary positions and signs alone, and only the roots that tie for
+it get an edge -> id map.  Output is deterministic: by face count, then
+canonical form.
 
 Every emitted diagram is a validated ``VanKampenDiagram``, and
 ``isoperimetric_report`` reads its rows off those diagrams, so each row has
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Iterator, Sequence
 
 from .complexes import VanKampenDiagram, Walk, cancel, close_walks, side_trace
@@ -114,6 +115,19 @@ def _attach(
 # canonical form
 
 
+def _root_ids(boundary: Walk, i: int, backwards: bool) -> dict[int, int]:
+    """edge -> signed id under the root that reads the boundary backwards
+    from position i-1 or forwards from i+1: the edge at position p gets
+    ``((d·(p-i) - 1) mod |∂D|) + 1``, signed by that root's crossing of it,
+    where d is -1 backwards and 1 forwards."""
+    B = len(boundary)
+    d = -1 if backwards else 1
+    return {
+        abs(r): ((d * (p - i) - 1) % B + 1) * (d if r > 0 else -d)
+        for p, r in enumerate(boundary)
+    }
+
+
 def _canonical(state: _State) -> tuple:
     """The least encoding over all 2·|∂D| roots, found level by level.
 
@@ -131,14 +145,17 @@ def _canonical(state: _State) -> tuple:
     The boundary crosses each edge once, so a face rotation starting on the
     boundary edge at position i reaches the least first entry, -|∂D|, from
     exactly one root: i-1 backwards when the face crosses the edge in the
-    boundary's direction, i+1 forwards otherwise.  Only those roots are built.
+    boundary's direction, i+1 forwards otherwise.  Position 1 is keyed from
+    boundary positions and signs alone, with no id map; only the roots that
+    tie for its least key get one (``_root_ids``), and the rest of the
+    encoding is found from those.  A one-face state builds no map at all.
     """
     _, faces, boundary = state
     B = len(boundary)
-    edges = [abs(r) for r in boundary]
-    where = {e: i for i, e in enumerate(edges)}
+    where = {abs(r): p for p, r in enumerate(boundary)}
     if len(where) != B:
         raise ValueError("the boundary crosses an edge twice")
+    signs = [1 if r > 0 else -1 for r in boundary]
     # every (face bit, label, rotated walk, its edges), computed once
     turns = []
     for f, ((a, b, c), label) in enumerate(faces):
@@ -149,30 +166,60 @@ def _canonical(state: _State) -> tuple:
             (bit, label, b, c, a, eb, ec, ea),
             (bit, label, c, a, b, ec, ea, eb),
         )
-    # the boundary read forwards and backwards, twice over, so that every
-    # root is one slice: edges, and the sign of each first crossing
-    signs = [1 if r > 0 else -1 for r in boundary]
-    fwd_edges, fwd_signs = edges * 2, signs * 2
-    back_edges, back_signs = edges[::-1] * 2, [-s for s in reversed(signs)] * 2
-    counts = range(1, B + 1)
-    # partial encodings to extend: (edge -> signed id, bitmask of encoded
-    # faces, the face rotation that extends them)
-    pairs = []
+    # position 1 reads each rotation that starts on the boundary from its one
+    # root (i, d): first edge at position i, d = -1 backwards and 1 forwards.
+    # The edge at position p has the signed id ((d·(p-i) - 1) mod B + 1)·d·
+    # sign(p) there, as in _root_ids, so no id map is built for this key
+    best = None
+    roots: list = []
     for turn in turns:
-        i = where.get(turn[5])
+        _, label, a, b, c, ea, eb, ec = turn
+        i = where.get(ea)
         if i is None:
             continue
-        if (turn[2] > 0) == (boundary[i] > 0):
-            j = B - i  # backwards from i-1
-            ids = dict(zip(back_edges[j : j + B], map(mul, counts, back_signs[j : j + B])))
+        d = -1 if (a > 0) == (boundary[i] > 0) else 1
+        # an edge off the boundary gets the next id, signed by this crossing
+        n = B
+        p = where.get(eb)
+        if p is None:
+            n += 1
+            sb = n if b > 0 else -n
         else:
-            j = i + 1  # forwards from i+1
-            ids = dict(zip(fwd_edges[j : j + B], map(mul, counts, fwd_signs[j : j + B])))
-        pairs.append((ids, 0, turn))
-    encoding: list = [B]
-    for _ in faces:
+            sb = ((d * (p - i) - 1) % B + 1) * d * signs[p]
+        if ec == eb:
+            sc = sb
+        else:
+            q = where.get(ec)
+            if q is None:
+                n += 1
+                sc = n if c > 0 else -n
+            else:
+                sc = ((d * (q - i) - 1) % B + 1) * d * signs[q]
+        key = (-B, sb if b > 0 else -sb, sc if c > 0 else -sc, label)
+        if best is None or key < best:
+            best = key
+            roots = [(i, d, turn)]
+        elif key == best:
+            roots.append((i, d, turn))
+    encoding: list = [B, (best[:3], best[3])]
+    if len(faces) == 1:
+        return tuple(encoding)
+    # partial encodings that extend: (edge -> signed id, bitmask of encoded
+    # faces, the face rotation just encoded)
+    ties = [(_root_ids(boundary, i, d < 0), 0, turn) for i, d, turn in roots]
+    for _ in faces[1:]:
+        pairs = []
+        for ids, used, (bit, _, _, b, c, _, eb, ec) in ties:
+            if eb not in ids or ec not in ids:
+                ids = dict(ids)
+                if eb not in ids:
+                    ids[eb] = len(ids) + 1 if b > 0 else -len(ids) - 1
+                if ec not in ids:
+                    ids[ec] = len(ids) + 1 if c > 0 else -len(ids) - 1
+            used |= bit
+            pairs.extend((ids, used, t) for t in turns if not used & t[0])
         best = None
-        ties: list = []
+        ties = []
         for ids, used, turn in pairs:
             _, label, a, b, c, ea, eb, ec = turn
             sa = ids.get(ea)
@@ -181,7 +228,6 @@ def _canonical(state: _State) -> tuple:
             x = sa if a > 0 else -sa
             if best is not None and x > best[0]:
                 continue
-            # an edge without an id gets the next one, signed by this crossing
             n = len(ids)
             sb = ids.get(eb)
             if sb is None:
@@ -198,18 +244,6 @@ def _canonical(state: _State) -> tuple:
             elif key == best:
                 ties.append((ids, used, turn))
         encoding.append((best[:3], best[3]))
-        if len(encoding) > len(faces):
-            break
-        pairs = []
-        for ids, used, (bit, _, _, b, c, _, eb, ec) in ties:
-            if eb not in ids or ec not in ids:
-                ids = dict(ids)
-                if eb not in ids:
-                    ids[eb] = len(ids) + 1 if b > 0 else -len(ids) - 1
-                if ec not in ids:
-                    ids[ec] = len(ids) + 1 if c > 0 else -len(ids) - 1
-            used |= bit
-            pairs.extend((ids, used, t) for t in turns if not used & t[0])
     return tuple(encoding)
 
 

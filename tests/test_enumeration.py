@@ -349,6 +349,27 @@ def canonicalised_states(p, max_faces):
     return tuple(states)
 
 
+@functools.lru_cache(maxsize=None)
+def root_ids_per_call(p, max_faces):
+    """How many id maps ``_canonical`` builds through ``_root_ids`` on each
+    state of ``canonicalised_states(p, max_faces)``."""
+    built = []
+    real = enumeration._root_ids
+
+    def record(boundary, i, backwards):
+        built[-1] += 1
+        return real(boundary, i, backwards)
+
+    enumeration._root_ids = record
+    try:
+        for state in canonicalised_states(p, max_faces):
+            built.append(0)
+            _canonical(state)
+    finally:
+        enumeration._root_ids = real
+    return tuple(built)
+
+
 ORACLE_CORPORA = {
     "m3-d1/4-seed7": (sample_presentation(3, Fraction(1, 4), 7), 5),
     "m10-d17/50-seed0": (sample_presentation(10, Fraction(17, 50), 0), 3),
@@ -406,6 +427,17 @@ class TestCanonicalForm:
         # call leaves this count alone
         p, max_faces = ORACLE_CORPORA["m10-d17/50-seed0"]
         assert len(canonicalised_states(p, max_faces)) == 4703
+
+    def test_id_maps_on_deep_input(self):
+        # only the roots that tie for the least first key get an id map
+        p, max_faces = ORACLE_CORPORA["m10-d17/50-seed0"]
+        assert sum(root_ids_per_call(p, max_faces)) == 4819
+
+    def test_deep_input_reaches_tied_roots(self):
+        # some states tie at their first key and go on from two roots, so
+        # the oracle comparison on this corpus covers the multi-root path
+        p, max_faces = ORACLE_CORPORA["m10-d17/50-seed0"]
+        assert sum(n >= 2 for n in root_ids_per_call(p, max_faces)) == 136
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
