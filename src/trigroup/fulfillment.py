@@ -16,7 +16,8 @@ support this module computes the per-level probabilities
   form is tested against,
 
 and checks two per-level ratio bounds, where delta_i is the forced-letter
-level of the faces of label i over the labels below (``_top_delta``):
+level of the faces of label i over the labels below (``_top_delta``, which
+reads it straight off the slot classes):
 
 * the nominal p_i / p_{i-1} <= (2m-1)^(-delta_i), which fails on faces that
   force a word to repeat or invert one of its own letters;
@@ -25,7 +26,9 @@ level of the faces of label i over the labels below (``_top_delta``):
 
 One level check serves both callers: ``level_checks`` gives the rows of
 ``fulfil --exact`` and ``ratio_sweep`` checks the top level of every
-structure.
+structure.  Both ask the memoized counter for a group set by its sorted key,
+which ``ratio_sweep`` builds once per configuration shape and shares across
+partitions.
 
 Probabilities are exact rationals throughout; the only floats appear in the
 Monte Carlo confidence interval.
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .complexes import AbstractLabelledComplex, forced_counts, ref_edge
+from .complexes import AbstractLabelledComplex, ref_edge
 from .seeding import make_rng
 from .words import Word, enumerate_triangle_words, sample_triangle_word
 
@@ -347,24 +350,29 @@ def _merged_key(
     return n, tuple(sorted((rename[a], rename[b], t) for a, b, t in raw))
 
 
+_GroupSet = tuple[tuple[int, ...], ...]
+
+
 def _counter(classes, signs, sizes, memo):
-    """``counts(groups)``: the consistent word tuples, one word per group of
+    """``counts(key)``: the consistent word tuples, one word per group of
     faces of the structure ``(classes, signs)``, at each alphabet size.
+
+    ``key`` is a group set as a sorted tuple of sorted face tuples: counts
+    depend neither on the order of the groups nor on which face represents
+    its group, so callers sort once and the counter never does.
 
     Closed form: whatever the vertex structure, a consistent tuple is exactly
     a letter assignment to the merged edge classes avoiding the
     cyclic-reduction relations, counted by inclusion-exclusion.  Counts are
-    kept per group set, as sorted tuples of sorted faces (they depend neither
-    on the order of the groups nor on which face represents its group), and
-    in ``memo``, which other structures may share, per merged key.
+    kept per key, and in ``memo``, which other structures may share, per
+    merged key.
     """
     shared = {(): (1,) * len(sizes)}  # the empty tuple
 
-    def counts(groups) -> tuple[int, ...]:
-        key = tuple(sorted(groups))
+    def counts(key: _GroupSet) -> tuple[int, ...]:
         got = shared.get(key)
         if got is None:
-            merged = _merged_key(classes, signs, groups)
+            merged = _merged_key(classes, signs, key)
             if merged is None:
                 got = (0,) * len(sizes)
             else:
@@ -382,12 +390,25 @@ def _top_delta(
 ) -> int:
     """delta of the ``top`` face group over ``lower_groups``: the most letters
     of one top face already forced by the groups below, earlier top faces or
-    earlier positions of its own walk (see
-    :func:`trigroup.complexes.forced_counts`)."""
-    groups = [*lower_groups, top]
-    walks = [classes[3 * f : 3 * f + 3] for group in groups for f in group]
-    labels = [level for level, group in enumerate(groups, 1) for _ in group]
-    return max(forced_counts(walks, labels)[-len(top) :])  # the top faces come last
+    earlier positions of its own walk.
+
+    Only the top faces' count is taken.  A top slot is free when no lower
+    face visits its class and its position is the least among the top faces'
+    visits to that class; top faces that visit a class at that same least
+    position are all free there.  This is
+    :func:`trigroup.complexes.forced_counts` with the lower groups labelled
+    below the top, read for the top faces alone.
+    """
+    below = {classes[s] for group in lower_groups for f in group for s in range(3 * f, 3 * f + 3)}
+    least: dict[int, int] = {}  # class -> least top position, for free classes
+    for f in top:
+        for t in range(3):
+            c = classes[3 * f + t]
+            if c not in below and least.get(c, 3) > t:
+                least[c] = t
+    return max(
+        sum(least.get(classes[3 * f + t]) != t for t in range(3)) for f in top
+    )
 
 
 def _ratio_sides(count: int, lower: int, delta: int, m: int) -> tuple[int, int, int]:
@@ -415,10 +436,11 @@ def level_checks(fs: FaceStructure, m: int) -> list[dict]:
     """Per label level i = 1..n: its consistent-tuple count, delta and both
     ratio bounds at rank m (``bound`` is the nominal (2m-1)^(-delta))."""
     groups = _label_groups(fs.labels)
+    keys = [tuple(sorted(groups[:i])) for i in range(len(groups) + 1)]
     counts = _counter(fs.classes, fs.signs, (2 * m,), {})
     rows = []
     for i in range(1, len(groups) + 1):
-        (count,), (lower,) = counts(groups[:i]), counts(groups[: i - 1])
+        (count,), (lower,) = counts(keys[i]), counts(keys[i - 1])
         delta = _top_delta(fs.classes, groups[i - 1], groups[: i - 1])
         side, nominal_cap, guaranteed_cap = _ratio_sides(count, lower, delta, m)
         rows.append(
@@ -438,29 +460,61 @@ def level_checks(fs: FaceStructure, m: int) -> list[dict]:
 # the sweep over every structure with at most `max_faces` faces
 
 
+def _extensions(used: int, width: int) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """Every way to extend a signed restricted-growth string that uses
+    ``used`` classes by ``width`` slots, in generation order: each slot takes
+    a class so far with sign +1, then the same class with sign -1, class by
+    class, and last opens the next class with sign +1.  Items are
+    ``(classes, signs, classes used after)``."""
+    blocks = [((), (), used)]
+    for _ in range(width):
+        grown = []
+        for c, s, u in blocks:
+            for x in range(u):
+                grown.append((c + (x,), s + (1,), u))
+                grown.append((c + (x,), s + (-1,), u))
+            grown.append((c + (u,), s + (1,), u + 1))
+        blocks = grown
+    return blocks
+
+
 def _iter_signed_partitions(slots: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All partitions of slot positions into classes, with traversal signs.
 
     Classes appear in first-use order; the first slot of each class is +1,
-    later slots carry either sign.  (Restricted-growth strings with signs.)
+    later slots carry either sign.  (Restricted-growth strings with signs;
+    Knuth, TAOCP 4A, 7.2.1.5.)  The order is lexicographic in the choices
+    of :func:`_extensions`.
+
+    One frame does all the work: a prefix grows a face (3 slots) at a time
+    from precomputed blocks, one table per face and per number of classes
+    the prefix uses, and the last face's table is read out directly onto
+    each prefix.  A last, shorter block holds the slots left over.
     """
-    classes = [0] * slots
-    signs = [1] * slots
-
-    def rec(i: int, used: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-        if i == slots:
-            yield tuple(classes), tuple(signs)
-            return
-        for c in range(used):
-            classes[i] = c
-            for s in (1, -1):
-                signs[i] = s
-                yield from rec(i + 1, used)
-            signs[i] = 1
-        classes[i] = used
-        yield from rec(i + 1, used + 1)
-
-    yield from rec(0, 0)
+    widths = [3] * (slots // 3)
+    if slots % 3 or not widths:
+        widths.append(slots % 3)
+    *outer, last = [
+        [_extensions(used, width) for used in range(3 * depth + 1)]
+        for depth, width in enumerate(widths)
+    ]
+    if not outer:
+        for c, s, _ in last[0]:
+            yield c, s
+        return
+    stack = [((), (), iter(outer[0][0]))]  # prefix and the blocks left to extend it
+    while stack:
+        head_c, head_s, blocks = stack[-1]
+        for bc, bs, used in blocks:
+            c, s = head_c + bc, head_s + bs
+            if len(stack) == len(outer):
+                for lc, ls, _ in last[used]:
+                    yield c + lc, s + ls
+            else:
+                stack.append((c, s, iter(outer[len(stack)][used])))
+                break
+        else:
+            stack.pop()
 
 
 def _permuted_encoding(
@@ -524,23 +578,34 @@ def _stabilizer(classes, signs, perms, orders) -> tuple | None:
     return tuple(stabilizer)
 
 
-def _top_level_check(
-    classes, top: tuple[int, ...], lower_groups, ms, counts, tightest,
-) -> tuple[list[int], list[int]]:
+_Config = tuple[tuple[int, ...], _GroupSet]  # (top group, lower groups)
+_KeyedConfig = tuple[tuple[int, ...], _GroupSet, _GroupSet, _GroupSet]
+
+
+def _keyed(top: tuple[int, ...], lowers: _GroupSet) -> _KeyedConfig:
+    """``(top, lowers, full key, lower key)``: a configuration with the
+    ``_counter`` keys of its whole group set and of the groups below the
+    top, sorted once."""
+    return top, lowers, tuple(sorted([*lowers, top])), tuple(sorted(lowers))
+
+
+def _top_level_check(classes, config: _KeyedConfig, ms, counts, tightest) -> tuple[list[int], list[int]]:
     """Check the nominal and guaranteed top-level ratio bounds at every m.
 
-    ``counts(groups)`` gives the consistent word tuples of a list of face
-    groups at every m.  Returns (ms violating the nominal bound, ms violating
-    the guaranteed one); see :func:`_ratio_sides` for the two inequalities.
-    ``tightest[j]`` is raised to this structure's guaranteed ratio at
-    ``ms[j]``, kept as an integer pair (numerator, denominator) and compared
-    by cross-multiplying.
+    ``config`` is a configuration with its counting keys (see
+    :func:`_keyed`), and ``counts(key)`` gives the consistent word tuples of
+    a group set at every m.  Returns (ms violating the nominal bound, ms
+    violating the guaranteed one); see :func:`_ratio_sides` for the two
+    inequalities.  ``tightest[j]`` is raised to this structure's guaranteed
+    ratio at ``ms[j]``, kept as an integer pair (numerator, denominator) and
+    compared by cross-multiplying.
     """
-    full = counts([*lower_groups, top])
+    top, lowers, full_key, lower_key = config
+    full = counts(full_key)
     if not any(full):
         return [], []  # zero consistent tuples at the top level
-    lowc = counts(lower_groups)
-    delta = _top_delta(classes, top, lower_groups)
+    lowc = counts(lower_key)
+    delta = _top_delta(classes, top, lowers)
     nominal: list[int] = []
     guaranteed: list[int] = []
     for j, m in enumerate(ms):
@@ -553,9 +618,6 @@ def _top_level_check(
         if side * den > num * cap:
             tightest[j] = (side, cap)
     return nominal, guaranteed
-
-
-_Config = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 
 
 def _structure_configs(k: int, stabilizer) -> tuple[_Config, ...]:
@@ -617,8 +679,10 @@ def ratio_sweep(max_faces: int = 3, ms: Sequence[int] = (1, 2, 3)) -> dict:
     permutations that tie to the end form its stabilizer.  For each
     structure only the top label level is checked, lower levels being top
     levels of smaller structures; the configurations of one partition share
-    one ``_counter``, and share with every partition of the same stabilizer
-    one ``_structure_configs``.
+    one ``_counter``.  Every partition of the same stabilizer shares one
+    ``_structure_configs``, cached with each configuration's two counting
+    keys already sorted (``_keyed``), so the per-structure step sorts
+    nothing.  ``ms`` entries and ``max_faces`` must be at least 1.
 
     ``violations`` lists structures beating the nominal (2m-1)^(-delta)
     bound.  These exist, and every one lies in the within-word forcing
@@ -632,6 +696,11 @@ def ratio_sweep(max_faces: int = 3, ms: Sequence[int] = (1, 2, 3)) -> dict:
     """
     if max_faces > 3:
         raise ValueError("sweep supports at most 3 faces")
+    if max_faces < 1:
+        raise ValueError(f"max_faces must be at least 1, got {max_faces}")
+    for m in ms:
+        if m < 1:
+            raise ValueError(f"ms entries must be at least 1, got {m}")
     sizes = [2 * m for m in ms]
     memo: dict = {}
     tightest = [(0, 1) for _ in ms]
@@ -646,7 +715,7 @@ def ratio_sweep(max_faces: int = 3, ms: Sequence[int] = (1, 2, 3)) -> dict:
     for k in range(1, max_faces + 1):
         perms = list(itertools.permutations(range(k)))
         orders = [_slot_order(p) for p in perms]
-        configs_of: dict[tuple, tuple[_Config, ...]] = {}
+        configs_of: dict[tuple, list[_KeyedConfig]] = {}
         n_structures = 0
         for classes, signs in _iter_signed_partitions(3 * k):
             stabilizer = _stabilizer(classes, signs, perms, orders)
@@ -654,15 +723,15 @@ def ratio_sweep(max_faces: int = 3, ms: Sequence[int] = (1, 2, 3)) -> dict:
                 continue
             configs = configs_of.get(stabilizer)
             if configs is None:
-                configs = configs_of[stabilizer] = _structure_configs(k, stabilizer)
+                configs = configs_of[stabilizer] = [
+                    _keyed(*config) for config in _structure_configs(k, stabilizer)
+                ]
             counts = _counter(classes, signs, sizes, memo)
-            for top, lowers in configs:
-                n_structures += 1
-                report["checks"] += len(ms)
-                nominal, guaranteed = _top_level_check(
-                    classes, top, lowers, ms, counts, tightest
-                )
+            n_structures += len(configs)
+            for config in configs:
+                nominal, guaranteed = _top_level_check(classes, config, ms, counts, tightest)
                 if nominal or guaranteed:
+                    top, lowers = config[:2]
                     record = {  # fresh lists: the configurations are shared
                         "classes": list(classes),
                         "signs": list(signs),
@@ -677,6 +746,7 @@ def ratio_sweep(max_faces: int = 3, ms: Sequence[int] = (1, 2, 3)) -> dict:
                         )
         report["per_face_count"][k] = n_structures
         report["structures"] += n_structures
+        report["checks"] += n_structures * len(ms)
     report["guaranteed_tightest"] = {
         m: str(Fraction(num, den)) for m, (num, den) in zip(ms, tightest)
     }

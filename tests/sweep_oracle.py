@@ -28,6 +28,15 @@ flat pass in :func:`trigroup.fulfillment._merged_key`: both refuse the same
 group sets, and otherwise give keys with the same class count and the same
 letter-assignment counts, though their labellings may differ.
 
+:func:`iter_signed_partitions` is the sweep's partition generator as a
+recursion with one generator frame per slot, kept as the oracle of the
+one-frame generator in :func:`trigroup.fulfillment._iter_signed_partitions`:
+both yield the same strings in the same order.  :func:`top_delta` is the
+sweep's forced-letter level of a top group as it was computed, through
+:func:`trigroup.complexes.forced_counts` on the walks of every face, kept as
+the oracle of the direct top-face count in
+:func:`trigroup.fulfillment._top_delta`.
+
 :func:`count_letter_assignments` is the counter as it ran on an undoable
 ``SignedUnionFind`` (union by size, an ``absorbed`` log to tell a merge from
 an implied constraint), kept as the oracle of the counter in
@@ -39,7 +48,7 @@ union-find classes now live in ``union_find``, a test helper.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from trigroup import fulfillment
 from trigroup.complexes import (
@@ -218,6 +227,44 @@ def random_signed_partition(rng: random.Random, slots: int) -> tuple[tuple[int, 
         signs.append(1 if c == used else rng.choice((1, -1)))
         used = max(used, c + 1)
     return tuple(classes), tuple(signs)
+
+
+def iter_signed_partitions(slots: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """All partitions of slot positions into classes, with traversal signs.
+
+    Classes appear in first-use order; the first slot of each class is +1,
+    later slots carry either sign.  (Restricted-growth strings with signs.)
+    """
+    classes = [0] * slots
+    signs = [1] * slots
+
+    def rec(i: int, used: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+        if i == slots:
+            yield tuple(classes), tuple(signs)
+            return
+        for c in range(used):
+            classes[i] = c
+            for s in (1, -1):
+                signs[i] = s
+                yield from rec(i + 1, used)
+            signs[i] = 1
+        classes[i] = used
+        yield from rec(i + 1, used + 1)
+
+    yield from rec(0, 0)
+
+
+def top_delta(
+    classes: Sequence[int], top: Sequence[int], lower_groups: Sequence[Sequence[int]]
+) -> int:
+    """delta of the ``top`` face group over ``lower_groups``: the most letters
+    of one top face already forced by the groups below, earlier top faces or
+    earlier positions of its own walk (see
+    :func:`trigroup.complexes.forced_counts`)."""
+    groups = [*lower_groups, top]
+    walks = [classes[3 * f : 3 * f + 3] for group in groups for f in group]
+    labels = [level for level, group in enumerate(groups, 1) for _ in group]
+    return max(forced_counts(walks, labels)[-len(top) :])  # the top faces come last
 
 
 def _merged_key(

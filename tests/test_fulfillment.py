@@ -30,12 +30,14 @@ from trigroup.fulfillment import (
     _counter,
     _encoding_order,
     _iter_signed_partitions,
+    _keyed,
     _label_groups,
     _merged_key,
     _permuted_encoding,
     _slot_order,
     _stabilizer,
     _structure_configs,
+    _top_delta,
     _top_level_check,
 )
 from trigroup.presentation import TriangularPresentation
@@ -63,10 +65,10 @@ def build(walks, labels):
 
 def level_counts(fs, ms):
     """counts[i][j] = consistent i-tuples of words at m = ms[j], i = 0..n, each
-    level read from one ``_counter`` of the structure."""
+    level read from one ``_counter`` of the structure by its sorted key."""
     groups = _label_groups(fs.labels)
     counts = _counter(fs.classes, fs.signs, [2 * m for m in ms], {})
-    return [counts(groups[:i]) for i in range(len(groups) + 1)]
+    return [counts(tuple(sorted(groups[:i]))) for i in range(len(groups) + 1)]
 
 
 SINGLE = build([(1, 2, 3)], (1,))
@@ -487,8 +489,10 @@ class TestSweep:
                 continue
             counts = _counter(classes, signs, sizes, memo)
             for top, lowers in _structure_configs(k, stabilizer):
-                for groups in ([*lowers, top], lowers):
-                    assert counts(groups) == _counter(classes, signs, sizes, {})(groups), (
+                _, _, full_key, lower_key = _keyed(top, lowers)
+                for groups, key in (([*lowers, top], full_key), (lowers, lower_key)):
+                    assert key == tuple(sorted(groups))
+                    assert counts(key) == _counter(classes, signs, sizes, {})(key), (
                         classes, signs, top, lowers, groups)
                     checked += 1
         assert checked > 20
@@ -567,6 +571,52 @@ class TestSweep:
     def test_partition_counts_small(self):
         assert sum(1 for _ in _iter_signed_partitions(3)) == 11
 
+    def test_partitions_match_recursive_oracle(self):
+        # the one-frame generator against the recursion it replaced: the same
+        # strings in the same order, whole faces, a face and a part, or less
+        # than a face; criterion 6's sha256 pins the order at 9 slots
+        for slots in range(8):
+            got = list(_iter_signed_partitions(slots))
+            assert got == list(sweep_oracle.iter_signed_partitions(slots)), slots
+        assert len(got) == 10_299
+
+    def test_top_delta_matches_oracle(self):
+        # the direct top-face count against forced_counts over every face's
+        # walk, on every configuration the 2-face sweep checks and on a
+        # sample of 3-face partitions under the trivial stabilizer
+        cases = []
+        for k in (1, 2):
+            perms = list(itertools.permutations(range(k)))
+            orders = [_slot_order(p) for p in perms]
+            for classes, signs in _swept_partitions(k, 0):
+                stabilizer = _stabilizer(classes, signs, perms, orders)
+                if stabilizer is not None:
+                    cases += [(classes, *c) for c in _structure_configs(k, stabilizer)]
+        for classes, _ in _swept_partitions(3, 400):
+            cases += [(classes, *c) for c in _structure_configs(3, ((0, 1, 2),))]
+        for classes, top, lowers in cases:
+            assert _top_delta(classes, top, lowers) == sweep_oracle.top_delta(
+                classes, top, lowers), (classes, top, lowers)
+        assert {sweep_oracle.top_delta(*case) for case in cases} == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("classes, top, lowers, delta", [
+        # two top faces visit class 0 at position 0: both are free there
+        ((0, 1, 2, 0, 3, 4), (0, 1), (), 0),
+        # the later top face holds class 2's least position (0, not 2), and
+        # both visit class 1 at position 1
+        ((0, 1, 2, 2, 1, 3), (0, 1), (), 1),
+        # the least position wins over the earlier face, with three faces
+        ((0, 1, 2, 3, 4, 1, 2, 5, 6), (0, 1, 2), (), 1),
+        # a class a lower face visits is forced on every top face
+        ((0, 1, 2, 0, 3, 4), (1,), ((0,),), 1),
+        ((0, 1, 2, 2, 1, 0, 1, 3, 4), (0, 1), ((2,),), 2),
+        # a repeat within the top walk is forced at its later position
+        ((0, 1, 0), (0,), (), 1),
+    ], ids=["tie", "later-face-least", "three-faces", "lower", "lower-and-tie", "repeat"])
+    def test_top_delta_hand_cases(self, classes, top, lowers, delta):
+        assert _top_delta(classes, top, lowers) == delta
+        assert sweep_oracle.top_delta(classes, top, lowers) == delta
+
     def test_orbit_counting_two_faces(self):
         total = 0
         reps = 0
@@ -630,6 +680,16 @@ class TestSweep:
         with pytest.raises(ValueError):
             ratio_sweep(max_faces=4)
 
+    @pytest.mark.parametrize("max_faces, ms, message", [
+        (1, (0,), "^ms entries must be at least 1, got 0$"),
+        (1, (2, -2), "^ms entries must be at least 1, got -2$"),
+        (0, (1, 2, 3), "^max_faces must be at least 1, got 0$"),
+        (-1, (1,), "^max_faces must be at least 1, got -1$"),
+    ], ids=["m-zero", "m-negative", "faces-zero", "faces-negative"])
+    def test_sweep_refuses_bad_ranks_and_budgets(self, max_faces, ms, message):
+        with pytest.raises(ValueError, match=message):
+            ratio_sweep(max_faces=max_faces, ms=ms)
+
     def test_level_check_matches_oracle(self, tmp_path):
         # fulfil --exact's rows and the sweep's top-level verdicts both come
         # from one level check; the oracle recomputes them from the exhaustive
@@ -647,7 +707,7 @@ class TestSweep:
             tightest = [(0, 1) for _ in ms]
             counts = _counter(fs.classes, fs.signs, [2 * m for m in ms], {})
             nominal, guaranteed = _top_level_check(
-                fs.classes, groups[-1], groups[:-1], ms, counts, tightest
+                fs.classes, _keyed(groups[-1], groups[:-1]), ms, counts, tightest
             )
             for j, m in enumerate(ms):
                 probe = exact_probabilities(Y, m)
