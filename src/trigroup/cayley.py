@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -86,26 +85,37 @@ def _slot(letter: int) -> int:
     return 2 * (abs(letter) - 1) + (letter < 0)
 
 
-@dataclass(frozen=True)
 class BallGraph:
-    presentation: TriangularPresentation
-    radius: int
-    distances: tuple[int, ...]
-    closed: tuple[bool, ...]
-    # V * 2m targets, slot order of words.all_letters; -1 for no edge
-    adj: tuple[int, ...]
+    __slots__ = ("presentation", "radius", "distances", "closed", "adj")
 
-    def __post_init__(self) -> None:
-        if not self.distances:
+    def __init__(
+        self,
+        presentation: TriangularPresentation,
+        radius: int,
+        distances: tuple[int, ...],
+        closed: tuple[bool, ...],
+        adj: tuple[int, ...],  # V * 2m targets, slot order of words.all_letters; -1 for no edge
+    ) -> None:
+        self.presentation = presentation
+        self.radius = radius
+        self.distances = distances
+        self.closed = closed
+        self.adj = adj
+        if not distances:
             raise ValueError("'vertices' is empty: a ball holds at least its origin")
-        if self.distances[0] != 0:
+        if distances[0] != 0:
             raise ValueError("origin must sit at distance 0")
         n, k = self.vertex_count, self.stride
-        if len(self.closed) != n or len(self.adj) != n * k:
+        if len(closed) != n or len(adj) != n * k:
             raise ValueError(
-                f"'edges' hold {len(self.adj)} slots and 'closed' {len(self.closed)}"
+                f"'edges' hold {len(adj)} slots and 'closed' {len(closed)}"
                 f" flags for {n} vertices of {k} slots each"
             )
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is BallGraph and all(
+            getattr(self, f) == getattr(other, f) for f in self.__slots__
+        )
 
     @property
     def vertex_count(self) -> int:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .presentation import (
@@ -44,26 +43,30 @@ def ref_edge(ref: int) -> int:
     return abs(ref) - 1
 
 
-@dataclass(frozen=True)
 class AbstractLabelledComplex:
     """Vertices 0..vertex_count-1, edges as (tail, head), faces as walks, and
     a positive integer label per face."""
 
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
-    faces: tuple[Walk, ...]
-    labels: tuple[int, ...]
+    __slots__ = ("vertex_count", "edges", "faces", "labels")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        vertex_count: int,
+        edges: tuple[tuple[int, int], ...],
+        faces: tuple[Walk, ...],
+        labels: tuple[int, ...],
+    ) -> None:
         # the validators read edges and letters inline, without method calls:
         # enumeration validates a diagram per emitted search state
-        edges = self.edges
-        n = self.vertex_count
+        self.vertex_count = n = vertex_count
+        self.edges = edges
+        self.faces = faces
+        self.labels = labels
         E = len(edges)
         for t, h in edges:
             if not (0 <= t < n and 0 <= h < n):
                 raise ValueError("edge endpoint out of range")
-        for walk in self.faces:
+        for walk in faces:
             if not walk:
                 raise ValueError("empty face walk")
             for r in walk:
@@ -76,10 +79,18 @@ class AbstractLabelledComplex:
                 if head != (edges[b - 1][0] if b > 0 else edges[-b - 1][1]):
                     raise ValueError(f"walk {walk} is not a closed path")
                 a = b
-        if len(self.labels) != len(self.faces):
+        if len(labels) != len(faces):
             raise ValueError("one label per face required")
-        if min(self.labels, default=1) < 1:
+        if min(labels, default=1) < 1:
             raise ValueError("labels must be positive")
+
+    def __eq__(self, other: object) -> bool:
+        # the same class and every field equal, the subclasses' fields included
+        return type(other) is type(self) and all(
+            getattr(self, f) == getattr(other, f)
+            for c in type(self).__mro__[:-1]
+            for f in c.__slots__
+        )
 
     @property
     def edge_count(self) -> int:
@@ -90,7 +101,6 @@ class AbstractLabelledComplex:
         return len(self.faces)
 
 
-@dataclass(frozen=True)
 class LabelledComplex(AbstractLabelledComplex):
     """A labelled complex whose edges also carry letters.
 
@@ -98,17 +108,17 @@ class LabelledComplex(AbstractLabelledComplex):
     edge ``e``; the backward orientation reads its negation.
     """
 
-    letters: tuple[int, ...]
+    __slots__ = ("letters",)
 
-    def __post_init__(self) -> None:
-        AbstractLabelledComplex.__post_init__(self)
-        if len(self.letters) != len(self.edges):
+    def __init__(self, vertex_count, edges, faces, labels, letters: tuple[int, ...]) -> None:
+        AbstractLabelledComplex.__init__(self, vertex_count, edges, faces, labels)
+        self.letters = letters
+        if len(letters) != len(edges):
             raise ValueError("one letter per edge required")
-        if 0 in self.letters:
+        if 0 in letters:
             raise ValueError("letter codes must be nonzero")
 
 
-@dataclass(frozen=True)
 class VanKampenDiagram(LabelledComplex):
     """A planar contractible diagram bound to a presentation.
 
@@ -116,14 +126,17 @@ class VanKampenDiagram(LabelledComplex):
     ``boundary`` is the outer walk (diagram interior kept on its left).
     """
 
-    presentation: TriangularPresentation
-    boundary: Walk
+    __slots__ = ("presentation", "boundary")
 
-    def __post_init__(self) -> None:
-        LabelledComplex.__post_init__(self)
-        rels = self.presentation.relators
-        letters, edges = self.letters, self.edges
-        for f, (walk, label) in enumerate(zip(self.faces, self.labels)):
+    def __init__(
+        self, vertex_count, edges, faces, labels, letters,
+        presentation: TriangularPresentation, boundary: Walk,
+    ) -> None:
+        LabelledComplex.__init__(self, vertex_count, edges, faces, labels, letters)
+        self.presentation = presentation
+        self.boundary = boundary
+        rels = presentation.relators
+        for f, (walk, label) in enumerate(zip(faces, labels)):
             if not 0 < label <= len(rels):
                 raise ValueError(f"face {f} labelled with unknown relator position")
             spelled = tuple([letters[r - 1] if r > 0 else -letters[-r - 1] for r in walk])
@@ -134,16 +147,16 @@ class VanKampenDiagram(LabelledComplex):
             raise ValueError("an edge of a planar diagram lies in at most two face sides")
         if 0 in degs:
             raise ValueError("diagram has an edge outside every face")
-        rim = sorted([abs(r) - 1 for r in self.boundary])
+        rim = sorted([abs(r) - 1 for r in boundary])
         if rim != [e for e, d in enumerate(degs) if d == 1]:
             raise ValueError("boundary walk must cover each degree-1 edge exactly once")
-        a = self.boundary[-1] if self.boundary else 0
-        for b in self.boundary:
+        a = boundary[-1] if boundary else 0
+        for b in boundary:
             head = edges[a - 1][1] if a > 0 else edges[-a - 1][0]
             if head != (edges[b - 1][0] if b > 0 else edges[-b - 1][1]):
                 raise ValueError("boundary is not a closed walk")
             a = b
-        if self.vertex_count - len(edges) + len(self.faces) != 1:
+        if vertex_count - len(edges) + len(faces) != 1:
             raise ValueError("diagram must be contractible (Euler characteristic 1)")
 
     @property

@@ -28,7 +28,6 @@ an independent count against them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -40,16 +39,21 @@ from .seeding import derive_seed
 _State = tuple[tuple[int, ...], tuple[tuple[Walk, int], ...], Walk]
 
 
-@dataclass(frozen=True)
 class DiagramBudget:
-    max_faces: int
-    presentation: TriangularPresentation
-    epsilon: Fraction = Fraction(1, 100)
+    __slots__ = ("max_faces", "presentation", "epsilon")
 
-    def __post_init__(self) -> None:
-        if self.max_faces < 1:
+    def __init__(
+        self,
+        max_faces: int,
+        presentation: TriangularPresentation,
+        epsilon: Fraction = Fraction(1, 100),
+    ) -> None:
+        self.max_faces = max_faces
+        self.presentation = presentation
+        self.epsilon = epsilon
+        if max_faces < 1:
             raise ValueError("max_faces must be at least 1")
-        if self.epsilon <= 0:
+        if epsilon <= 0:
             raise ValueError("epsilon must be positive")
 
 

@@ -37,7 +37,6 @@ Monte Carlo confidence interval.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -90,11 +89,13 @@ def fulfils(Y: AbstractLabelledComplex, words: Sequence[Word]) -> bool:
 # exhaustive probabilities
 
 
-@dataclass(frozen=True)
 class FulfillmentProbe:
     """Exact per-level fulfillment counts for i.i.d. uniform support words."""
 
-    counts: tuple[int, ...]  # counts[i] = consistent i-tuples, counts[0] = 1
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: tuple[int, ...]) -> None:
+        self.counts = counts  # counts[i] = consistent i-tuples, counts[0] = 1
 
 
 def exact_probabilities(Y: AbstractLabelledComplex, m: int) -> FulfillmentProbe:
@@ -180,28 +181,38 @@ def montecarlo_fulfillment(
 # with traversal signs, plus a label per face.
 
 
-@dataclass(frozen=True)
 class FaceStructure:
-    classes: tuple[int, ...]  # per slot, ids 0.. in first-appearance order
-    signs: tuple[int, ...]  # per slot; first occurrence of a class is +1
-    labels: tuple[int, ...]  # per face, surjective onto 1..n
+    __slots__ = ("classes", "signs", "labels")
+
+    def __init__(
+        self,
+        classes: tuple[int, ...],  # per slot, ids 0.. in first-appearance order
+        signs: tuple[int, ...],  # per slot; first occurrence of a class is +1
+        labels: tuple[int, ...],  # per face, surjective onto 1..n
+    ) -> None:
+        self.classes = classes
+        self.signs = signs
+        self.labels = labels
+        if len(classes) != 3 * len(labels) or len(signs) != len(classes):
+            raise ValueError("slot count must be 3 per face")
+        seen: set[int] = set()
+        for s, c in enumerate(classes):
+            if c not in seen:
+                seen.add(c)
+                if c != len(seen) - 1 or signs[s] != 1:
+                    raise ValueError("classes must appear in order, first sign +1")
+        for f, label in enumerate(labels):
+            if label < 1:
+                raise ValueError(f"face {f} has label {label}; labels must be positive")
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is FaceStructure and all(
+            getattr(self, f) == getattr(other, f) for f in self.__slots__
+        )
 
     @property
     def face_count(self) -> int:
         return len(self.labels)
-
-    def __post_init__(self) -> None:
-        if len(self.classes) != 3 * len(self.labels) or len(self.signs) != len(self.classes):
-            raise ValueError("slot count must be 3 per face")
-        seen: set[int] = set()
-        for s, c in enumerate(self.classes):
-            if c not in seen:
-                seen.add(c)
-                if c != len(seen) - 1 or self.signs[s] != 1:
-                    raise ValueError("classes must appear in order, first sign +1")
-        for f, label in enumerate(self.labels):
-            if label < 1:
-                raise ValueError(f"face {f} has label {label}; labels must be positive")
 
 
 def structure_of(Y: AbstractLabelledComplex) -> FaceStructure:
@@ -682,7 +693,8 @@ def ratio_sweep(max_faces: int = 3, ms: Sequence[int] = (1, 2, 3)) -> dict:
     one ``_counter``.  Every partition of the same stabilizer shares one
     ``_structure_configs``, cached with each configuration's two counting
     keys already sorted (``_keyed``), so the per-structure step sorts
-    nothing.  ``ms`` entries and ``max_faces`` must be at least 1.
+    nothing.  ``ms`` entries must be distinct, and they and ``max_faces``
+    must be at least 1.
 
     ``violations`` lists structures beating the nominal (2m-1)^(-delta)
     bound.  These exist, and every one lies in the within-word forcing
@@ -701,6 +713,8 @@ def ratio_sweep(max_faces: int = 3, ms: Sequence[int] = (1, 2, 3)) -> dict:
     for m in ms:
         if m < 1:
             raise ValueError(f"ms entries must be at least 1, got {m}")
+    if len(set(ms)) != len(ms):
+        raise ValueError(f"ms entries must be distinct, got {list(ms)}")
     sizes = [2 * m for m in ms]
     memo: dict = {}
     tightest = [(0, 1) for _ in ms]

@@ -10,7 +10,6 @@ exact integer arithmetic: for ``d = p/q`` it is the integer q-th root of
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .seeding import UINT64_MASK, make_rng
@@ -108,24 +107,32 @@ def relator_count(m: int, d: Fraction) -> int:
     return integer_root(base, d.denominator)
 
 
-@dataclass(frozen=True)
 class TriangularPresentation:
-    m: int
-    density: Fraction
-    seed: int
-    relators: tuple[Word, ...]
+    __slots__ = ("m", "density", "seed", "relators")
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"m = {self.m}: the rank m must be at least 1")
-        _check_density(self.density)
-        for w in self.relators:
+    def __init__(self, m: int, density: Fraction, seed: int, relators: tuple[Word, ...]) -> None:
+        self.m = m
+        self.density = density
+        self.seed = seed
+        self.relators = relators
+        if m < 1:
+            raise ValueError(f"m = {m}: the rank m must be at least 1")
+        _check_density(density)
+        for w in relators:
             if len(w) != 3 or not is_cyclically_reduced(w):
                 raise ValueError(f"relators: relator {w} is not a cyclically reduced triangle word")
             if 0 in w:
                 raise ValueError(f"relators: relator {w} holds the letter code 0")
-            if any(abs(c) > self.m for c in w):
-                raise ValueError(f"relators: relator {w} uses letters beyond rank {self.m}")
+            if any(abs(c) > m for c in w):
+                raise ValueError(f"relators: relator {w} uses letters beyond rank {m}")
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is TriangularPresentation and all(
+            getattr(self, f) == getattr(other, f) for f in self.__slots__
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.density, self.seed, self.relators))
 
     def to_json(self) -> dict:
         return {

@@ -9,7 +9,6 @@ partitioned.
 
 from __future__ import annotations
 
-import hashlib
 import random
 
 UINT64_MASK = (1 << 64) - 1
@@ -23,6 +22,8 @@ def derive_seed(seed: int, *tags: object) -> int:
     >>> derive_seed(7, "sample", 0) != derive_seed(7, "sample", 1)
     True
     """
+    import hashlib  # loaded on first use: most commands never derive a seed
+
     h = hashlib.sha256(str(int(seed) & UINT64_MASK).encode())
     for tag in tags:
         h.update(b"/")

@@ -13,7 +13,6 @@ lhs(d') < rhs(d') - 1/k is only ever decided exactly, by :func:`min_k` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
@@ -26,12 +25,17 @@ SLIMNESS_SCALE = 800
 _GUARD_DIGITS = 20
 
 
-@dataclass(frozen=True)
 class _Q41:
     """The number a + b*sqrt(41), with a and b rational."""
 
-    a: Fraction
-    b: Fraction = Fraction(0)
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: Fraction, b: Fraction = Fraction(0)) -> None:
+        self.a = a
+        self.b = b
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is _Q41 and self.a == other.a and self.b == other.b
 
     @staticmethod
     def of(x) -> "_Q41":

@@ -15,7 +15,6 @@ import itertools
 import json
 import time
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -49,6 +48,7 @@ from trigroup.words import (
 )
 
 from sweep_oracle import (
+    FulfillmentProbe,
     exact_probabilities,
     forces_within_word,
     ratio_checks,
@@ -207,7 +207,7 @@ def test_criterion_06_exact_ratio_oracle(capsys):
         # m = 1, and the corrected bound holds with no room for one more word
         probe = exact_probabilities(eee, m)
         [check] = ratio_checks(probe)
-        [over] = ratio_checks(replace(probe, counts=(1, probe.counts[1] + 1)))
+        [over] = ratio_checks(FulfillmentProbe(eee, m, (1, probe.counts[1] + 1)))
         return (
             probe.counts == (1, 2 * m)
             and check["delta"] == 2

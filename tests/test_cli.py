@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trigroup
-from trigroup import cayley, fulfillment
+from trigroup import cayley, cli, fulfillment
 from trigroup.cayley import (
     MAX_ADJACENCY_SLOTS,
     STRIP_PRESENTATION,
@@ -25,7 +25,12 @@ from trigroup.cayley import (
     build_ball,
 )
 from trigroup.cli import build_parser, main
-from trigroup.complexes import abstract_from_walks, complex_from_json, dumps_complex
+from trigroup.complexes import (
+    abstract_from_walks,
+    chain_report,
+    complex_from_json,
+    dumps_complex,
+)
 from trigroup.fulfillment import exact_probabilities
 from trigroup.presentation import relator_count, sample_presentation
 from trigroup.thresholds import constants_sweep
@@ -828,6 +833,22 @@ class TestChainCheck:
         assert doc["violations"] == 0
         assert doc["first_violation"] is None
 
+    def test_violation_counted_and_recorded(self, tmp_path, monkeypatch):
+        # the chain inequality is a theorem, so a report is made to fail once
+        draws = itertools.count()
+
+        def fails_second(Y):
+            report = chain_report(Y)
+            return {**report, "holds": False} if next(draws) == 1 else report
+
+        monkeypatch.setattr(cli, "chain_report", fails_second)
+        status, doc = run_json(tmp_path, "chain-check", "--count", "5", "--seed", "5")
+        assert status == 1
+        assert doc["violations"] == 1
+        first = doc["first_violation"]
+        assert (first["draw"], first["holds"]) == (1, False)
+        assert set(first) == {"draw", "red", "cancel", "forced_sum", "holds", "complex"}
+
 
 class TestPlumbing:
     def test_meta_block(self, tmp_path):
@@ -981,12 +1002,40 @@ class TestPlumbing:
             f"error: {kind} file {str(bad)!r}: not UTF-8 text ("
         )
 
+    @pytest.mark.parametrize("kind, argv", [("complex", ["red", "--complex"]),
+                                            ("graph", ["delta-est", "--graph"])])
+    @pytest.mark.parametrize("content, message", [
+        ("{not json", "invalid JSON ("),
+        ("[1, 2, 3]", "expected a JSON object"),
+    ], ids=["not-json", "not-object"])
+    def test_unreadable_json_named(self, tmp_path, capsys, kind, argv, content, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        assert main([*argv, str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {kind} file {str(bad)!r}: {message}")
+
     def test_cli_import_leaves_out_sympy(self):
         # Q(sqrt(41)) arithmetic runs on the standard library alone
         probe = "import sys, trigroup.cli; print('sympy' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", probe], env=package_env(),
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
+
+    def test_cli_import_leaves_out_dataclasses_and_hashlib(self):
+        # modules that site already loaded are not the import's doing
+        probe = ("import sys; before = set(sys.modules); import trigroup.cli; "
+                 "added = set(sys.modules) - before; "
+                 "print(sorted(added & {'dataclasses', 'inspect', 'hashlib'}))")
+        out = subprocess.run([sys.executable, "-c", probe], env=package_env(),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_derive_seed_loads_hashlib(self):
+        probe = ("import sys, trigroup.cli; from trigroup.seeding import derive_seed; "
+                 "print(derive_seed(7, 'sample', 0), 'hashlib' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], env=package_env(),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["13729294703022343744", "True"]
 
     def test_stdout_when_no_out_flag(self, capsys):
         assert main(["words", "--m", "2"]) == 0

@@ -549,13 +549,13 @@ class TestGoldenReports:
     def test_deep_report(self, monkeypatch):
         # every row comes from a diagram that passed the validator
         validated = []
-        check = VanKampenDiagram.__post_init__
+        check = VanKampenDiagram.__init__
 
-        def counted(D):
-            check(D)
+        def counted(D, *args, **kwargs):
+            check(D, *args, **kwargs)
             validated.append(D)
 
-        monkeypatch.setattr(VanKampenDiagram, "__post_init__", counted)
+        monkeypatch.setattr(VanKampenDiagram, "__init__", counted)
         rep = isoperimetric_report(DEEP)
         assert len(validated) == rep["total"] == 2649
         assert report_sha256(rep) == (

@@ -34,6 +34,7 @@ from trigroup.fulfillment import (
     _label_groups,
     _merged_key,
     _permuted_encoding,
+    _ratio_sides,
     _slot_order,
     _stabilizer,
     _structure_configs,
@@ -685,7 +686,10 @@ class TestSweep:
         (1, (2, -2), "^ms entries must be at least 1, got -2$"),
         (0, (1, 2, 3), "^max_faces must be at least 1, got 0$"),
         (-1, (1,), "^max_faces must be at least 1, got -1$"),
-    ], ids=["m-zero", "m-negative", "faces-zero", "faces-negative"])
+        (1, (2, 2), r"^ms entries must be distinct, got \[2, 2\]$"),
+        (1, (1, 3, 1), r"^ms entries must be distinct, got \[1, 3, 1\]$"),
+    ], ids=["m-zero", "m-negative", "faces-zero", "faces-negative", "m-repeated",
+            "m-repeated-apart"])
     def test_sweep_refuses_bad_ranks_and_budgets(self, max_faces, ms, message):
         with pytest.raises(ValueError, match=message):
             ratio_sweep(max_faces=max_faces, ms=ms)
@@ -727,3 +731,49 @@ class TestSweep:
                 side = probe.counts[-1] * q ** top["delta"]
                 cap = probe.counts[-2] * 2 * m * q**2
                 assert Fraction(*tightest[j]) == (Fraction(side, cap) if side else 0), (Y, m)
+
+
+def _cap_halved_at_2(count, lower, delta, m):
+    """``_ratio_sides`` with the guaranteed cap halved at m = 2: a bound that
+    real structures beat, so the checks' failure paths run."""
+    side, nominal_cap, cap = _ratio_sides(count, lower, delta, m)
+    return side, nominal_cap, cap // 2 if m == 2 else cap
+
+
+class TestGuaranteedBoundCanFail:
+    """The corrected bound is a theorem, so no real structure fails it; these
+    tests feed made-up counts and caps to show that each check reports a
+    failure when one happens."""
+
+    def test_top_level_check_reports_both_bounds(self):
+        # one free face: delta 0, so side = count; caps 2 and 2 at m = 1,
+        # 28 and 36 at m = 2, and 37 consistent words beat both at m = 2
+        counts = {((0,),): (2, 37), (): (1, 1)}.__getitem__
+        tightest = [(0, 1), (0, 1)]
+        nominal, guaranteed = _top_level_check(
+            (0, 1, 2), _keyed((0,), ()), (1, 2), counts, tightest
+        )
+        assert (nominal, guaranteed) == ([2], [2])
+        assert tightest == [(2, 2), (37, 36)]
+
+    def test_sweep_lists_guaranteed_violations(self, monkeypatch):
+        monkeypatch.setattr(fulfillment, "_ratio_sides", _cap_halved_at_2)
+        report = ratio_sweep(max_faces=1, ms=(1, 2))
+        assert report["guaranteed_violations"]
+        assert all(v["ms"] == [2] for v in report["guaranteed_violations"])
+        assert Fraction(report["guaranteed_tightest"][1]) == 1
+        assert Fraction(report["guaranteed_tightest"][2]) > 1
+
+    def test_exact_levels_report_guaranteed_failure(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fulfillment, "_ratio_sides", _cap_halved_at_2)
+        fs = structure_of(SHARED)
+        assert all(row["holds_guaranteed"] for row in level_checks(fs, 1))
+        assert not any(row["holds_guaranteed"] for row in level_checks(fs, 2))
+        path, out = tmp_path / "complex.json", tmp_path / "out.json"
+        path.write_text(dumps_complex(SHARED))
+        status = main(["fulfil", "--complex", str(path), "--m", "2", "--exact",
+                       "--out", str(out)])
+        doc = json.loads(out.read_text())
+        assert status == 0  # the exit status follows the nominal bound
+        assert doc["all_hold"] is True
+        assert doc["all_hold_guaranteed"] is False
