@@ -3,8 +3,9 @@
 A ball is grown to radius R+1 by a worklist fold in the style of Felsch
 coset enumeration: vertices within R are expanded in the order they were
 defined, and every new edge or merge is a deduction that rescans only the
-relator cycles through it, completing a missing edge or folding two vertices
-together, until nothing is left to deduce.  Each vertex carries a depth, an
+relator cycles through it, one scan for each position the edge can take in a
+cycle, completing a missing edge or folding two vertices together, until
+nothing is left to deduce.  Each vertex carries a depth, an
 upper bound on its distance from the origin; the breadth-first search that
 numbers the emitted ball corrects the depths it finds too large and resumes
 the fold if that brings a vertex within R.  The emitted graph keeps the
@@ -176,14 +177,25 @@ def build_ball(
     flat row of 2m slots per union-find id in the slot order of
     ``BallGraph.adj``.  Ids within R are expanded in the order they were
     defined, and expanding one gives each of its missing slots a fresh id.
-    Every fill or merge pushes its edges onto a deduction stack, and each
-    entry rescans only the relator cycles that use that edge first, second
-    or third, with bases within R; the base is found by walking back through
-    inverse slots.  A cycle whose first two edges exist gets its third edge
-    filled in, or its end folded onto its base.  A merge moves the absorbed
-    row onto the kept root and pushes every filled slot of the root, and a
-    fresh id, which has one edge, deduces only the cycles that the edge can
-    complete.  The stack is drained before the next fresh id.
+    Every fill or merge pushes its edges onto a deduction stack.  A cycle
+    whose first two edges exist gets its third edge filled in, or its end
+    folded onto its base, and each entry, an edge u -s-> h, rescans only the
+    cycles that use it, with bases within R, in three scans that start from
+    what the edge gives: first, the cycle is based at u and walks on from
+    h; second, the base sits one inverse slot behind u; third, two inverse
+    slots behind u, and the edge is the cycle's last, so that scan compares
+    h with the base and merges them, and never fills.  The scans keep their
+    tables' walk-back slots inverted.  A fresh id, which has one edge,
+    deduces only the cycles that use the new edge second or start with the
+    fresh id's edge.  The stack is drained before the next fresh id.
+
+    A merge moves the absorbed row onto the kept root and pushes every
+    filled slot of the root.  A merge in the middle of a scan may absorb u
+    or h, which leaves the scan's ids stale, so the scan stops there and
+    pushes its edge again.  If u was absorbed, the kept root's pushed slots
+    hold the edge's image; otherwise the edge's own entry scans again on the
+    current roots.  Either way every cycle the rest of the scan would have
+    checked is checked again, so stopping loses no deduction.
 
     Each id carries a depth, an upper bound on its distance from the origin:
     its parent's depth + 1 when defined, the smaller of the two at a merge.
@@ -225,10 +237,13 @@ def build_ball(
     rng = make_rng(_order_seed, "fold") if _order_seed is not None else None
     if rng is not None:
         rng.shuffle(cycles)
-    # the cycles through slot s, by the position s takes in them
+    # the cycles through slot s, by the position s takes in them, each with
+    # the two slots its scan reads: first walks on from the edge's head;
+    # second steps back from u to the base, and third steps back twice, so
+    # the slots they walk back through are stored inverted
     first = [[(s1, s2) for s0, s1, s2 in cycles if s0 == s] for s in range(k)]
-    second = [[(s0, s2) for s0, s1, s2 in cycles if s1 == s] for s in range(k)]
-    third = [[(s0, s1) for s0, s1, s2 in cycles if s2 == s] for s in range(k)]
+    second = [[(s0 ^ 1, s2) for s0, s1, s2 in cycles if s1 == s] for s in range(k)]
+    third = [[(s1 ^ 1, s0 ^ 1) for s0, s1, s2 in cycles if s2 == s] for s in range(k)]
 
     # a union-find over the ids, with path halving; a merge keeps the smaller
     # root.  parent[x] == x exactly when x is a root, which hot loops test
@@ -274,102 +289,138 @@ def build_ball(
                 depth[keep] = depth[gone]
             deduced.extend(i for i in range(kb, kb + k) if rows[i] >= 0)
 
-    def close(b: int, s0: int, s1: int, s2: int) -> None:
-        """Complete or fold the cycle s0 s1 s2 based at b, if its first two
-        edges exist."""
-        if parent[b] != b:
-            b = find(b)
-        x = rows[b * k + s0]
-        if x < 0:
-            return
-        if parent[x] != x:
-            x = find(x)
-        y = rows[x * k + s1]
-        if y < 0:
-            return
-        if parent[y] != y:
-            y = find(y)
-        z = rows[y * k + s2]
-        if z < 0:
-            rows[y * k + s2] = b
-            deduced.append(y * k + s2)
-            i = b * k + (s2 ^ 1)
-            back = rows[i]
-            if back < 0:
-                rows[i] = y
-                deduced.append(i)
-            elif back != y and find(back) != y:
-                merge(back, y)
-        elif z != b and find(z) != b:
+    def complete(y: int, s2: int, b: int) -> bool:
+        """Make slot s2 of root y lead to root b: fill it and its inverse,
+        or fold its target onto b.  True when two ids merged."""
+        i = y * k + s2
+        z = rows[i]
+        if z >= 0:
+            if z == b or find(z) == b:
+                return False
             merge(z, b)
+            return True
+        rows[i] = b
+        deduced.append(i)
+        i = b * k + (s2 ^ 1)
+        back = rows[i]
+        if back < 0:
+            rows[i] = y
+            deduced.append(i)
+            return False
+        # back is not y's: every edge's inverse exists, so y's slot would
+        # have been filled
+        merge(back, y)
+        return True
 
-    def close_second(u: int, s: int) -> None:
-        """Close the cycles based within R that use slot s of u second; the
-        base sits one inverse slot behind u."""
-        for s0, s2 in second[s]:
-            b = rows[u * k + (s0 ^ 1)]
+    def rescan(u: int, i: int) -> None:
+        """Rescan the cycles through slot i of root u, the edge u -s-> h, in
+        each position, with bases within R; a merge stops the scan and
+        pushes the edge again."""
+        ub = u * k
+        s = i - ub
+        h = rows[i]
+        if parent[h] != h:
+            h = find(h)
+        hb = h * k
+        if depth[u] <= R:
+            # u -s-> h -s1-> y -s2-> u
+            for s1, s2 in first[s]:
+                y = rows[hb + s1]
+                if y < 0:
+                    continue
+                if parent[y] != y:
+                    y = find(y)
+                if rows[y * k + s2] != u and complete(y, s2, u):
+                    deduced.append(i)
+                    return
+        # b -s0-> u -s-> h -s2-> b
+        for t0, s2 in second[s]:
+            b = rows[ub + t0]
             if b < 0:
                 continue
             if parent[b] != b:
                 b = find(b)
-            if depth[b] <= R:
-                close(b, s0, s, s2)
+            if depth[b] <= R and rows[hb + s2] != b and complete(h, s2, b):
+                deduced.append(i)
+                return
+        # b -s0-> x -s1-> u -s-> h: the cycle's last edge exists, so h and
+        # b are compared and merged, never filled
+        for t1, t0 in third[s]:
+            x = rows[ub + t1]
+            if x < 0:
+                continue
+            if parent[x] != x:
+                x = find(x)
+            b = rows[x * k + t0]
+            if b < 0:
+                continue
+            if parent[b] != b:
+                b = find(b)
+            if b != h and depth[b] <= R:
+                merge(b, h)
+                deduced.append(i)
+                return
 
     def drain() -> None:
-        """Rescan the cycles through each deduced edge, based within R."""
+        """Rescan the cycles through each deduced edge."""
         while deduced:
-            u, s = divmod(deduced.pop(), k)
-            if parent[u] != u:
-                continue  # its merge pushed the kept root's slots
-            if depth[u] <= R:
-                for s1, s2 in first[s]:
-                    close(u, s, s1, s2)
-            close_second(u, s)
-            for s0, s1 in third[s]:
-                x = rows[u * k + (s1 ^ 1)]
-                if x < 0:
-                    continue
-                if parent[x] != x:
-                    x = find(x)
-                b = rows[x * k + (s0 ^ 1)]
-                if b < 0:
-                    continue
-                if parent[b] != b:
-                    b = find(b)
-                if depth[b] <= R:
-                    close(b, s0, s1, s)
+            i = deduced.pop()
+            u = i // k
+            if parent[u] == u:  # else its merge pushed the kept root's slots
+                rescan(u, i)
 
     def expand(v: int) -> None:
         """Give each missing slot of v a fresh id."""
         vb = v * k
+        d = depth[v] + 1  # the fresh ids' depth
         for s in range(k):
             if rows[vb + s] >= 0:
                 continue
-            if len(parent) >= cap:
+            w = len(parent)
+            if w >= cap:
                 if cap == slot_cap:
                     raise ValueError(too_wide)
                 raise ValueError(
                     f"vertex budget {max_vertices} exceeded at radius {R}"
                 )
-            w = len(parent)
             parent.append(w)
             rows.extend(blank)
-            depth.append(depth[v] + 1)
+            depth.append(d)
             done.append(0)
-            if depth[w] <= R:
+            if d <= R:
                 queue.append(w)
+            wb = w * k
             rows[vb + s] = w
-            rows[w * k + (s ^ 1)] = v
+            rows[wb + (s ^ 1)] = v
             # w has one edge and cycles are reduced, so only the cycles that
-            # use the new edge second, or start with w's edge, can complete
-            close_second(v, s)
-            if depth[w] <= R:
-                for s1, s2 in first[s ^ 1]:
-                    close(w, s ^ 1, s1, s2)
+            # use the new edge second, b -s0-> v -s-> w -s2-> b, or start
+            # with w's edge, w -s^1-> v -s1-> y -s2-> w, can complete.  A
+            # merge stops the scans and pushes both ends' slots again
+            for t0, s2 in second[s]:
+                b = rows[vb + t0]
+                if b < 0:
+                    continue
+                if parent[b] != b:
+                    b = find(b)
+                if depth[b] <= R and rows[wb + s2] != b and complete(w, s2, b):
+                    deduced.extend((vb + s, wb + (s ^ 1)))
+                    break
+            else:
+                if d <= R:
+                    for s1, s2 in first[s ^ 1]:
+                        y = rows[vb + s1]
+                        if y < 0:
+                            continue
+                        if parent[y] != y:
+                            y = find(y)
+                        if rows[y * k + s2] != w and complete(y, s2, w):
+                            deduced.append(wb + (s ^ 1))
+                            break
             if deduced:
                 drain()
-            if parent[v] != v:
-                return  # absorbed: its row went to the kept root
+                if parent[v] != v:
+                    return  # absorbed: its row went to the kept root
+                d = depth[v] + 1  # a merge may have lowered it
         done[v] = 1
 
     head = 0
@@ -383,12 +434,14 @@ def build_ball(
             if parent[v] == v and not done[v]:
                 expand(v)
         # emission search: breadth-first from the origin in slot order, which
-        # numbers the ball; a depth above the distance found is corrected
+        # numbers the ball; a depth above the distance found is corrected.
+        # num[x] is root x's number in the ball, -1 until it is reached
         root = find(0)
-        dist = {root: 0}
-        order = [root]
-        for v in order:
-            d = dist[v]
+        num = [-1] * (len(parent) + 1)
+        num[root] = 0
+        order, dist = [root], [0]
+        for j, v in enumerate(order):
+            d = dist[j]
             if d < depth[v]:
                 depth[v] = d
             if not done[v]:
@@ -402,29 +455,26 @@ def build_ball(
                     continue
                 if parent[w] != w:
                     w = find(w)
-                if w not in dist:
-                    dist[w] = d + 1
+                if num[w] < 0:
+                    num[w] = len(order)
                     order.append(w)
+                    dist.append(d + 1)
         if head == len(queue):
             break
         drain()
 
-    # num[x]: the ball's number for id x, -1 off the ball.  A merge keeps
-    # the smaller root and path halving keeps parent[x] <= x, so one
-    # ascending pass resolves every id through its parent's number, already
-    # resolved.  Every emitted vertex was expanded, so its row has no missing
-    # slot; the extra last entry would map one, -1, to -1
-    num = [-1] * (len(parent) + 1)
-    for i, v in enumerate(order):
-        num[v] = i
+    # A merge keeps the smaller root and path halving keeps parent[x] <= x,
+    # so one ascending pass gives every id its root's number, already
+    # resolved; -1 off the ball.  Every emitted vertex was expanded, so its
+    # row has no missing slot; the extra last entry would map one, -1, to -1
     for x, r in enumerate(parent):
         num[x] = num[r]
     flat = [num[w] for v in order for w in rows[v * k : v * k + k]]
     g = BallGraph(
         presentation=p,
         radius=R,
-        distances=tuple(dist[v] for v in order),
-        closed=tuple(-1 not in flat[i * k : i * k + k] for i in range(len(order))),
+        distances=tuple(dist),
+        closed=tuple([-1 not in flat[j : j + k] for j in range(0, len(flat), k)]),
         adj=tuple(flat),
     )
     _check_links(g)

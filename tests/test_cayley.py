@@ -13,6 +13,7 @@ import slim_oracle
 from union_find import UnionFind
 from trigroup import cayley
 from trigroup.cayley import (
+    SIDE_CAP,
     STRIP_PRESENTATION,
     BallGraph,
     build_ball,
@@ -22,6 +23,7 @@ from trigroup.cayley import (
     slim_delta_estimate,
     _check_links,
     _geodesics,
+    _interval,
     _relator_variants,
     _slimness_defect,
     strip_diagram,
@@ -29,7 +31,7 @@ from trigroup.cayley import (
 )
 from trigroup.cli import main
 from trigroup.complexes import cancel, is_reduced_diagram
-from trigroup.enumeration import euler_check
+from trigroup.enumeration import DiagramBudget, enumerate_reduced_diagrams, euler_check
 from trigroup.presentation import TriangularPresentation, sample_presentation
 from trigroup.thresholds import delta_hyp
 from trigroup.words import all_letters, word_to_str
@@ -301,6 +303,36 @@ class TestSlimness:
             slim_delta_estimate(ab2_ball, 0, 1)
 
 
+class TestSearchEdges:
+    """The edge cases of the ball's local searches."""
+
+    @staticmethod
+    def two_isolated_vertices() -> BallGraph:
+        return BallGraph(presentation=free_presentation(1), radius=1, distances=(0, 1),
+                         closed=(False, False), adj=(-1,) * 4)
+
+    def test_step_beyond_the_rank_is_none(self, ab2_ball):
+        assert ab2_ball.step(0, 3) is None
+        assert ab2_ball.step(0, -3) is None
+        assert ab2_ball.step(0, 0) is None
+
+    def test_interval_of_a_vertex_with_itself(self, ab2_ball):
+        assert _interval(ab2_ball, 5, 5) == {5: 0}
+
+    def test_interval_to_an_unreachable_vertex_is_empty(self):
+        assert _interval(self.two_isolated_vertices(), 0, 1) == {}
+
+    def test_geodesics_without_a_path(self):
+        assert _geodesics(self.two_isolated_vertices(), 0, 1, SIDE_CAP) == []
+
+    def test_geodesics_stop_at_the_cap(self, ab2_ball):
+        # four shortest paths from the origin to vertex 14 of the ab^2 ball
+        every = _geodesics(ab2_ball, 0, 14, SIDE_CAP)
+        assert len(every) == 4
+        for cap in range(4):
+            assert _geodesics(ab2_ball, 0, 14, cap) == every[:cap]
+
+
 FOLD_CORPUS = [
     (f"m{m}-d{d.numerator}_{d.denominator}-seed{s}", sample_presentation(m, d, s))
     for m, d in ((2, Fraction(1, 5)), (2, Fraction(1, 3)), (3, Fraction(1, 4)),
@@ -309,9 +341,10 @@ FOLD_CORPUS = [
     for s in range(3)
 ] + [("strip", STRIP_PRESENTATION)] + [
     # balls that keep growing, with no self-loop, unlike the trivial
-    # generators of several presentations above
+    # generators of several presentations above; the last one's fold merges
     (f"m{m}-d{d.numerator}_{d.denominator}-seed{s}", sample_presentation(m, d, s))
-    for m, d, s in ((4, Fraction(1, 4), 0), (3, Fraction(3, 10), 0), (5, Fraction(1, 5), 1))
+    for m, d, s in ((4, Fraction(1, 4), 0), (3, Fraction(3, 10), 0), (5, Fraction(1, 5), 1),
+                    (4, Fraction(1, 6), 3))
 ]
 
 
@@ -343,6 +376,20 @@ class TestFoldOracle:
                 fold_oracle.build_ball(p, R)
             build_ball(p, R, max_vertices=allocated[0])
 
+    def test_corpus_holds_a_growing_ball_that_merges(self, monkeypatch):
+        union = UnionFind.union
+        joined = [0]
+
+        def counting_union(uf, a, b):
+            gone = union(uf, a, b)
+            joined[0] += gone >= 0
+            return gone
+
+        monkeypatch.setattr(UnionFind, "union", counting_union)
+        g = fold_oracle.build_ball(dict(FOLD_CORPUS)["m4-d1_6-seed3"], 4)
+        assert g.vertex_count == 441
+        assert joined[0] > 0
+
     def test_matches_dict_row_fold_at_radius_5(self):
         p = sample_presentation(4, Fraction(1, 6), 1)
         assert build_ball(p, 5) == fold_oracle.build_ball(p, 5)
@@ -356,6 +403,29 @@ class TestFoldOracle:
         for relators in cases:
             assert _relator_variants(relators) == fold_oracle._relator_variants(relators)
         assert len(_relator_variants(cases[-1])) == 8
+
+
+class TestVanKampenGate:
+    """The enumerator and the fold are independent kernels over one
+    presentation.  A disc diagram's boundary word is trivial in the group
+    (van Kampen's lemma), so read from the origin of a ball that holds the
+    whole walk, it must lead back to the origin."""
+
+    def test_boundary_words_close_in_the_ball(self):
+        p = sample_presentation(4, Fraction(1, 4), 1)
+        diagrams = list(enumerate_reduced_diagrams(DiagramBudget(3, p)))
+        assert len(diagrams) == 53
+        balls: dict[int, BallGraph] = {}
+        for D in diagrams:
+            # a closed walk of length L stays within L // 2 of its start
+            R = D.boundary_length // 2 + 1
+            if R not in balls:
+                balls[R] = build_ball(p, R)
+            v = 0
+            for r in D.boundary:
+                v = balls[R].step(v, D.letters[r - 1] if r > 0 else -D.letters[-r - 1])
+                assert v is not None
+            assert v == 0
 
 
 def _copy_doc(doc: dict) -> dict:
