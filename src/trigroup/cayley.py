@@ -3,16 +3,16 @@
 A ball is grown to radius R+1 by a worklist fold in the style of Felsch
 coset enumeration: vertices within R are expanded in the order they were
 defined, and every new edge or merge is a deduction that rescans only the
-relator cycles through it, one scan for each position the edge can take in a
-cycle, completing a missing edge or folding two vertices together, until
-nothing is left to deduce.  Each vertex carries a depth, an
-upper bound on its distance from the origin; the breadth-first search that
-numbers the emitted ball corrects the depths it finds too large and resumes
-the fold if that brings a vertex within R.  The emitted graph keeps the
-radius-R part with exact distances.  A vertex is ``closed`` when its whole
-star of 2m edges lands inside the emitted ball; slimness probing draws
-triangle corners from closed vertices only, so frontier truncation can never
-fake a geodesic.
+relator cycles it can complete, in two scans, one with the edge first in the
+cycle and one with it second, completing a missing edge or folding two
+vertices together, until nothing is left to deduce.  Each vertex carries a
+depth, an upper bound on its distance from the origin; the breadth-first
+search that numbers the emitted ball corrects the depths it finds too large
+and resumes the fold if that brings a vertex within R.  The emitted graph
+keeps the radius-R part with exact distances.  A vertex is ``closed`` when
+its whole star of 2m edges lands inside the emitted ball; slimness probing
+draws triangle corners from closed vertices only, so frontier truncation can
+never fake a geodesic.
 
 Adjacency is one flat tuple ``adj`` of ``V * 2m`` vertex ids: slot ``s`` of
 vertex ``v`` sits at ``v * 2m + s``, slots follow ``words.all_letters(m)``
@@ -180,14 +180,22 @@ def build_ball(
     Every fill or merge pushes its edges onto a deduction stack.  A cycle
     whose first two edges exist gets its third edge filled in, or its end
     folded onto its base, and each entry, an edge u -s-> h, rescans only the
-    cycles that use it, with bases within R, in three scans that start from
-    what the edge gives: first, the cycle is based at u and walks on from
-    h; second, the base sits one inverse slot behind u; third, two inverse
-    slots behind u, and the edge is the cycle's last, so that scan compares
-    h with the base and merges them, and never fills.  The scans keep their
-    tables' walk-back slots inverted.  A fresh id, which has one edge,
+    cycles it can complete, with bases within R, in two scans that start
+    from what the edge gives: first, the cycle is based at u and walks on
+    from h; second, the base sits one inverse slot behind u.  The scans keep
+    their tables' walk-back slots inverted.  A fresh id, which has one edge,
     deduces only the cycles that use the new edge second or start with the
     fresh id's edge.  The stack is drained before the next fresh id.
+
+    No scan takes the edge last.  In a cycle b -s0-> x -s1-> u -s2-> b
+    with b within R and its first two edges present, the later of the two
+    was pushed when it appeared, by a fill, a fresh id or a merge, which
+    pushes the kept root's slots; if b came within R after that, a merge
+    or emission pushed b's slots.  That edge's scan, first position for
+    b's edge and second for x's, checks the same depth on b and completes
+    u -s2-> b by a fill or a merge, and later merges join colliding slots,
+    so the cycle stays closed.  A scan from the last edge, u -s2-> h, would
+    find h apart from b only while the scan that joins them is on the stack.
 
     A merge moves the absorbed row onto the kept root and pushes every
     filled slot of the root.  A merge in the middle of a scan may absorb u
@@ -237,13 +245,12 @@ def build_ball(
     rng = make_rng(_order_seed, "fold") if _order_seed is not None else None
     if rng is not None:
         rng.shuffle(cycles)
-    # the cycles through slot s, by the position s takes in them, each with
-    # the two slots its scan reads: first walks on from the edge's head;
-    # second steps back from u to the base, and third steps back twice, so
-    # the slots they walk back through are stored inverted
+    # the cycles whose first or second edge has slot s, each with the two
+    # slots its scan reads: first walks on from the edge's head; second
+    # steps back from u to the base, so the slot it walks back through is
+    # stored inverted.  No cycle is scanned from its last edge (see above)
     first = [[(s1, s2) for s0, s1, s2 in cycles if s0 == s] for s in range(k)]
     second = [[(s0 ^ 1, s2) for s0, s1, s2 in cycles if s1 == s] for s in range(k)]
-    third = [[(s1 ^ 1, s0 ^ 1) for s0, s1, s2 in cycles if s2 == s] for s in range(k)]
 
     # a union-find over the ids, with path halving; a merge keeps the smaller
     # root.  parent[x] == x exactly when x is a root, which hot loops test
@@ -313,8 +320,8 @@ def build_ball(
         return True
 
     def rescan(u: int, i: int) -> None:
-        """Rescan the cycles through slot i of root u, the edge u -s-> h, in
-        each position, with bases within R; a merge stops the scan and
+        """Rescan the cycles that use slot i of root u, the edge u -s-> h,
+        first or second, with bases within R; a merge stops the scan and
         pushes the edge again."""
         ub = u * k
         s = i - ub
@@ -341,23 +348,6 @@ def build_ball(
             if parent[b] != b:
                 b = find(b)
             if depth[b] <= R and rows[hb + s2] != b and complete(h, s2, b):
-                deduced.append(i)
-                return
-        # b -s0-> x -s1-> u -s-> h: the cycle's last edge exists, so h and
-        # b are compared and merged, never filled
-        for t1, t0 in third[s]:
-            x = rows[ub + t1]
-            if x < 0:
-                continue
-            if parent[x] != x:
-                x = find(x)
-            b = rows[x * k + t0]
-            if b < 0:
-                continue
-            if parent[b] != b:
-                b = find(b)
-            if b != h and depth[b] <= R:
-                merge(b, h)
                 deduced.append(i)
                 return
 

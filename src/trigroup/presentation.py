@@ -22,6 +22,10 @@ from .words import (
 )
 
 
+# sample_presentation draws no more relators than this: about 160 MB of them
+MAX_RELATORS = 1 << 20
+
+
 def integer_root(n: int, k: int) -> int:
     """floor(n ** (1/k)) for nonnegative integer n, by Newton iteration."""
     if n < 0 or k < 1:
@@ -169,6 +173,9 @@ def sample_presentation(m: int, d: Fraction, seed: int) -> TriangularPresentatio
     """Draw the model's relator tuple for (m, d) from the given seed."""
     seed = int(seed) & UINT64_MASK
     n = relator_count(m, d)
+    if n > MAX_RELATORS:
+        raise ValueError(f"--m {m} --d {d} asks for {n} relators, above the limit of"
+                         f" {MAX_RELATORS}; choose a smaller --m or --d")
     rng = make_rng(seed)
     relators = tuple(sample_triangle_word(m, rng) for _ in range(n))
     return TriangularPresentation(m=m, density=Fraction(d), seed=seed, relators=relators)

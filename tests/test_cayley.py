@@ -220,6 +220,18 @@ class TestBallGraphValidation:
         with pytest.raises(ValueError, match="consistent under inversion"):
             ball_from_json_dict(_ballgraph_doc(1, 1, [(0, {"a": 1}), (1, {})]))
 
+    def test_slot_counts_match_vertices(self):
+        with pytest.raises(ValueError, match=(
+            r"^'edges' hold 4 slots and 'closed' 1 flags for 1 vertices of 2 slots each$"
+        )):
+            BallGraph(
+                presentation=free_presentation(1),
+                radius=0,
+                distances=(0,),
+                closed=(False,),
+                adj=(-1, -1, -1, -1),
+            )
+
     def test_edge_outside_vertex_list(self):
         with pytest.raises(ValueError, match="'edges' of vertex 0 point to 5, not a vertex"):
             _check_links(BallGraph(
@@ -345,6 +357,10 @@ FOLD_CORPUS = [
     (f"m{m}-d{d.numerator}_{d.denominator}-seed{s}", sample_presentation(m, d, s))
     for m, d, s in ((4, Fraction(1, 4), 0), (3, Fraction(3, 10), 0), (5, Fraction(1, 5), 1),
                     (4, Fraction(1, 6), 3))
+] + [
+    # a ball that collapses to two vertices; a fresh id's scan that starts
+    # with its own edge merges it with an older vertex, and stops
+    ("m6-d3_10-seed20", sample_presentation(6, Fraction(3, 10), 20)),
 ]
 
 

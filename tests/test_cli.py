@@ -336,6 +336,17 @@ class TestPipeline:
         assert main(argv) == 2
         assert "d0 = " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["pipeline", "--d0", "x"],
+         "argument --d0: expected a rational like 7/20, got 'x'"),
+        (["sweep", "--d0-grid", "1/3,x"],
+         "argument --d0-grid: expected comma-separated rationals like 3/10,1/3,7/20,"
+         " got '1/3,x'"),
+    ])
+    def test_unparsed_rational_rejected(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
 
 class TestReportBytes:
     """The stdout of the constants reports, byte for byte, at the default
@@ -1079,6 +1090,9 @@ class TestFlagRanges:
         (["chain-check", "--count", "0"], "--count must be positive"),
         (["chain-check", "--max-faces", "0"], "--max-faces must be positive"),
         (["ball", "--presentation", "{pres}", "--radius", "-1"], "--radius must be nonnegative"),
+        (["sample", "--m", "1000000", "--d", "1/2"],
+         f"--m 1000000 --d 1/2 asks for {relator_count(1_000_000, Fraction(1, 2))} relators,"
+         " above the limit of 1048576; choose a smaller --m or --d"),
     ])
     def test_range_error_names_flag(self, capsys, pres_file, ball_file, complex_files, argv,
                                     message):

@@ -1,10 +1,13 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from trigroup import presentation
 from trigroup.presentation import (
+    MAX_RELATORS,
     TriangularPresentation,
     density_from_str,
     integer_root,
@@ -37,6 +40,10 @@ class TestIntegerRoot:
         assert integer_root(10 ** 60, 60) == 10
         assert integer_root(10 ** 60 - 1, 60) == 9
 
+    def test_refuses_negative(self):
+        with pytest.raises(ValueError, match=r"^need n >= 0, k >= 1$"):
+            integer_root(-1, 2)
+
 
 class TestRelatorCount:
     @pytest.mark.parametrize(
@@ -67,6 +74,10 @@ class TestRelatorCount:
     def test_monotone_in_density(self):
         counts = [relator_count(5, Fraction(k, 100)) for k in range(5, 95, 3)]
         assert counts == sorted(counts)
+
+    def test_refuses_rank_zero(self):
+        with pytest.raises(ValueError, match=r"^rank must be >= 1$"):
+            relator_count(0, Fraction(1, 3))
 
     def test_density_domain(self):
         with pytest.raises(ValueError):
@@ -170,3 +181,19 @@ class TestSampling:
                     fails += 1
             rates.append(fails / trials)
         assert all(a >= b for a, b in zip(rates, rates[1:]))
+
+
+class TestRelatorLimit:
+    def test_refuses_before_drawing(self, monkeypatch):
+        def draw(m, rng):
+            raise AssertionError("a relator was drawn")
+
+        monkeypatch.setattr(presentation, "sample_triangle_word", draw)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"above the limit of {MAX_RELATORS};"):
+                sample_presentation(1_000_000, Fraction(1, 2), 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

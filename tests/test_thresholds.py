@@ -99,6 +99,10 @@ class TestQ41:
         assert x.floor() == 0 and (-x).floor() == -1
         assert _Q41(Fraction(0)).sign() == 0
 
+    def test_rounding_refuses_a_rational(self):
+        with pytest.raises(ValueError, match=r"^decimal expansion needs an irrational number$"):
+            _Q41(Fraction(1)).rounded(5)
+
     def test_rounding_near_a_tie(self):
         # 1/8 -+ (2049 - 320*sqrt(41))/10^30 lies 2.4e-34 from the tie 0.125;
         # 20 guard digits cannot tell the side, the bracket must widen
@@ -150,6 +154,10 @@ class TestDCrit:
     def test_sign_change_across_root(self):
         below, above = d_crit() - 1e-6, d_crit() + 1e-6
         assert lhs(below) - rhs(below) < 0 < lhs(above) - rhs(above)
+
+    def test_digits_must_be_positive(self):
+        with pytest.raises(ValueError, match=r"^digits must be positive$"):
+            d_crit_digits(0)
 
     def test_against_mpmath(self):
         dc, _, _, _ = mp_oracle()
@@ -267,6 +275,14 @@ class TestE1Bound:
 
 
 class TestPipeline:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"long_constant": 0}, "long_constant must be positive"),
+        ({"digits": 0}, "digits must be positive"),
+    ])
+    def test_refuses_nonpositive_settings(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            constants_pipeline(D35, **kwargs)
+
     def test_frozen_reference_values(self):
         r = constants_pipeline(D35)
         assert r["delta"] == "40"

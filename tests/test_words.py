@@ -131,6 +131,10 @@ class TestTriangleWords:
         assert triangle_word_count(m) == len(brute_force_triangle_words(m))
         assert triangle_word_count(m) == (2 * m - 1) ** 3 + 1
 
+    def test_count_refuses_rank_zero(self):
+        with pytest.raises(ValueError, match=r"^rank must be >= 1$"):
+            triangle_word_count(0)
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_enumeration_complete_sorted_unique(self, m):
         words = enumerate_triangle_words(m)
