@@ -14,10 +14,12 @@ mirror images, and faces are numbered boundary-first with ties explored
 exhaustively.  The minimization is level-synchronous: every root advances
 one face position at a time, and only the partial encodings whose next face
 key equals that position's minimum go on, so a losing root is dropped at its
-first worse key instead of being encoded to full depth.  The first key is
-read off boundary positions and signs alone, and only the roots that tie for
-it get an edge -> id map.  Output is deterministic: by face count, then
-canonical form.
+first worse key instead of being encoded to full depth.  Every key reads a
+boundary edge's id off its position and sign under the root, so no map over
+the boundary is built; a partial encoding keeps ids only for the edges off
+the boundary that it has minted.  Gluings are checked for reducedness against
+a table of side traces built once per enumeration.  Output is deterministic:
+by face count, then canonical form.
 
 Every emitted diagram is a validated ``VanKampenDiagram``, and
 ``isoperimetric_report`` reads its rows off those diagrams, so each row has
@@ -65,10 +67,12 @@ def _attach(
     start: int,
     mirror: bool,
     relators,
+    traces,
 ) -> _State | None:
     """Glue a new face spelling relator ``rel_pos`` onto the boundary arc of
     length ``k`` at ``pos``, the glued block occupying word slots
-    ``start..start+k-1``; None when letters clash or reducedness fails."""
+    ``start..start+k-1``; None when letters clash or reducedness fails.
+    ``traces`` is ``_trace_table(relators)``."""
     letters, faces, boundary = state
     B = len(boundary)
     if k > B:
@@ -84,6 +88,7 @@ def _attach(
         walk[slot] = r
     # reducedness across each newly interior edge, read off the one face
     # slot that holds it (a boundary edge lies in exactly one)
+    mine = traces[rel_pos]
     for j, r in enumerate(block):
         e = abs(r)
         for old_walk, old_label in faces:
@@ -92,11 +97,8 @@ def _attach(
         else:
             raise AssertionError("boundary edge missing from every face")
         t_old = old_walk.index(e) if e in old_walk else old_walk.index(-e)
-        s_old = 1 if old_walk[t_old] > 0 else -1
-        s_new = 1 if r > 0 else -1
-        if side_trace(relators[old_label - 1], t_old, s_old) == side_trace(
-            word, (start + j) % 3, s_new
-        ):
+        theirs = traces[old_label - 1][2 * t_old + (old_walk[t_old] < 0)]
+        if theirs == mine[2 * ((start + j) % 3) + (r < 0)]:
             return None
     new_letters = list(letters)
     fresh: list[int] = []
@@ -119,19 +121,6 @@ def _attach(
 # canonical form
 
 
-def _root_ids(boundary: Walk, i: int, backwards: bool) -> dict[int, int]:
-    """edge -> signed id under the root that reads the boundary backwards
-    from position i-1 or forwards from i+1: the edge at position p gets
-    ``((d·(p-i) - 1) mod |∂D|) + 1``, signed by that root's crossing of it,
-    where d is -1 backwards and 1 forwards."""
-    B = len(boundary)
-    d = -1 if backwards else 1
-    return {
-        abs(r): ((d * (p - i) - 1) % B + 1) * (d if r > 0 else -d)
-        for p, r in enumerate(boundary)
-    }
-
-
 def _canonical(state: _State) -> tuple:
     """The least encoding over all 2·|∂D| roots, found level by level.
 
@@ -144,18 +133,22 @@ def _canonical(state: _State) -> tuple:
     minimum is fixed position by position: all roots advance together, and
     only the partial encodings whose next key equals that position's minimum
     go on, ties kept exhaustively.  A losing root drops out at its first
-    worse key.
+    worse key, and the last position keeps only its least key.
 
-    The boundary crosses each edge once, so a face rotation starting on the
-    boundary edge at position i reaches the least first entry, -|∂D|, from
-    exactly one root: i-1 backwards when the face crosses the edge in the
-    boundary's direction, i+1 forwards otherwise.  Position 1 is keyed from
-    boundary positions and signs alone, with no id map; only the roots that
-    tie for its least key get one (``_root_ids``), and the rest of the
-    encoding is found from those.  A one-face state builds no map at all.
+    No key builds a map over the boundary.  Under the root that reads the
+    boundary backwards from position i-1 (d = -1) or forwards from i+1
+    (d = 1), the edge at position p has the signed id
+    ``((d·(p-i) - 1) mod |∂D| + 1)·d·sign(p)``, read off positions and signs.
+    A partial encoding carries its root (i, d) and a small dict of the ids
+    minted for edges off the boundary.  The boundary crosses each edge once,
+    so a face rotation starting on the boundary edge at position i reaches
+    the least first entry, -|∂D|, from exactly one root: (i, -1) when the
+    face crosses the edge in the boundary's direction, (i, 1) otherwise.
+    Position 1 is keyed from those roots alone.  A boundary that crosses an
+    edge twice, or a face that uses one twice, is refused.
     """
     _, faces, boundary = state
-    B = len(boundary)
+    B, F = len(boundary), len(faces)
     where = {abs(r): p for p, r in enumerate(boundary)}
     if len(where) != B:
         raise ValueError("the boundary crosses an edge twice")
@@ -164,18 +157,20 @@ def _canonical(state: _State) -> tuple:
     turns = []
     for f, ((a, b, c), label) in enumerate(faces):
         ea, eb, ec = abs(a), abs(b), abs(c)
+        if ea == eb or eb == ec or ec == ea:
+            raise ValueError("a face uses an edge twice")
         bit = 1 << f
         turns += (
             (bit, label, a, b, c, ea, eb, ec),
             (bit, label, b, c, a, eb, ec, ea),
             (bit, label, c, a, b, ec, ea, eb),
         )
-    # position 1 reads each rotation that starts on the boundary from its one
-    # root (i, d): first edge at position i, d = -1 backwards and 1 forwards.
-    # The edge at position p has the signed id ((d·(p-i) - 1) mod B + 1)·d·
-    # sign(p) there, as in _root_ids, so no id map is built for this key
+    # partial encodings that extend: (root position, root direction, edge off
+    # the boundary -> signed id, bitmask of encoded faces, the face rotation
+    # just encoded); at position 1 none has minted an id yet
+    unminted: dict[int, int] = {}
     best = None
-    roots: list = []
+    ties: list = []
     for turn in turns:
         _, label, a, b, c, ea, eb, ec = turn
         i = where.get(ea)
@@ -190,63 +185,75 @@ def _canonical(state: _State) -> tuple:
             sb = n if b > 0 else -n
         else:
             sb = ((d * (p - i) - 1) % B + 1) * d * signs[p]
-        if ec == eb:
-            sc = sb
+        q = where.get(ec)
+        if q is None:
+            n += 1
+            sc = n if c > 0 else -n
         else:
-            q = where.get(ec)
-            if q is None:
-                n += 1
-                sc = n if c > 0 else -n
-            else:
-                sc = ((d * (q - i) - 1) % B + 1) * d * signs[q]
+            sc = ((d * (q - i) - 1) % B + 1) * d * signs[q]
         key = (-B, sb if b > 0 else -sb, sc if c > 0 else -sc, label)
         if best is None or key < best:
             best = key
-            roots = [(i, d, turn)]
-        elif key == best:
-            roots.append((i, d, turn))
+            ties = []
+        if key == best:
+            ties.append((i, d, unminted, 0, turn))
     encoding: list = [B, (best[:3], best[3])]
-    if len(faces) == 1:
-        return tuple(encoding)
-    # partial encodings that extend: (edge -> signed id, bitmask of encoded
-    # faces, the face rotation just encoded)
-    ties = [(_root_ids(boundary, i, d < 0), 0, turn) for i, d, turn in roots]
-    for _ in faces[1:]:
-        pairs = []
-        for ids, used, (bit, _, _, b, c, _, eb, ec) in ties:
-            if eb not in ids or ec not in ids:
-                ids = dict(ids)
-                if eb not in ids:
-                    ids[eb] = len(ids) + 1 if b > 0 else -len(ids) - 1
-                if ec not in ids:
-                    ids[ec] = len(ids) + 1 if c > 0 else -len(ids) - 1
-            used |= bit
-            pairs.extend((ids, used, t) for t in turns if not used & t[0])
+    for depth in range(2, F + 1):
+        more = depth < F  # nothing extends the last position's ties
         best = None
-        ties = []
-        for ids, used, turn in pairs:
-            _, label, a, b, c, ea, eb, ec = turn
-            sa = ids.get(ea)
-            if sa is None:
-                continue
-            x = sa if a > 0 else -sa
-            if best is not None and x > best[0]:
-                continue
-            n = len(ids)
-            sb = ids.get(eb)
-            if sb is None:
-                n += 1
-                sb = n if b > 0 else -n
-            sc = sb if ec == eb else ids.get(ec)
-            if sc is None:
-                n += 1
-                sc = n if c > 0 else -n
-            key = (x, sb if b > 0 else -sb, sc if c > 0 else -sc, label)
-            if best is None or key < best:
-                best = key
-                ties = [(ids, used, turn)]
-            elif key == best:
-                ties.append((ids, used, turn))
+        extend, ties = ties, []
+        for i, d, minted, used, (bit, _, _, b, c, _, eb, ec) in extend:
+            # mint ids for the edges off the boundary that the face just
+            # encoded reached first, copying the dict its siblings share
+            top = B + len(minted)
+            new_b = eb not in where and eb not in minted
+            new_c = ec not in where and ec not in minted
+            if new_b or new_c:
+                minted = dict(minted)
+                if new_b:
+                    top += 1
+                    minted[eb] = top if b > 0 else -top
+                if new_c:
+                    top += 1
+                    minted[ec] = top if c > 0 else -top
+            used |= bit
+            for turn in turns:
+                if used & turn[0]:
+                    continue
+                _, label, a, b, c, ea, eb, ec = turn
+                p = where.get(ea)
+                if p is None:
+                    sa = minted.get(ea)
+                    if sa is None:
+                        continue
+                else:
+                    sa = ((d * (p - i) - 1) % B + 1) * d * signs[p]
+                x = sa if a > 0 else -sa
+                if best is not None and x > best[0]:
+                    continue
+                n = top
+                p = where.get(eb)
+                if p is None:
+                    sb = minted.get(eb)
+                    if sb is None:
+                        n += 1
+                        sb = n if b > 0 else -n
+                else:
+                    sb = ((d * (p - i) - 1) % B + 1) * d * signs[p]
+                p = where.get(ec)
+                if p is None:
+                    sc = minted.get(ec)
+                    if sc is None:
+                        n += 1
+                        sc = n if c > 0 else -n
+                else:
+                    sc = ((d * (p - i) - 1) % B + 1) * d * signs[p]
+                key = (x, sb if b > 0 else -sb, sc if c > 0 else -sc, label)
+                if best is None or key < best:
+                    best = key
+                    ties = []
+                if more and key == best:
+                    ties.append((i, d, minted, used, turn))
         encoding.append((best[:3], best[3]))
     return tuple(encoding)
 
@@ -275,7 +282,13 @@ def _slot_index(relators) -> dict[int, list[tuple[int, int]]]:
     return index
 
 
-def _grow(state: _State, relators, index) -> Iterator[_State]:
+def _trace_table(relators) -> list[tuple]:
+    """relator position -> its six side traces: word slot t read forwards
+    at 2t and backwards at 2t+1."""
+    return [tuple([side_trace(w, t, s) for t in range(3) for s in (1, -1)]) for w in relators]
+
+
+def _grow(state: _State, relators, index, traces) -> Iterator[_State]:
     """Every legal single-face extension, in deterministic order.
 
     Candidate faces are looked up by the letter the glued block must start
@@ -295,7 +308,7 @@ def _grow(state: _State, relators, index) -> Iterator[_State]:
                     # block is the arc reversed and negated
                     want = -rim[(pos + k - 1) % B]
                 for rel_pos, start in index.get(want, ()):
-                    grown = _attach(state, pos, k, rel_pos, start, mirror, relators)
+                    grown = _attach(state, pos, k, rel_pos, start, mirror, relators, traces)
                     if grown is not None:
                         yield grown
 
@@ -306,6 +319,7 @@ def enumerate_reduced_diagrams(budget: DiagramBudget) -> Iterator[VanKampenDiagr
     presentation = budget.presentation
     relators = presentation.relators
     index = _slot_index(relators)
+    traces = _trace_table(relators)
     level: dict[tuple, _State] = {}
     for p, word in enumerate(relators):
         state: _State = (tuple(word), (((1, 2, 3), p + 1),), (1, 2, 3))
@@ -315,7 +329,7 @@ def enumerate_reduced_diagrams(budget: DiagramBudget) -> Iterator[VanKampenDiagr
     for _ in range(budget.max_faces - 1):
         nxt: dict[tuple, _State] = {}
         for canon in sorted(level):
-            for grown in _grow(level[canon], relators, index):
+            for grown in _grow(level[canon], relators, index, traces):
                 nxt.setdefault(_canonical(grown), grown)
         level = nxt
         for canon in sorted(level):

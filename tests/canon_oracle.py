@@ -3,7 +3,9 @@
 ``_canonical`` here is the form ``trigroup.enumeration`` computed before its
 roots advanced together: every one of the 2·|∂D| boundary roots is encoded to
 full depth by ``_encode_faces`` (ties explored exhaustively), and the least
-encoding wins.  The three functions are unchanged from that version.
+encoding wins.  ``_translate`` and ``_encode_faces`` are unchanged from that
+version; ``_canonical``'s loop over the roots is ``_roots``.
+``tied_roots`` counts the roots that tie for the least first face key.
 """
 
 from __future__ import annotations
@@ -58,10 +60,9 @@ def _encode_faces(ids: dict, remaining: tuple[int, ...], faces) -> tuple:
     return best
 
 
-def _canonical(state: _State) -> tuple:
-    _, faces, boundary = state
+def _roots(boundary: Walk):
+    """The boundary edge ids of each of the 2·|∂D| roots, forwards first."""
     B = len(boundary)
-    best = None
     for direction in (1, -1):
         for root in range(B):
             if direction == 1:
@@ -73,7 +74,29 @@ def _canonical(state: _State) -> tuple:
                 e = abs(ref)
                 if e not in ids:
                     ids[e] = (len(ids) + 1, 1 if ref > 0 else -1)
-            enc = (B,) + _encode_faces(ids, tuple(range(len(faces))), faces)
-            if best is None or enc < best:
-                best = enc
+            yield ids
+
+
+def _canonical(state: _State) -> tuple:
+    _, faces, boundary = state
+    best = None
+    for ids in _roots(boundary):
+        enc = (len(boundary),) + _encode_faces(ids, tuple(range(len(faces))), faces)
+        if best is None or enc < best:
+            best = enc
     return best
+
+
+def tied_roots(state: _State) -> int:
+    """How many roots read the least first face key over all roots."""
+    _, faces, boundary = state
+    firsts = [
+        min(
+            (_translate(walk, rot, ids)[0], label)
+            for walk, label in faces
+            for rot in range(3)
+            if abs(walk[rot]) in ids
+        )
+        for ids in _roots(boundary)
+    ]
+    return firsts.count(min(firsts))

@@ -27,6 +27,7 @@ from trigroup.enumeration import (
     _attach,
     _canonical,
     _to_diagram,
+    _trace_table,
 )
 from trigroup.fulfillment import fulfils
 from trigroup.presentation import TriangularPresentation, sample_presentation
@@ -118,6 +119,7 @@ def isomorphic(d1, d2):
 def brute_force_diagrams(p, max_faces):
     """Every reachable gluing order, deduplicated by pairwise isomorphism."""
     relators = p.relators
+    traces = _trace_table(relators)
     seeds = [
         (tuple(word), (((1, 2, 3), i + 1),), (1, 2, 3))
         for i, word in enumerate(relators)
@@ -136,7 +138,9 @@ def brute_force_diagrams(p, max_faces):
                 for rel_pos in range(len(relators)):
                     for start in range(3):
                         for mirror in (False, True):
-                            grown = _attach(state, pos, k, rel_pos, start, mirror, relators)
+                            grown = _attach(
+                                state, pos, k, rel_pos, start, mirror, relators, traces
+                            )
                             if grown is not None:
                                 stack.append(grown)
     for state in states:
@@ -350,24 +354,11 @@ def canonicalised_states(p, max_faces):
 
 
 @functools.lru_cache(maxsize=None)
-def root_ids_per_call(p, max_faces):
-    """How many id maps ``_canonical`` builds through ``_root_ids`` on each
-    state of ``canonicalised_states(p, max_faces)``."""
-    built = []
-    real = enumeration._root_ids
-
-    def record(boundary, i, backwards):
-        built[-1] += 1
-        return real(boundary, i, backwards)
-
-    enumeration._root_ids = record
-    try:
-        for state in canonicalised_states(p, max_faces):
-            built.append(0)
-            _canonical(state)
-    finally:
-        enumeration._root_ids = real
-    return tuple(built)
+def tied_roots_per_state(p, max_faces):
+    """How many roots tie for the least first face key, by the oracle, on
+    each state of two or more faces in ``canonicalised_states(p, max_faces)``."""
+    states = canonicalised_states(p, max_faces)
+    return tuple(canon_oracle.tied_roots(s) for s in states if len(s[1]) >= 2)
 
 
 ORACLE_CORPORA = {
@@ -422,22 +413,29 @@ class TestCanonicalForm:
         with pytest.raises(ValueError, match="twice"):
             _canonical(((1, 2, 3), (((1, 2, 3), 1),), (1, 2, 3, -1)))
 
+    def test_face_using_an_edge_twice_refused(self):
+        # _attach never makes such a face: it glues onto at most two
+        # consecutive, distinct boundary edges and mints the rest
+        with pytest.raises(ValueError, match="twice"):
+            _canonical(((1, 2), (((1, 2, -2), 1),), (1,)))
+
     def test_call_count_on_deep_input(self):
         # one call per one-face seed and per grown child; pruning inside a
         # call leaves this count alone
         p, max_faces = ORACLE_CORPORA["m10-d17/50-seed0"]
         assert len(canonicalised_states(p, max_faces)) == 4703
 
-    def test_id_maps_on_deep_input(self):
-        # only the roots that tie for the least first key get an id map
+    def test_tied_roots_on_deep_input(self):
+        # the roots that tie for the least first key are the ones _canonical
+        # carries past position 1
         p, max_faces = ORACLE_CORPORA["m10-d17/50-seed0"]
-        assert sum(root_ids_per_call(p, max_faces)) == 4819
+        assert sum(tied_roots_per_state(p, max_faces)) == 4819
 
     def test_deep_input_reaches_tied_roots(self):
         # some states tie at their first key and go on from two roots, so
         # the oracle comparison on this corpus covers the multi-root path
         p, max_faces = ORACLE_CORPORA["m10-d17/50-seed0"]
-        assert sum(n >= 2 for n in root_ids_per_call(p, max_faces)) == 136
+        assert sum(n >= 2 for n in tied_roots_per_state(p, max_faces)) == 136
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
