@@ -21,6 +21,20 @@ the boundary that it has minted.  Gluings are checked for reducedness against
 a table of side traces built once per enumeration.  Output is deterministic:
 by face count, then canonical form.
 
+Each level keeps, per canonical form, the first state that reaches it, and
+grows its states in sorted order.  At the first step, a one-face seed glues
+only relators whose seed the loop visits at or after it, the one case of
+canonical augmentation (McKay, "Isomorph-free exhaustive generation", J.
+Algorithms 26, 1998) that is exact here.  A two-face diagram whose seeds rank
+r1 <= r2 is first reached from seed r1 gluing relator r2; its growth from seed
+r2 comes later, and the level would drop it.  So the two-face level, its
+representatives and their order are unchanged, and every later level with
+them.  This needs only a key that holds the label, so that each seed is a
+class of its own, and is invariant under renaming edges: the present key, or
+one that also reads letters, under which each two-face class is still grown
+from its earlier seed.  Later steps skip nothing: a letter-blind
+representative need not regrow its whole class.
+
 Every emitted diagram is a validated ``VanKampenDiagram``, and
 ``isoperimetric_report`` reads its rows off those diagrams, so each row has
 passed every check of the validator.  ``cancel`` is counted from the edge
@@ -288,11 +302,13 @@ def _trace_table(relators) -> list[tuple]:
     return [tuple([side_trace(w, t, s) for t in range(3) for s in (1, -1)]) for w in relators]
 
 
-def _grow(state: _State, relators, index, traces) -> Iterator[_State]:
+def _grow(state: _State, relators, index, traces, ranks=None, least=0) -> Iterator[_State]:
     """Every legal single-face extension, in deterministic order.
 
     Candidate faces are looked up by the letter the glued block must start
-    with, so work scales with matches rather than with the relator count."""
+    with, so work scales with matches rather than with the relator count.
+    A candidate spelling relator position p is skipped, before any gluing
+    is tried, when ``ranks[p] < least``; ``least`` 0 skips none."""
     letters, _, boundary = state
     B = len(boundary)
     rim = [letters[r - 1] if r > 0 else -letters[-r - 1] for r in boundary]
@@ -308,6 +324,8 @@ def _grow(state: _State, relators, index, traces) -> Iterator[_State]:
                     # block is the arc reversed and negated
                     want = -rim[(pos + k - 1) % B]
                 for rel_pos, start in index.get(want, ()):
+                    if least and ranks[rel_pos] < least:
+                        continue
                     grown = _attach(state, pos, k, rel_pos, start, mirror, relators, traces)
                     if grown is not None:
                         yield grown
@@ -315,7 +333,15 @@ def _grow(state: _State, relators, index, traces) -> Iterator[_State]:
 
 def enumerate_reduced_diagrams(budget: DiagramBudget) -> Iterator[VanKampenDiagram]:
     """All reduced disc diagrams with at most ``budget.max_faces`` faces,
-    exactly once per labelled combinatorial isomorphism class."""
+    exactly once per labelled combinatorial isomorphism class.
+
+    A seed's rank is its place in the sorted one-face level, the order in
+    which the first step visits it (today the relator position, since seed
+    keys differ only in the label).  Seed r glues only relators whose seeds
+    rank r or later: every two-face class is first reached from its earlier
+    seed, so the skipped growths are exactly the later ones that
+    ``setdefault`` would drop, under the present key and under one that
+    also reads letters."""
     presentation = budget.presentation
     relators = presentation.relators
     index = _slot_index(relators)
@@ -324,12 +350,17 @@ def enumerate_reduced_diagrams(budget: DiagramBudget) -> Iterator[VanKampenDiagr
     for p, word in enumerate(relators):
         state: _State = (tuple(word), (((1, 2, 3), p + 1),), (1, 2, 3))
         level.setdefault(_canonical(state), state)
-    for canon in sorted(level):
+    # each relator position's seed rank, in the order the loop visits seeds
+    ranks = [0] * len(relators)
+    for r, canon in enumerate(sorted(level)):
+        ranks[level[canon][1][0][1] - 1] = r
         yield _to_diagram(level[canon], presentation)
-    for _ in range(budget.max_faces - 1):
+    for depth in range(1, budget.max_faces):
         nxt: dict[tuple, _State] = {}
-        for canon in sorted(level):
-            for grown in _grow(level[canon], relators, index, traces):
+        for r, canon in enumerate(sorted(level)):
+            # seed r glues only relators whose seeds rank r or later
+            least = r if depth == 1 else 0
+            for grown in _grow(level[canon], relators, index, traces, ranks, least):
                 nxt.setdefault(_canonical(grown), grown)
         level = nxt
         for canon in sorted(level):

@@ -26,14 +26,18 @@ from trigroup.enumeration import (
     sampled_violation_trend,
     _attach,
     _canonical,
+    _grow,
+    _slot_index,
     _to_diagram,
     _trace_table,
 )
 from trigroup.fulfillment import fulfils
 from trigroup.presentation import TriangularPresentation, sample_presentation
+from trigroup.seeding import derive_seed
 
 import canon_oracle
 import close_walks_oracle
+import growth_oracle
 from relator_classes import has_proper_power, relators_distinct_up_to_symmetry
 
 
@@ -423,13 +427,13 @@ class TestCanonicalForm:
         # one call per one-face seed and per grown child; pruning inside a
         # call leaves this count alone
         p, max_faces = ORACLE_CORPORA["m10-d17/50-seed0"]
-        assert len(canonicalised_states(p, max_faces)) == 4703
+        assert len(canonicalised_states(p, max_faces)) == 4502
 
     def test_tied_roots_on_deep_input(self):
         # the roots that tie for the least first key are the ones _canonical
         # carries past position 1
         p, max_faces = ORACLE_CORPORA["m10-d17/50-seed0"]
-        assert sum(tied_roots_per_state(p, max_faces)) == 4819
+        assert sum(tied_roots_per_state(p, max_faces)) == 4618
 
     def test_deep_input_reaches_tied_roots(self):
         # some states tie at their first key and go on from two roots, so
@@ -451,6 +455,91 @@ class TestCanonicalForm:
         moved = relabelled(state, names, flips, order, turns, shift)
         assert _canonical(moved) == _canonical(state)
         assert _canonical(moved) == canon_oracle._canonical(moved)
+
+
+# ---------------------------------------------------------------------------
+# growth: the first step's seed rule, and arcs longer than the boundary
+
+# the six presentations of the trend that TestGoldenReports pins, at seed 1
+TREND_SEED_1 = {
+    f"m{m}-{i}": sample_presentation(m, Fraction(17, 50), derive_seed(1, "isop", m, i))
+    for m in (10, 40)
+    for i in range(3)
+}
+
+
+def diagram_fields(D):
+    return (D.faces, D.labels, D.letters, D.boundary, D.edges, D.vertex_count)
+
+
+def assert_matches_unfiltered_loop(p, max_faces):
+    emitted = [diagram_fields(D) for D in diagrams(p, max_faces)]
+    assert emitted == [diagram_fields(D) for D in growth_oracle.diagrams(p, max_faces)]
+
+
+def one_edge_boundary_states():
+    """The deep input's states with a one-edge boundary: its violations."""
+    p, max_faces = ORACLE_CORPORA["m10-d17/50-seed0"]
+    states = canonicalised_states(p, max_faces)
+    return p.relators, [s for s in states if len(s[2]) == 1]
+
+
+class TestGrowth:
+    # "m10-d17/50-seed0" at 3 faces is the deep report's input
+    @pytest.mark.parametrize("corpus", sorted(ORACLE_CORPORA))
+    def test_matches_unfiltered_loop(self, corpus):
+        assert_matches_unfiltered_loop(*ORACLE_CORPORA[corpus])
+
+    @pytest.mark.parametrize("name", sorted(TREND_SEED_1))
+    def test_trend_matches_unfiltered_loop(self, name):
+        assert_matches_unfiltered_loop(TREND_SEED_1[name], 2)
+
+    @pytest.mark.parametrize("corpus", sorted(ORACLE_CORPORA))
+    def test_seeds_visited_in_relator_order(self, corpus, monkeypatch):
+        # the first step grows seed r with least = r; later steps skip nothing
+        p, max_faces = ORACLE_CORPORA[corpus]
+        visits = []
+        real = enumeration._grow
+
+        def record(state, relators, index, traces, ranks=None, least=0):
+            visits.append((state[1], least))
+            return real(state, relators, index, traces, ranks, least)
+
+        monkeypatch.setattr(enumeration, "_grow", record)
+        diagrams(p, max_faces)
+        seeds = [(faces, least) for faces, least in visits if len(faces) == 1]
+        assert seeds == [((((1, 2, 3), r + 1),), r) for r in range(len(p.relators))]
+        assert all(least == 0 for faces, least in visits if len(faces) > 1)
+
+    def test_work_on_trend(self, monkeypatch):
+        # each two-face diagram is grown once, from the seed visited first
+        calls = {"_canonical": 0, "_attach": 0}
+        for name in calls:
+            real = getattr(enumeration, name)
+
+            def counted(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(enumeration, name, counted)
+        sampled_violation_trend((10, 40), Fraction(17, 50), Fraction(1, 25), 2, 3, 1)
+        assert calls == {"_canonical": 3489, "_attach": 8116}
+
+    def test_one_edge_boundary_grows_along_one_edge(self):
+        relators, states = one_edge_boundary_states()
+        assert len(states) == 10
+        children = list(_grow(states[0], relators, _slot_index(relators), _trace_table(relators)))
+        assert len(children) == 9
+        assert all(len(c[1]) == 4 and len(c[2]) == 2 for c in children)
+
+    def test_arc_longer_than_boundary_refused(self):
+        relators, states = one_edge_boundary_states()
+        letters, _, (r,) = states[0]
+        c = letters[r - 1] if r > 0 else -letters[-r - 1]
+        # relator 17 spells c c from slot 1: the letters of the two-edge arc
+        # that would read the one boundary edge twice
+        assert relators[16][1:] == (c, c)
+        assert _attach(states[0], 0, 2, 16, 1, True, relators, _trace_table(relators)) is None
 
 
 # ---------------------------------------------------------------------------
