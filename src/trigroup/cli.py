@@ -66,7 +66,9 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-#: ``fulfil --exact`` sums up to 2^(3n) inclusion-exclusion terms for n labels.
+#: ``fulfil --exact`` costs time exponential in the largest 2-connected block
+#: of its constraint graph; six labels can still make one block of 18
+#: constraints, 2^18 inclusion-exclusion terms.
 EXACT_LABEL_CAP = 6
 
 
@@ -110,6 +112,10 @@ def _load(path: str, kind: str, parse):
         raise ValueError(f"{kind} file {path!r}: invalid JSON ({exc})")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{kind} file {path!r}: not UTF-8 text ({exc})")
+    except RecursionError:
+        raise ValueError(f"{kind} file {path!r}: JSON nested too deeply")
+    except ValueError as exc:  # an integer literal over Python's digit limit
+        raise ValueError(f"{kind} file {path!r}: unreadable JSON ({exc})")
     if not isinstance(data, dict):
         raise ValueError(f"{kind} file {path!r}: expected a JSON object")
     try:

@@ -308,14 +308,14 @@ def _grow(state: _State, relators, index, traces, ranks=None, least=0) -> Iterat
     Candidate faces are looked up by the letter the glued block must start
     with, so work scales with matches rather than with the relator count.
     A candidate spelling relator position p is skipped, before any gluing
-    is tried, when ``ranks[p] < least``; ``least`` 0 skips none."""
+    is tried, when ``ranks[p] < least``; ``least`` 0 skips none.  An arc
+    longer than the boundary (k = 2 on one edge) reaches ``_attach``, which
+    refuses it."""
     letters, _, boundary = state
     B = len(boundary)
     rim = [letters[r - 1] if r > 0 else -letters[-r - 1] for r in boundary]
     for pos in range(B):
         for k in (1, 2):
-            if k > B:
-                continue
             for mirror in (False, True):
                 if mirror:
                     # block starts with the arc's first ref as-is

@@ -10,7 +10,9 @@ support this module computes the per-level probabilities
 * in closed form by inclusion-exclusion over the cyclic-reduction constraints
   (``_counter`` on the complex's incidence structure, see
   ``structure_of``), which scales to a sweep over *all* incidence structures
-  with a bounded number of faces,
+  with a bounded number of faces.  The count factors over the 2-connected
+  blocks of the constraint graph (``_block_counts``), so its cost is
+  exponential in the largest block, not in the number of labels,
 * exhaustively (``exact_probabilities``, whose cost grows as
   ((2m-1)^3+1)^n for n labels), kept as the independent oracle the closed
   form is tested against,
@@ -241,7 +243,9 @@ def count_letter_assignments(
     Each constraint ``(a, b, t)`` forbids ``L[a] = t * L[b]``; the alphabet is
     closed under negation and has ``x`` letters (x even, no fixed point of
     negation).  Returns the count for each x in ``sizes``, by
-    inclusion-exclusion over constraint subsets with parity tracking.
+    inclusion-exclusion over constraint subsets with parity tracking: up to
+    2^c terms for c constraints.  This is the whole-graph kernel;
+    :func:`_block_counts` calls it once per 2-connected block.
 
     Including a constraint identifies ``a`` with ``t * b``.  As in
     :func:`_merged_key`, ``link`` maps an absorbed class to ``(class it
@@ -280,6 +284,88 @@ def count_letter_assignments(
 
     rec(0, 1, n_classes)
     return tuple(totals)
+
+
+def _block_counts(
+    n_classes: int,
+    constraints: Sequence[tuple[int, int, int]],
+    sizes: Sequence[int],
+    memo: dict,
+) -> tuple[int, ...]:
+    """:func:`count_letter_assignments`, factored over the 2-connected blocks
+    of the constraint multigraph (classes as vertices, one edge per
+    constraint; Zaslavsky, "Signed graph coloring", Discrete Math. 39, 1982).
+
+    Signed permutations of the alphabet act transitively on the letters and
+    keep every relation ``L[a] != t * L[b]``, so once a cut vertex's letter
+    is fixed each side has N/x of its N assignments.  Hence at size x the
+    count is x^isolated * prod N(B) / x^(sum over components c of r_c - 1),
+    with r_c the blocks of component c, and the division is exact.  Each
+    block is counted by the kernel under its own key, its classes renamed in
+    increasing order, and kept in ``memo``.  Every constraint must join two
+    distinct classes, as every key of :func:`_merged_key` does.
+
+    The blocks come from an iterative Hopcroft-Tarjan search that keeps a
+    stack of edge ids, not of neighbours, so two parallel constraints stay
+    in one block.
+    """
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_classes)]
+    for e, (a, b, _) in enumerate(constraints):
+        adj[a].append((b, e))
+        adj[b].append((a, e))
+    product = [1] * len(sizes)
+    disc = [0] * n_classes  # discovery times from 1; 0 while unvisited
+    low = [0] * n_classes
+    edges: list[int] = []  # ids of the edges not yet in a block
+    clock = isolated = joins = 0
+    for root in range(n_classes):
+        if disc[root]:
+            continue
+        if not adj[root]:
+            isolated += 1
+            continue
+        joins -= 1  # a component of r blocks makes r - 1 joins
+        clock += 1
+        disc[root] = low[root] = clock
+        # per class on the search path: the tree edge into it, that edge's
+        # place in ``edges``, and its neighbours not yet read
+        stack = [(root, -1, 0, iter(adj[root]))]
+        while stack:
+            v, via, mark, rest = stack[-1]
+            for w, e in rest:
+                if not disc[w]:
+                    clock += 1
+                    disc[w] = low[w] = clock
+                    stack.append((w, e, len(edges), iter(adj[w])))
+                    edges.append(e)
+                    break
+                if disc[w] < disc[v] and e != via:  # a back edge, seen from below
+                    edges.append(e)
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+            else:
+                stack.pop()
+                if not stack:
+                    break
+                u = stack[-1][0]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                if low[v] < disc[u]:
+                    continue
+                # u separates v's subtree: its edges from ``via`` on are a block
+                block = sorted(edges[mark:])
+                del edges[mark:]
+                joins += 1
+                classes = sorted({c for e in block for c in constraints[e][:2]})
+                rename = {c: i for i, c in enumerate(classes)}
+                key = (len(classes), tuple(
+                    (rename[a], rename[b], t) for a, b, t in map(constraints.__getitem__, block)
+                ))
+                got = memo.get(key)
+                if got is None:
+                    got = memo[key] = count_letter_assignments(*key, sizes)
+                product = [p * g for p, g in zip(product, got)]
+    return tuple(p * x**isolated // x**joins for p, x in zip(product, sizes))
 
 
 def _merged_key(
@@ -376,7 +462,10 @@ def _counter(classes, signs, sizes, memo):
     a letter assignment to the merged edge classes avoiding the
     cyclic-reduction relations, counted by inclusion-exclusion.  Counts are
     kept per key, and in ``memo``, which other structures may share, per
-    merged key.
+    merged key.  A set of at most two groups (at most 6 constraints) goes to
+    the kernel whole, where a block search would cost more than it saves;
+    a larger one is counted block by block (:func:`_block_counts`), each
+    block kept in ``memo`` too, since one triangle recurs at every level.
     """
     shared = {(): (1,) * len(sizes)}  # the empty tuple
 
@@ -389,7 +478,10 @@ def _counter(classes, signs, sizes, memo):
             else:
                 got = memo.get(merged)
                 if got is None:
-                    got = memo[merged] = count_letter_assignments(*merged, sizes)
+                    got = memo[merged] = (
+                        count_letter_assignments(*merged, sizes) if len(key) <= 2
+                        else _block_counts(*merged, sizes, memo)
+                    )
             shared[key] = got
         return got
 

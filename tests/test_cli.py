@@ -231,7 +231,7 @@ class TestFulfil:
         assert doc["trials"] == 500
         assert 0 <= doc["wilson_low"] <= doc["estimate"] <= doc["wilson_high"] <= 1
 
-    @pytest.mark.parametrize("mode", [["--exact"], ["--trials", "10"]])
+    @pytest.mark.parametrize("mode", [["--exact"], ["--trials", "10"]], ids=["exact", "trials"])
     def test_faceless_complex(self, tmp_path, capsys, mode):
         faceless = tmp_path / "faceless.json"
         faceless.write_text('{"vertices": 1, "edges": [], "faces": []}')
@@ -289,7 +289,7 @@ class TestFulfil:
         # refused without a list per label up to the far one
         (["--exact"], [1, 10**6]),
         (["--trials", "10"], [1, 10**6]),
-    ], ids=["mode0", "mode1", "far-index-exact", "far-index-trials"])
+    ], ids=["gap-exact", "gap-trials", "far-index-exact", "far-index-trials"])
     def test_label_gap_names_index(self, tmp_path, capsys, mode, labels):
         gap = tmp_path / "gap.json"
         gap.write_text(dumps_complex(abstract_from_walks([(1, 2, 3), (-1, 4, 5)], labels)))
@@ -1014,11 +1014,16 @@ class TestPlumbing:
         )
 
     @pytest.mark.parametrize("kind, argv", [("complex", ["red", "--complex"]),
-                                            ("graph", ["delta-est", "--graph"])])
+                                            ("graph", ["delta-est", "--graph"]),
+                                            ("presentation", ["enum-diagrams", "--presentation"])])
     @pytest.mark.parametrize("content, message", [
         ("{not json", "invalid JSON ("),
         ("[1, 2, 3]", "expected a JSON object"),
-    ], ids=["not-json", "not-object"])
+        # past the decoder's recursion limit, and past Python's 4,300-digit
+        # limit on integer literals: both are bytes, not fields, at fault
+        ('{"m": 2, "faces": ' + "[" * 200_000 + "]" * 200_000 + "}", "JSON nested too deeply"),
+        ('{"m": 1' + "0" * 5_000 + "}", "unreadable JSON (Exceeds the limit (4300 digits)"),
+    ], ids=["not-json", "not-object", "deep-nesting", "long-integer"])
     def test_unreadable_json_named(self, tmp_path, capsys, kind, argv, content, message):
         bad = tmp_path / "bad.json"
         bad.write_text(content)
@@ -1068,6 +1073,28 @@ DETERMINISM_CASES = [
 ]
 
 
+# explicit, so that a case added anywhere in the table renames no other; they
+# keep the names the cases had when pytest numbered them by position
+RANGE_ERROR_IDS = [
+    "argv0---samples must be positive",
+    "argv1---long-constant must be positive",
+    "argv2---long-constant must be positive",
+    "argv3---d must be a density in (0, 1)",
+    "argv4---epsilon must be positive",
+    "argv5---max-faces must be at least 1",
+    "argv6---max-vertices must be positive",
+    "argv7---max-vertices must be positive",
+    "argv8---m must be at least 1",
+    "argv9---m must be at least 1",
+    "argv10---m must be at least 1",
+    "argv11---count must be positive",
+    "argv12---max-faces must be positive",
+    "argv13---radius must be nonnegative",
+    "argv14---m 1000000 --d 1/2 asks for 2828425003 relators, above the limit of 1048576;"
+    " choose a smaller --m or --d",
+]
+
+
 class TestFlagRanges:
     @pytest.mark.parametrize("argv, message", [
         (["delta-est", "--graph", "{ball}", "--samples", "0"], "--samples must be positive"),
@@ -1093,7 +1120,7 @@ class TestFlagRanges:
         (["sample", "--m", "1000000", "--d", "1/2"],
          f"--m 1000000 --d 1/2 asks for {relator_count(1_000_000, Fraction(1, 2))} relators,"
          " above the limit of 1048576; choose a smaller --m or --d"),
-    ])
+    ], ids=RANGE_ERROR_IDS)
     def test_range_error_names_flag(self, capsys, pres_file, ball_file, complex_files, argv,
                                     message):
         argv = [arg.format(pres=pres_file, ball=ball_file, shared=complex_files["shared"])

@@ -27,6 +27,7 @@ from trigroup.fulfillment import (
     structure_of,
 )
 from trigroup.fulfillment import (
+    _block_counts,
     _counter,
     _encoding_order,
     _iter_signed_partitions,
@@ -81,6 +82,12 @@ CHAIN6 = build([(1, 2, 3), (-3, 4, 5), (-5, 6, 7), (-7, 8, 9), (-9, 10, 11), (-1
                (1, 2, 3, 4, 5, 6))
 FAN6 = build([(1, 2, 3), (-1, 4, 5), (-4, 6, 7), (2, 8, 9), (-8, -6, 10), (3, 11, 1)],
              (6, 5, 4, 3, 2, 1))
+# six labels whose constraint triangles meet only at cut classes: each face
+# shares one edge with the next, or every face shares edge 1
+PATH6 = build([(1, 2, 3), (-3, 4, 5), (-5, 6, 7), (-7, 8, 9), (-9, 10, 11), (-11, 12, 13)],
+              (1, 2, 3, 4, 5, 6))
+STAR6 = build([(1, 2, 3), (-1, 4, 5), (6, 1, 7), (8, -1, 9), (10, 11, 1), (12, 13, -1)],
+              (1, 2, 3, 4, 5, 6))
 
 
 def presentation(relators, m=3, density="1/5", seed=0):
@@ -403,7 +410,7 @@ class TestCountingKernel:
         # m = 4, 5 and six-label complexes, above the sizes the sweep checks
         cases = [(Y, m) for Y in (SINGLE, REPEAT, SHARED, DOUBLED) for m in (4, 5)]
         cases += [(build([(1, 1, 1)], (1,)), 5), (build([(1, 2, 3), (2, 1, 4)], (1, 1)), 5)]
-        cases += [(CHAIN6, 1), (FAN6, 1)]
+        cases += [(Y, 1) for Y in (CHAIN6, FAN6, PATH6, STAR6)]
         for Y, m in cases:
             got = tuple(row["count"] for row in level_checks(structure_of(Y), m))
             assert (1, *got) == exact_probabilities(Y, m).counts, (Y, m)
@@ -433,6 +440,117 @@ class TestCountingKernel:
     def test_structure_label_below_one(self):
         with pytest.raises(ValueError, match="^face 0 has label 0; labels must be positive$"):
             FaceStructure((0, 1, 2, 0, 3, 4), (1, 1, 1, 1, 1, 1), (0, 1))
+
+
+def _random_signed_multigraph(rng):
+    """``(n_classes, constraints)`` glued from up to four small random pieces.
+    A piece opens a new component or shares one class with the pieces before
+    it, so pieces meet at cut classes; some constraints are repeated with the
+    opposite sign, and up to two classes lie on no constraint."""
+    n = 0
+    constraints = []
+    for _ in range(rng.randint(1, 4)):
+        shared = [rng.randrange(n)] if n and rng.random() < 0.7 else []
+        size = rng.randint(2, 3)
+        piece = shared + list(range(n, n + size - len(shared)))
+        n += size - len(shared)
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.sample(piece, 2)
+            constraints.append((a, b, rng.choice((1, -1))))
+            if rng.random() < 0.3:
+                constraints.append((b, a, -constraints[-1][2]))  # a parallel constraint
+    n += rng.randint(0, 2)
+    rename = list(range(n))
+    rng.shuffle(rename)
+    constraints = [(rename[a], rename[b], t) for a, b, t in constraints]
+    rng.shuffle(constraints)
+    return n, constraints
+
+
+def _components(n, constraints, drop=None):
+    """Connected components among the classes on some constraint, with class
+    ``drop`` and its constraints removed."""
+    parent = list(range(n))
+
+    def find(c):
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    touched = set()
+    for a, b, _ in constraints:
+        touched |= {a, b}
+        if drop not in (a, b):
+            parent[find(a)] = find(b)
+    return len({find(c) for c in touched - {drop}})
+
+
+class TestBlockFactoring:
+    SIZES = (2, 4, 6, 8)
+
+    def test_matches_whole_graph_kernel(self):
+        seen = {"isolated": 0, "components": 0, "cut": 0, "both signs": 0}
+        for i in range(300):
+            n, constraints = _random_signed_multigraph(make_rng(101, "blocks", i))
+            assert _block_counts(n, constraints, self.SIZES, {}) == count_letter_assignments(
+                n, constraints, self.SIZES), (n, constraints)
+            on_edge = {c for a, b, _ in constraints for c in (a, b)}
+            signs = {}
+            for a, b, t in constraints:
+                signs.setdefault(frozenset((a, b)), set()).add(t)
+            whole = _components(n, constraints)
+            seen["isolated"] += len(on_edge) < n
+            seen["components"] += whole > 1
+            seen["cut"] += any(_components(n, constraints, c) > whole for c in on_edge)
+            seen["both signs"] += any(len(ts) == 2 for ts in signs.values())
+        assert min(seen.values()) >= 30, seen
+
+    def test_matches_whole_graph_kernel_on_sweep_keys(self, monkeypatch):
+        # every memo key of the two-face sweep, each counted block by block
+        memos = []
+
+        def recording(classes, signs, sizes, memo):
+            memos.append(memo)
+            return _counter(classes, signs, sizes, memo)
+
+        monkeypatch.setattr(fulfillment, "_counter", recording)
+        ratio_sweep(max_faces=2, ms=(1, 2, 3))
+        keys = {key for memo in memos for key in memo}
+        assert len(keys) == 45
+        for key in keys:
+            assert _block_counts(*key, self.SIZES, {}) == count_letter_assignments(
+                *key, self.SIZES), key
+
+    def test_path_kernel_sees_only_triangles(self, monkeypatch):
+        # work pin: level 1's triangle and level 2's two-group key go to the
+        # kernel whole; above that only the one new triangle shape is counted,
+        # and every other block is a memo hit
+        seen = []
+
+        def counted(n_classes, constraints, sizes):
+            seen.append(len(constraints))
+            return count_letter_assignments(n_classes, constraints, sizes)
+
+        monkeypatch.setattr(fulfillment, "count_letter_assignments", counted)
+        rows = level_checks(structure_of(PATH6), 3)
+        assert seen == [3, 6, 3]
+        assert [row["count"] for row in rows] == [126 * 21**i for i in range(6)]
+
+    @pytest.mark.parametrize("Y", [PATH6, STAR6], ids=["path", "star"])
+    def test_six_label_exact_counts(self, tmp_path, Y):
+        # fulfil --exact at m = 2 and 3 against one whole-graph count per level
+        path = tmp_path / "complex.json"
+        out = tmp_path / "out.json"
+        path.write_text(dumps_complex(Y))
+        fs = structure_of(Y)
+        groups = _label_groups(fs.labels)
+        whole = [count_letter_assignments(*_merged_key(fs.classes, fs.signs, groups[:i]), (4, 6))
+                 for i in range(1, 7)]
+        for j, m in enumerate((2, 3)):
+            assert main(["fulfil", "--complex", str(path), "--m", str(m), "--exact",
+                         "--out", str(out)]) in (0, 1)
+            levels = json.loads(out.read_text())["levels"]
+            assert [row["count"] for row in levels] == [counts[j] for counts in whole]
 
 
 def _orbit_key(fs):
