@@ -28,9 +28,10 @@ reads it straight off the slot classes):
 
 One level check serves both callers: ``level_checks`` gives the rows of
 ``fulfil --exact`` and ``ratio_sweep`` checks the top level of every
-structure.  Both ask the memoized counter for a group set by its sorted key,
-which ``ratio_sweep`` builds once per configuration shape and shares across
-partitions.
+structure that has a consistent tuple at all (none has when a face reads a
+letter next to its inverse).  Both ask the memoized counter for a group set
+by its sorted key, which ``ratio_sweep`` builds once per configuration shape
+and shares across partitions.
 
 Probabilities are exact rationals throughout; the only floats appear in the
 Monte Carlo confidence interval.
@@ -502,16 +503,28 @@ def _top_delta(
     :func:`trigroup.complexes.forced_counts` with the lower groups labelled
     below the top, read for the top faces alone.
     """
-    below = {classes[s] for group in lower_groups for f in group for s in range(3 * f, 3 * f + 3)}
+    below = set()  # plain loops: this runs on every structure the sweep checks
+    for group in lower_groups:
+        for f in group:
+            below.update(classes[3 * f : 3 * f + 3])
     least: dict[int, int] = {}  # class -> least top position, for free classes
     for f in top:
-        for t in range(3):
-            c = classes[3 * f + t]
+        s = 3 * f
+        for t in (0, 1, 2):
+            c = classes[s + t]
             if c not in below and least.get(c, 3) > t:
                 least[c] = t
-    return max(
-        sum(least.get(classes[3 * f + t]) != t for t in range(3)) for f in top
-    )
+    delta = 0
+    for f in top:
+        s = 3 * f
+        forced = (
+            (least.get(classes[s]) != 0)
+            + (least.get(classes[s + 1]) != 1)
+            + (least.get(classes[s + 2]) != 2)
+        )
+        if forced > delta:
+            delta = forced
+    return delta
 
 
 def _ratio_sides(count: int, lower: int, delta: int, m: int) -> tuple[int, int, int]:
@@ -581,43 +594,100 @@ def _extensions(used: int, width: int) -> list[tuple[tuple[int, ...], tuple[int,
     return blocks
 
 
-def _iter_signed_partitions(slots: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All partitions of slot positions into classes, with traversal signs.
+def _orderly_partitions(
+    faces: int,
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], bool]]:
+    """The signed partitions of ``3 * faces`` slots that may be least under
+    the face permutations, as ``(classes, signs, self_cancelling)``.
 
     Classes appear in first-use order; the first slot of each class is +1,
     later slots carry either sign.  (Restricted-growth strings with signs;
     Knuth, TAOCP 4A, 7.2.1.5.)  The order is lexicographic in the choices
-    of :func:`_extensions`.
+    of :func:`_extensions`, a face (3 slots) at a time.
 
-    One frame does all the work: a prefix grows a face (3 slots) at a time
-    from precomputed blocks, one table per face and per number of classes
-    the prefix uses, and the last face's table is read out directly onto
-    each prefix.  A last, shorter block holds the slots left over.
+    Orderly generation (Read, "Every one a winner", 1978; Faradzev, 1978):
+    a face prefix is extended only when no reading of one or two of its
+    faces first, with classes renamed in first-use order, gives a smaller
+    class string on those 3 or 6 slots than the prefix has.  Such a reading
+    starts a face permutation whose whole encoding is smaller, since classes
+    are compared before signs and a prefix's renaming does not depend on the
+    slots after it, so every string under the prefix is refused by
+    :func:`_stabilizer`.  Only a strict class difference prunes: a tie in
+    classes can be broken by a later face's classes before any sign is
+    compared.  So every partition that ``_stabilizer`` keeps is yielded, in
+    the same order, and it still decides canonicity and the stabilizer.  A
+    single face is compared by its class pattern: a later face takes only
+    the blocks whose pattern is at least the first face's.
+
+    A face is self-cancelling when two cyclically adjacent slots share a
+    class with opposite signs: its word would put a letter next to its own
+    inverse, so no group set that contains it has a consistent tuple.  The
+    flag says whether any face is, read off each face block.
     """
-    widths = [3] * (slots // 3)
-    if slots % 3 or not widths:
-        widths.append(slots % 3)
-    *outer, last = [
-        [_extensions(used, width) for used in range(3 * depth + 1)]
-        for depth, width in enumerate(widths)
-    ]
-    if not outer:
-        for c, s, _ in last[0]:
-            yield c, s
+    patterns: dict[tuple[int, ...], tuple[int, ...]] = {}  # string -> its renaming
+
+    def pattern(classes: tuple[int, ...]) -> tuple[int, ...]:
+        got = patterns.get(classes)
+        if got is None:
+            rename: dict[int, int] = {}
+            got = patterns[classes] = tuple(rename.setdefault(c, len(rename)) for c in classes)
+        return got
+
+    # tables[used]: the blocks of a face after ``used`` classes, with
+    # (classes used after, pattern, flag)
+    tables = []
+    for used in range(3 * faces - 2):
+        blocks = []
+        for c, s, after in _extensions(used, 3):
+            cancels = (
+                (c[0] == c[1] and s[0] != s[1])
+                or (c[1] == c[2] and s[1] != s[2])
+                or (c[2] == c[0] and s[2] != s[0])
+            )
+            blocks.append((c, s, after, pattern(c), cancels))
+        tables.append(blocks)
+    if faces == 1:
+        for c, s, _, _, cancels in tables[0]:
+            yield c, s, cancels
         return
-    stack = [((), (), iter(outer[0][0]))]  # prefix and the blocks left to extend it
-    while stack:
-        head_c, head_s, blocks = stack[-1]
-        for bc, bs, used in blocks:
-            c, s = head_c + bc, head_s + bs
-            if len(stack) == len(outer):
-                for lc, ls, _ in last[used]:
-                    yield c + lc, s + ls
-            else:
-                stack.append((c, s, iter(outer[len(stack)][used])))
-                break
-        else:
-            stack.pop()
+    at_least: dict[tuple, list] = {}  # (used, least): tables[used] of pattern >= least
+    # a prefix: classes, signs, classes used, flag, the first face's pattern,
+    # every face's classes, and the classes of the faces of that pattern that
+    # may be read first before a later face (not the first face while the
+    # prefix has two faces: that reading is the prefix itself)
+    prefixes = [(c, s, after, cancels, p, (c,), ()) for c, s, after, p, cancels in tables[0]]
+    for j in range(1, faces):
+        last = j == faces - 1
+        grown = []
+        for c, s, used, cancels, least, walks, ties in prefixes:
+            head = c[:6]
+            blocks = at_least.get((used, least))
+            if blocks is None:
+                blocks = at_least[used, least] = [b for b in tables[used] if b[3] >= least]
+            for bc, bs, after, p, bcancels in blocks:
+                nc = c + bc
+                if j == 1:
+                    head = nc
+                smaller = False
+                if p == least:  # the new face first
+                    for w in walks:
+                        if pattern(bc + w) < head:
+                            smaller = True
+                            break
+                if not smaller:  # a face of the least pattern first, the new one second
+                    for w in ties:
+                        if pattern(w + bc) < head:
+                            smaller = True
+                            break
+                if smaller:
+                    continue
+                if last:
+                    yield nc, s + bs, cancels or bcancels
+                else:
+                    firsts = ties + (bc,) if p == least else ties
+                    grown.append((nc, s + bs, after, cancels or bcancels, least,
+                                  walks + (bc,), walks[:1] + firsts if j == 1 else firsts))
+        prefixes = grown
 
 
 def _permuted_encoding(
@@ -775,10 +845,14 @@ def ratio_sweep(max_faces: int = 3, ms: Sequence[int] = (1, 2, 3)) -> dict:
 
     Structures are deduplicated under face permutations (orientation flips of
     an edge class are part of the enumeration itself): a signed partition is
-    kept when no face permutation gives it a smaller encoding.  Each
-    permutation is compared with it slot by slot and dropped at the first
-    difference (``_encoding_order``), so a partition that is not the least
-    of its orbit is rejected at the first smaller permutation, and the
+    kept when no face permutation gives it a smaller encoding.  The
+    generator (:func:`_orderly_partitions`) never extends a face prefix when
+    reading one or two of its faces first gives a strictly smaller class
+    string, so it yields only partitions that may be kept, in the order of
+    the full enumeration.  Each face permutation is then compared with the
+    partition slot by slot and dropped at the first difference
+    (``_encoding_order``), so a partition that is not the least of its
+    orbit is rejected at the first smaller permutation, and the
     permutations that tie to the end form its stabilizer.  For each
     structure only the top label level is checked, lower levels being top
     levels of smaller structures; the configurations of one partition share
@@ -787,6 +861,13 @@ def ratio_sweep(max_faces: int = 3, ms: Sequence[int] = (1, 2, 3)) -> dict:
     keys already sorted (``_keyed``), so the per-structure step sorts
     nothing.  ``ms`` entries must be distinct, and they and ``max_faces``
     must be at least 1.
+
+    A partition with a self-cancelling face (two cyclically adjacent slots
+    of one class with opposite signs) is counted but not checked: its word
+    would put a letter next to its own inverse, and every configuration's
+    group set holds every face, so every top level has zero consistent
+    tuples, and its check would return before it touched ``violations`` or
+    ``guaranteed_tightest``.
 
     ``violations`` lists structures beating the nominal (2m-1)^(-delta)
     bound.  These exist, and every one lies in the within-word forcing
@@ -823,7 +904,7 @@ def ratio_sweep(max_faces: int = 3, ms: Sequence[int] = (1, 2, 3)) -> dict:
         orders = [_slot_order(p) for p in perms]
         configs_of: dict[tuple, list[_KeyedConfig]] = {}
         n_structures = 0
-        for classes, signs in _iter_signed_partitions(3 * k):
+        for classes, signs, self_cancelling in _orderly_partitions(k):
             stabilizer = _stabilizer(classes, signs, perms, orders)
             if stabilizer is None:
                 continue
@@ -832,8 +913,10 @@ def ratio_sweep(max_faces: int = 3, ms: Sequence[int] = (1, 2, 3)) -> dict:
                 configs = configs_of[stabilizer] = [
                     _keyed(*config) for config in _structure_configs(k, stabilizer)
                 ]
-            counts = _counter(classes, signs, sizes, memo)
             n_structures += len(configs)
+            if self_cancelling:  # every group set holds the face: no tuple, no check
+                continue
+            counts = _counter(classes, signs, sizes, memo)
             for config in configs:
                 nominal, guaranteed = _top_level_check(classes, config, ms, counts, tightest)
                 if nominal or guaranteed:

@@ -27,7 +27,16 @@ MAX_RELATORS = 1 << 20
 
 
 def integer_root(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for nonnegative integer n, by Newton iteration."""
+    """floor(n ** (1/k)) for nonnegative integer n, by Newton iteration.
+
+    With r = floor(n ** (1/k)), the loop stops exactly at r, so no
+    correction follows it.  The start 2^ceil(bits/k) exceeds n ** (1/k),
+    since n < 2^bits.  A floored step is floor(((k-1)x + n/x^(k-1)) / k)
+    (nested floors merge), and by AM-GM the real value inside is at least
+    n ** (1/k), so no step falls below r.  While x > r, x^k > n, so
+    n/x^(k-1) < x and the step is strictly smaller than x; at x = r the
+    step is at least r, and the loop ends there.
+    """
     if n < 0 or k < 1:
         raise ValueError("need n >= 0, k >= 1")
     if k == 1 or n in (0, 1):
@@ -36,13 +45,8 @@ def integer_root(n: int, k: int) -> int:
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
-            break
+            return x
         x = y
-    while x ** k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
-    return x
 
 
 def _check_density(d: Fraction) -> Fraction:

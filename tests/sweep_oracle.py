@@ -29,9 +29,9 @@ group sets, and otherwise give keys with the same class count and the same
 letter-assignment counts, though their labellings may differ.
 
 :func:`iter_signed_partitions` is the sweep's partition generator as a
-recursion with one generator frame per slot, kept as the oracle of the
-one-frame generator in :func:`trigroup.fulfillment._iter_signed_partitions`:
-both yield the same strings in the same order.  :func:`top_delta` is the
+recursion with one generator frame per slot and no pruning, kept as the
+oracle of the orderly generator :func:`trigroup.fulfillment._orderly_partitions`:
+every string that ``_stabilizer`` keeps comes from both, in the same order.  :func:`top_delta` is the
 sweep's forced-letter level of a top group as it was computed, through
 :func:`trigroup.complexes.forced_counts` on the walks of every face, kept as
 the oracle of the direct top-face count in

@@ -37,6 +37,7 @@ from trigroup.enumeration import (
     isoperimetric_report,
     sampled_violation_trend,
 )
+from trigroup import fulfillment
 from trigroup.fulfillment import ratio_sweep
 from trigroup.presentation import sample_presentation
 from trigroup.seeding import make_rng
@@ -163,7 +164,7 @@ def test_criterion_05_euler_identities(capsys, diagram_corpus):
     assert bad == 0
 
 
-def test_criterion_06_exact_ratio_oracle(capsys):
+def test_criterion_06_exact_ratio_oracle(capsys, monkeypatch):
     # The nominal bound p_i/p_{i-1} <= (2m-1)^(-delta_i) is false, and the
     # exhaustive scan finds where: faces that force one word to repeat (or
     # invert) one of its own letters.  By hand, one face (e, e, e): its words
@@ -173,7 +174,20 @@ def test_criterion_06_exact_ratio_oracle(capsys):
     # p_i/p_{i-1} <= 2m(2m-1)^(2-delta_i)/((2m-1)^3+1) holds on every
     # structure, with equality on that face.  This criterion pins the
     # counterexamples: that they exist, where they start, which family they
-    # fall in, and that brute force confirms them.
+    # fall in, and that brute force confirms them.  Two work counts of the
+    # same run are pinned too: canonicity tests (one per partition the
+    # orderly generator yields) and counting keys (none for a partition with
+    # a self-cancelling face).
+    work = Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            work[name] += 1
+            return fn(*args)
+        return call
+
+    for name in ("_stabilizer", "_merged_key"):
+        monkeypatch.setattr(fulfillment, name, counted(name, getattr(fulfillment, name)))
     start = time.perf_counter()
     report = ratio_sweep(max_faces=3, ms=(1, 2, 3))
     violations = report["violations"]
@@ -236,6 +250,7 @@ def test_criterion_06_exact_ratio_oracle(capsys):
             json.dumps(report, sort_keys=True).encode()
         ).hexdigest()
         == "2a3567812fc491293d21dff757fae852021c3b58a7d667878ed380aa74bdb295",
+        "work_counts": work == {"_stabilizer": 120_325, "_merged_key": 320_788},
     }
     elapsed = time.perf_counter() - start
     checks["within_budget"] = elapsed < 300.0

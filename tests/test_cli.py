@@ -33,6 +33,7 @@ from trigroup.complexes import (
 )
 from trigroup.fulfillment import exact_probabilities
 from trigroup.presentation import relator_count, sample_presentation
+from trigroup.seeding import make_rng
 from trigroup.thresholds import constants_sweep
 
 _counter = itertools.count()
@@ -825,6 +826,81 @@ class TestLoaderFuzz:
             path.write_text(json.dumps(base))
             for argv, _ in calls:
                 assert main([*argv, str(path), "--out", str(fuzz_dir / "base.json")]) == 0
+
+
+# the three fixtures above as bytes, mutated below the JSON layer: a file cut
+# short, a byte changed, a span repeated, or an array nested deeper, up to
+# past the decoder's recursion limit
+BYTE_FUZZ_BASES = {
+    "complex": (COMPLEX_BASE, COMPLEX_CALLS),
+    "presentation": (PRESENTATION_BASE, PRESENTATION_CALLS),
+    "graph": (FUZZ_BASE, [(["delta-est", "--samples", "20", "--graph"], None)]),
+}
+BYTE_FUZZ_CASES = 400
+JSON_BYTES = b'0123456789-+.eE[]{}",: tfn\\'
+
+
+def _nest_deeper(data: bytes, rng) -> bytes:
+    """A random array of ``data`` wrapped in 1 to 2,000 more arrays."""
+    opens = [i for i, byte in enumerate(data) if byte == ord("[")]
+    if not opens:
+        return data
+    start = rng.choice(opens)
+    depth = 0
+    for end in range(start, len(data)):
+        depth += (data[end] == ord("[")) - (data[end] == ord("]"))
+        if depth == 0:
+            break
+    n = rng.choice((1, 2, 3, 2_000))
+    return data[:start] + b"[" * n + data[start : end + 1] + b"]" * n + data[end + 1 :]
+
+
+def _byte_mutant(data: bytes, rng) -> bytes:
+    for _ in range(rng.randint(1, 2)):
+        op = rng.choice(("truncate", "flip", "replace", "repeat", "nest"))
+        if op == "nest":
+            data = _nest_deeper(data, rng)
+            continue
+        i = rng.randrange(len(data))
+        if op == "truncate":
+            data = data[:i]
+        elif op == "flip":
+            data = data[:i] + bytes([data[i] ^ 1 << rng.randrange(8)]) + data[i + 1 :]
+        elif op == "replace":
+            data = data[:i] + bytes([rng.choice(JSON_BYTES)]) + data[i + 1 :]
+        else:
+            j = rng.randrange(i, min(len(data), i + 40) + 1)
+            data = data[:j] + data[i:j] + data[j:]
+        if not data:
+            return data
+    return data
+
+
+class TestByteFuzz:
+    @pytest.mark.parametrize("kind", sorted(BYTE_FUZZ_BASES))
+    def test_mutated_bytes_exit_cleanly(self, fuzz_dir, kind):
+        # no case ends in a traceback, and every refusal names the file
+        base, calls = BYTE_FUZZ_BASES[kind]
+        rng = make_rng(19, "byte-fuzz", kind)
+        path = fuzz_dir / f"bytes-{kind}.json"
+        out = fuzz_dir / "bytes-report.json"
+        base = json.dumps(base).encode()
+        statuses = set()
+        for _ in range(BYTE_FUZZ_CASES):
+            data = _byte_mutant(base, rng)
+            path.write_bytes(data)
+            for argv, check in calls:
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    status = main([*argv, str(path), "--out", str(out)])
+                statuses.add(status)
+                assert status in (0, 1, 2), (argv, data)
+                if status == 2:
+                    assert err.getvalue().startswith(f"error: {kind} file {str(path)!r}: "), (
+                        argv, data, err.getvalue())
+                if status == 1:  # a failed check, reported as such
+                    assert not check(json.loads(out.read_text())), (argv, data)
+        assert 2 in statuses and 0 in statuses
 
 
 class TestFig1Demo:

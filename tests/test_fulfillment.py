@@ -30,10 +30,10 @@ from trigroup.fulfillment import (
     _block_counts,
     _counter,
     _encoding_order,
-    _iter_signed_partitions,
     _keyed,
     _label_groups,
     _merged_key,
+    _orderly_partitions,
     _permuted_encoding,
     _ratio_sides,
     _slot_order,
@@ -52,6 +52,7 @@ from sweep_oracle import (
     exact_probabilities,
     forces_within_word,
     forcing_bounds,
+    iter_signed_partitions,
     random_signed_partition,
     ratio_checks,
     record_structure,
@@ -565,7 +566,7 @@ def _swept_partitions(k, samples):
     """Every signed partition on k faces, or a seeded sample of ``samples``
     at k = 3, which has too many to check each against every encoding."""
     if k < 3:
-        return list(_iter_signed_partitions(3 * k))
+        return list(iter_signed_partitions(3 * k))
     rng = make_rng(16, "sweep-sample", k)
     return [random_signed_partition(rng, 3 * k) for _ in range(samples)]
 
@@ -627,7 +628,7 @@ class TestSweep:
 
         monkeypatch.setattr(fulfillment, "_merged_key", record)
         ratio_sweep(max_faces=2, ms=(1, 2, 3))
-        assert len(asked) == 2_234
+        assert len(asked) == 1_208
         for classes, signs in _swept_partitions(3, 400):
             # the trivial stabilizer: every configuration on three faces
             for top, lowers in _structure_configs(3, ((0, 1, 2),)):
@@ -664,9 +665,16 @@ class TestSweep:
         assert [_merged_key(*case) is None for case in hand[:4]] == [False, True, True, True]
 
     def test_work_counts_two_faces(self, monkeypatch):
-        # deterministic work of ratio_sweep(2): one key per distinct group set
-        # of a kept partition, one count per distinct key
-        calls = {"key": 0, "count": 0}
+        # deterministic work of ratio_sweep(2): one canonicity test per
+        # partition the orderly generator yields (914 of the 1,550 signed
+        # partitions on 1 and 2 faces), one key per distinct group set of a
+        # kept partition with no self-cancelling face, one count per
+        # distinct key
+        calls = {"stabilizer": 0, "key": 0, "count": 0}
+
+        def counted_stabilizer(*args):
+            calls["stabilizer"] += 1
+            return _stabilizer(*args)
 
         def counted_key(*args):
             calls["key"] += 1
@@ -676,10 +684,11 @@ class TestSweep:
             calls["count"] += 1
             return count_letter_assignments(*args)
 
+        monkeypatch.setattr(fulfillment, "_stabilizer", counted_stabilizer)
         monkeypatch.setattr(fulfillment, "_merged_key", counted_key)
         monkeypatch.setattr(fulfillment, "count_letter_assignments", counted_count)
         ratio_sweep(max_faces=2, ms=(1, 2, 3))
-        assert calls == {"key": 2_234, "count": 45}
+        assert calls == {"stabilizer": 914, "key": 1_208, "count": 45}
 
     def test_report_hash_two_faces(self):
         # the whole report, byte for byte; criterion 6 pins the three-face one
@@ -688,16 +697,73 @@ class TestSweep:
             "8b1685b90de3789c572eccaf1be27bf0f7453d523250eb3b6af10f3ed0447469")
 
     def test_partition_counts_small(self):
-        assert sum(1 for _ in _iter_signed_partitions(3)) == 11
+        # one face: nothing to reorder, so all 11 partitions are yielded
+        assert sum(1 for _ in iter_signed_partitions(3)) == 11
+        assert [p[:2] for p in _orderly_partitions(1)] == list(iter_signed_partitions(3))
 
     def test_partitions_match_recursive_oracle(self):
-        # the one-frame generator against the recursion it replaced: the same
-        # strings in the same order, whole faces, a face and a part, or less
-        # than a face; criterion 6's sha256 pins the order at 9 slots
-        for slots in range(8):
-            got = list(_iter_signed_partitions(slots))
-            assert got == list(sweep_oracle.iter_signed_partitions(slots)), slots
-        assert len(got) == 10_299
+        # the orderly generator against the unpruned recursion: it yields
+        # every partition that _stabilizer keeps, in the recursion's order;
+        # criterion 6's sha256 pins the whole order at 3 faces
+        def generation_key(classes, signs):  # the recursion's order, slot by slot
+            return tuple((c, s < 0) for c, s in zip(classes, signs))
+
+        for k, sizes in ((1, (11, 11, 11)), (2, (1_539, 903, 831))):
+            perms = list(itertools.permutations(range(k)))
+            orders = [_slot_order(p) for p in perms]
+            every = list(iter_signed_partitions(3 * k))
+            assert every == sorted(every, key=lambda p: generation_key(*p))
+            kept = [p for p in every if _stabilizer(*p, perms, orders) is not None]
+            yielded = [p[:2] for p in _orderly_partitions(k)]
+            assert [p for p in yielded if _stabilizer(*p, perms, orders) is not None] == kept
+            assert (len(every), len(yielded), len(kept)) == sizes
+        # three faces, on seeded samples: consecutive yields keep the
+        # recursion's order, and every kept partition is yielded, with
+        # nontrivial stabilizers among them
+        perms = list(itertools.permutations(range(3)))
+        orders = [_slot_order(p) for p in perms]
+        yielded = [p[:2] for p in _orderly_partitions(3)]
+        assert len(yielded) == 119_411
+        for i in make_rng(16, "sweep-order").sample(range(len(yielded) - 1), 2_000):
+            assert generation_key(*yielded[i]) < generation_key(*yielded[i + 1])
+        sample = _swept_partitions(3, 3_000)
+        sample += [((0, 1, 2) * 3, (1,) * 9), ((0, 1, 2, 0, 1, 2, 3, 4, 5), (1,) * 9)]
+        kept = [p for p in sample if _stabilizer(*p, perms, orders) is not None]
+        assert len(kept) > 100
+        yielded = set(yielded)
+        assert [p for p in kept if p not in yielded] == []
+
+    @pytest.mark.parametrize("k, samples", [(1, 0), (2, 0), (3, 400)])
+    def test_self_cancelling_partitions_count_zero(self, k, samples):
+        # a face whose word would put a letter next to its own inverse leaves
+        # no consistent tuple at the top of any configuration, so the sweep
+        # skips their checks: each would return ([], []) with tightest as it was
+        def self_cancelling(classes, signs):
+            return any(
+                classes[a] == classes[b] and signs[a] != signs[b]
+                for f in range(k)
+                for a, b in ((3 * f, 3 * f + 1), (3 * f + 1, 3 * f + 2), (3 * f + 2, 3 * f))
+            )
+
+        if k < 3:
+            flags = [(c, s, self_cancelling(c, s)) for c, s in iter_signed_partitions(3 * k)]
+            yielded = set(_orderly_partitions(k))
+            assert yielded <= set(flags)
+        ms = (1, 2, 3)
+        sizes = [2 * m for m in ms]
+        configs = [_keyed(*c) for c in _structure_configs(k, (tuple(range(k)),))]
+        cancelling = 0
+        for classes, signs in _swept_partitions(k, samples):
+            if not self_cancelling(classes, signs):
+                continue
+            cancelling += 1
+            counts = _counter(classes, signs, sizes, {})
+            for config in configs:
+                assert counts(config[2]) == (0, 0, 0), (classes, signs, config)
+                tightest = [(0, 1)] * len(ms)
+                assert _top_level_check(classes, config, ms, counts, tightest) == ([], [])
+                assert tightest == [(0, 1)] * len(ms)
+        assert cancelling > 0
 
     def test_top_delta_matches_oracle(self):
         # the direct top-face count against forced_counts over every face's
@@ -739,13 +805,13 @@ class TestSweep:
     def test_orbit_counting_two_faces(self):
         total = 0
         reps = 0
-        for classes, signs in _iter_signed_partitions(6):
+        for classes, signs in iter_signed_partitions(6):
             encs = [_permuted_encoding(classes, signs, p) for p in ((0, 1), (1, 0))]
             if min(encs) == (classes, signs):
                 reps += 1
                 stab = sum(1 for e in encs if e == (classes, signs))
                 total += 2 // stab
-        assert total == sum(1 for _ in _iter_signed_partitions(6))
+        assert total == sum(1 for _ in iter_signed_partitions(6))
         assert reps < total
 
     def test_sweep_two_faces(self):
@@ -780,7 +846,7 @@ class TestSweep:
         for k in (1, 2):
             # on at most 2 faces, every labelling onto 1..n
             labellings = sorted({(1,) * k, *itertools.permutations(range(1, k + 1))})
-            for classes, signs in _iter_signed_partitions(3 * k):
+            for classes, signs in iter_signed_partitions(3 * k):
                 for labels in labellings:
                     fs = FaceStructure(classes, signs, labels)
                     key = _orbit_key(fs)
