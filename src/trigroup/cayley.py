@@ -19,7 +19,10 @@ vertex ``v`` sits at ``v * 2m + s``, slots follow ``words.all_letters(m)``
 (a, A, b, B, ...), so the inverse of slot ``s`` is ``s ^ 1``, and -1 marks a
 missing edge.  The fold, emission, the loader and the slimness probe share
 this one layout: the fold keeps a row of 2m slots per union-find id, and
-emission copies the rows within R through the breadth-first numbering.
+emission copies the rows within R through the breadth-first numbering.  A
+vertex one step beyond R whose only edge is the one that made it is a leaf:
+its slot holds ``LEAF`` and it has no id or row until the fold reads it as
+a vertex, which most of them never are.
 ``ballgraph_chunks`` renders a ball's JSON report straight from ``adj``,
 in the bytes of the indented ``json.dumps`` of ``ball_to_json_dict``,
 which stays as its test oracle.
@@ -68,9 +71,13 @@ from .words import (
 DEFAULT_VERTEX_BUDGET = 200_000
 # the loader refuses a ballgraph whose adjacency would need more slots
 # (V * 2m) than this, rather than allocate it: about 130 MB of references.
-# The fold stops before its rows pass it, so it writes no ball the loader
-# refuses
+# The fold stops before the vertices it makes, leaves included, would need
+# more slots at 2m each, though a leaf takes a row only once it gets an id,
+# so it writes no ball the loader refuses
 MAX_ADJACENCY_SLOTS = 1 << 24
+# a fold row's slot that leads to a leaf: a vertex beyond R whose only edge
+# is this one, which has no id until the fold reads it (see build_ball)
+LEAF = -2
 # the slimness estimate tries up to SIDE_CAP geodesics per side of a
 # triangle and up to COMBO_CAP choices of its three sides
 SIDE_CAP = 16
@@ -176,7 +183,8 @@ def build_ball(
     The fold is a worklist in the style of Felsch coset enumeration, over one
     flat row of 2m slots per union-find id in the slot order of
     ``BallGraph.adj``.  Ids within R are expanded in the order they were
-    defined, and expanding one gives each of its missing slots a fresh id.
+    defined, and expanding one gives each of its missing slots a fresh id,
+    or a leaf (below) where that id would sit at R+1.
     Every fill or merge pushes its edges onto a deduction stack.  A cycle
     whose first two edges exist gets its third edge filled in, or its end
     folded onto its base, and each entry, an edge u -s-> h, rescans only the
@@ -212,15 +220,36 @@ def build_ball(
     corrected; if it was never expanded, it goes back on the queue with its
     edges pushed, since deductions skipped the cycles based at it, and the
     fold resumes.  There are no rounds: every step fills a slot, merges two
-    ids or allocates one, and allocation stops at ``max_vertices``, so the
-    fold terminates.  It also stops where the rows would hold more than
+    ids, names a leaf or makes a vertex, and making stops at
+    ``max_vertices``, so the fold terminates.  It also stops where the
+    vertices it makes, at 2m slots each, would need more than
     ``MAX_ADJACENCY_SLOTS`` slots, the limit at which the loader refuses a
     ball, so a fold at large m refuses before its rows outgrow memory.
 
-    ``max_vertices`` counts every id the fold allocates, absorbed vertices
-    and the frontier at R+1 included, not only emitted vertices: the
-    1,265-vertex ball of ``sample_presentation(4, 1/6, 1)`` at R=4 allocates
-    6,365, the vertex count of its R=5 ball.
+    Leaves.  A fresh vertex w at R+1 has one edge, v -s-> w, and cycles are
+    reduced, so the only cycles through it that can complete are
+    b -s0-> v -s-> w -s2-> b with b within R; those starting with w's edge
+    are based beyond R.  Where no such base exists, slot s of v holds
+    ``LEAF`` instead of an id, and nothing is pushed.  The leaf gets an id at
+    R+1, not expanded, with a row holding its edge back to v, the first time
+    the fold would read it as a vertex: a merge that meets it on a filled
+    slot (one that moves it onto an empty slot moves ``LEAF`` as it is, its
+    edge leading back to the kept root); ``complete`` finding it at either
+    end; a rescan of its edge whose second scan finds a base within R; a
+    first scan that walks onto it; emission reaching it from a vertex that a
+    depth correction brought within R-1.  A leaf never stands as a base,
+    being beyond R.  A leaf is the fresh id that the old eager fold made,
+    named later: until it is read, that id's row would hold only its back
+    edge, so every scan that skips a leaf is one the eager fold skipped too,
+    by the base's depth or at a missing slot, and every deduction is made on
+    the same edges.  Only ids and the schedule's order change, and folding
+    is confluent.  Most leaves are never read: at R=6 on the ball below,
+    43,855 of the 160,887 vertices the fold makes take an id and a row.
+
+    ``max_vertices`` counts every vertex the fold makes, absorbed vertices
+    and leaves included, not only emitted vertices: the 1,265-vertex ball of
+    ``sample_presentation(4, 1/6, 1)`` at R=4 makes 6,365, the vertex count
+    of its R=5 ball.  A leaf counts when it is made, not when it gets an id.
 
     ``_order_seed`` shuffles the order of the relator cycles and the order in
     which ids leave the queue; the result must not depend on it (folding is
@@ -230,8 +259,8 @@ def build_ball(
     if R < 0:
         raise ValueError("radius must be nonnegative")
     k = 2 * p.m
-    # every id gets a row of k slots, so the loader's limit on a ball's
-    # slots also caps the ids the fold may allocate
+    # every vertex the fold makes may take a row of k slots, so the loader's
+    # limit on a ball's slots also caps the vertices the fold may make
     slot_cap = MAX_ADJACENCY_SLOTS // k
     too_wide = (
         f"the radius-{R} ball at m={p.m} needs more than {slot_cap} vertices of"
@@ -256,17 +285,45 @@ def build_ball(
     # root.  parent[x] == x exactly when x is a root, which hot loops test
     # before calling find
     parent = [0]
-    rows = blank[:]  # slot s of id v at v * k + s; -1 for no edge
+    rows = blank[:]  # slot s of id v at v * k + s; -1 for no edge, LEAF for a leaf
     depth = [0]  # an upper bound on the distance from the origin
     done = bytearray(1)  # expanded within R: a full star, its cycles deduced
     queue = [0]
     deduced: list[int] = []  # slots v * k + s whose edge is new to root v
+    made = 1  # vertices made, leaves included: what max_vertices counts
 
     def find(x: int) -> int:
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
+
+    def materialize(v: int, s: int) -> int:
+        """Give the leaf in slot s of v an id at depth R+1, not expanded,
+        with a row that holds only its edge back to v."""
+        w = len(parent)
+        parent.append(w)
+        rows.extend(blank)
+        depth.append(R + 1)
+        done.append(0)
+        rows[v * k + s] = w
+        rows[w * k + (s ^ 1)] = v
+        return w
+
+    def based(v: int, s: int) -> bool:
+        """Whether a cycle b -s0-> v -s-> w -s2-> b has its base b within R,
+        for a vertex w beyond R whose only edge is v -s-> w: the cycles
+        through w that can complete (those starting with w's edge are based
+        beyond R, and any other needs a second edge at w)."""
+        vb = v * k
+        for t0, _ in second[s]:
+            b = rows[vb + t0]
+            if b >= 0:
+                if parent[b] != b:
+                    b = find(b)
+                if depth[b] <= R:
+                    return True
+        return False
 
     def merge(a: int, b: int) -> None:
         """Join two ids, moving each absorbed root's row onto the kept root;
@@ -283,26 +340,32 @@ def build_ball(
             kb, gb = keep * k, gone * k
             for s in range(k):
                 tgt = rows[gb + s]
-                if tgt < 0:
+                if tgt == -1:
                     continue
                 have = rows[kb + s]
-                if have < 0:
-                    rows[kb + s] = tgt
-                else:
-                    pending.append((have, tgt))
+                if have == -1:
+                    rows[kb + s] = tgt  # a leaf moves as it is: its edge leads back to keep
+                    continue
+                if tgt == LEAF:
+                    tgt = materialize(gone, s)
+                if have == LEAF:
+                    have = materialize(keep, s)
+                pending.append((have, tgt))
             if done[gone]:
                 done[keep] = 1
             if depth[gone] < depth[keep]:
                 depth[keep] = depth[gone]
-            deduced.extend(i for i in range(kb, kb + k) if rows[i] >= 0)
+            deduced.extend(i for i in range(kb, kb + k) if rows[i] != -1)
 
     def complete(y: int, s2: int, b: int) -> bool:
         """Make slot s2 of root y lead to root b: fill it and its inverse,
         or fold its target onto b.  True when two ids merged."""
         i = y * k + s2
         z = rows[i]
-        if z >= 0:
-            if z == b or find(z) == b:
+        if z != -1:
+            if z == LEAF:
+                z = materialize(y, s2)
+            elif z == b or find(z) == b:
                 return False
             merge(z, b)
             return True
@@ -310,12 +373,14 @@ def build_ball(
         deduced.append(i)
         i = b * k + (s2 ^ 1)
         back = rows[i]
-        if back < 0:
+        if back == -1:
             rows[i] = y
             deduced.append(i)
             return False
         # back is not y's: every edge's inverse exists, so y's slot would
         # have been filled
+        if back == LEAF:
+            back = materialize(b, s2 ^ 1)
         merge(back, y)
         return True
 
@@ -326,21 +391,29 @@ def build_ball(
         ub = u * k
         s = i - ub
         h = rows[i]
-        if parent[h] != h:
+        if h == LEAF:
+            # no first-scan cycle walks on from a leaf, its one edge being
+            # this one; it takes an id only where a second scan can complete
+            if not based(u, s):
+                return
+            h = materialize(u, s)
+        elif parent[h] != h:
             h = find(h)
         hb = h * k
         if depth[u] <= R:
             # u -s-> h -s1-> y -s2-> u
             for s1, s2 in first[s]:
                 y = rows[hb + s1]
-                if y < 0:
+                if y == -1:
                     continue
-                if parent[y] != y:
+                if y == LEAF:
+                    y = materialize(h, s1)
+                elif parent[y] != y:
                     y = find(y)
                 if rows[y * k + s2] != u and complete(y, s2, u):
                     deduced.append(i)
                     return
-        # b -s0-> u -s-> h -s2-> b
+        # b -s0-> u -s-> h -s2-> b; a leaf b lies beyond R
         for t0, s2 in second[s]:
             b = rows[ub + t0]
             if b < 0:
@@ -360,19 +433,25 @@ def build_ball(
                 rescan(u, i)
 
     def expand(v: int) -> None:
-        """Give each missing slot of v a fresh id."""
+        """Give each missing slot of v a fresh id, or a leaf beyond R."""
+        nonlocal made
         vb = v * k
         d = depth[v] + 1  # the fresh ids' depth
         for s in range(k):
-            if rows[vb + s] >= 0:
+            if rows[vb + s] != -1:
                 continue
-            w = len(parent)
-            if w >= cap:
+            if made >= cap:
                 if cap == slot_cap:
                     raise ValueError(too_wide)
                 raise ValueError(
                     f"vertex budget {max_vertices} exceeded at radius {R}"
                 )
+            made += 1
+            if d > R and not based(v, s):
+                # the scans below would deduce nothing from w
+                rows[vb + s] = LEAF
+                continue
+            w = len(parent)
             parent.append(w)
             rows.extend(blank)
             depth.append(d)
@@ -399,9 +478,11 @@ def build_ball(
                 if d <= R:
                     for s1, s2 in first[s ^ 1]:
                         y = rows[vb + s1]
-                        if y < 0:
+                        if y == -1:
                             continue
-                        if parent[y] != y:
+                        if y == LEAF:
+                            y = materialize(v, s1)
+                        elif parent[y] != y:
                             y = find(y)
                         if rows[y * k + s2] != w and complete(y, s2, w):
                             deduced.append(wb + (s ^ 1))
@@ -427,23 +508,29 @@ def build_ball(
         # numbers the ball; a depth above the distance found is corrected.
         # num[x] is root x's number in the ball, -1 until it is reached
         root = find(0)
-        num = [-1] * (len(parent) + 1)
+        num = [-1] * len(parent)
         num[root] = 0
         order, dist = [root], [0]
         for j, v in enumerate(order):
             d = dist[j]
             if d < depth[v]:
                 depth[v] = d
+            vb = v * k
             if not done[v]:
                 # never expanded: deductions may have skipped its cycles
                 queue.append(v)
-                deduced.extend(i for i in range(v * k, v * k + k) if rows[i] >= 0)
+                deduced.extend(i for i in range(vb, vb + k) if rows[i] != -1)
             if d == R:
                 continue
-            for w in rows[v * k : v * k + k]:
+            for s, w in enumerate(rows[vb : vb + k]):
                 if w < 0:
-                    continue
-                if parent[w] != w:
+                    if w == -1:
+                        continue
+                    # v was expanded at depth R and lies nearer: its leaf
+                    # is within R
+                    w = materialize(v, s)
+                    num.append(-1)
+                elif parent[w] != w:
                     w = find(w)
                 if num[w] < 0:
                     num[w] = len(order)
@@ -456,9 +543,11 @@ def build_ball(
     # A merge keeps the smaller root and path halving keeps parent[x] <= x,
     # so one ascending pass gives every id its root's number, already
     # resolved; -1 off the ball.  Every emitted vertex was expanded, so its
-    # row has no missing slot; the extra last entry would map one, -1, to -1
+    # row has no missing slot, but one at R may hold leaves: the two extra
+    # entries map a leaf, LEAF, and a missing slot, -1, to -1
     for x, r in enumerate(parent):
         num[x] = num[r]
+    num += (-1, -1)
     flat = [num[w] for v in order for w in rows[v * k : v * k + k]]
     g = BallGraph(
         presentation=p,

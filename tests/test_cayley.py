@@ -176,13 +176,27 @@ class TestBuildBall:
             with pytest.raises(ValueError, match="vertex budget"):
                 build_ball(p, R, max_vertices=budget - 1)
 
-    @pytest.mark.parametrize("seed, order_seed, allocated", [(5, 2, 1_462), (7, 5, 1_468)])
+    @pytest.mark.parametrize("seed, order_seed, allocated", [(5, 2, 1_468), (7, 5, 1_471)])
     def test_collision_merge_saves_ids(self, seed, order_seed, allocated):
         # a merge whose two roots fill the same slot joins the two targets;
-        # skipping that leaves the ball unchanged but allocates 5 more ids
+        # skipping that leaves the ball unchanged but makes 2 more vertices
         # here, because expansion rebuilds the side still reachable
         p = sample_presentation(4, Fraction(1, 5), seed)
         build_ball(p, 5, max_vertices=allocated, _order_seed=order_seed)
+
+    def test_frontier_leaves_take_no_rows(self):
+        # 4,632 of the 6,365 vertices the fold makes stay leaves, with one
+        # edge and no id or row; an id and a row for every one of them
+        # peaks at 1.03 MB
+        p = sample_presentation(4, Fraction(1, 6), 1)
+        tracemalloc.start()
+        try:
+            g = build_ball(p, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.vertex_count == 1_265
+        assert peak < 750_000
 
     def test_step_missing_letter(self):
         g = build_ball(free_presentation(2), 1)
@@ -405,6 +419,21 @@ class TestFoldOracle:
         g = fold_oracle.build_ball(dict(FOLD_CORPUS)["m4-d1_6-seed3"], 4)
         assert g.vertex_count == 441
         assert joined[0] > 0
+
+    @pytest.mark.parametrize("p, R, order_seed", [
+        # a merge meets a leaf in the kept row, and a leaf edge is rescanned
+        (sample_presentation(5, Fraction(1, 4), 3), 1, 2),
+        # a merge moves a leaf onto a filled slot
+        (TriangularPresentation(m=4, density=Fraction(1, 5), seed=None,
+                                relators=((1, -3, 4), (4, 2, 1), (4, 2, 2))), 1, 3),
+        # the first scan of a fresh id within R reads a leaf of the vertex
+        # being expanded
+        (TriangularPresentation(m=4, density=Fraction(1, 5), seed=None,
+                                relators=((-4, 3, 1), (-1, 2, -4), (4, -3, -3))), 2, 1),
+    ], ids=["merge-meets-leaf", "merge-moves-leaf", "expand-reads-leaf"])
+    def test_leaves_read_where_only_shuffles_reach(self, p, R, order_seed):
+        g = build_ball(p, R, _order_seed=order_seed)
+        assert g == build_ball(p, R) == fold_oracle.build_ball(p, R)
 
     def test_matches_dict_row_fold_at_radius_5(self):
         p = sample_presentation(4, Fraction(1, 6), 1)
