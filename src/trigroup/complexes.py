@@ -156,6 +156,10 @@ class VanKampenDiagram(LabelledComplex):
             if head != (edges[b - 1][0] if b > 0 else edges[-b - 1][1]):
                 raise ValueError("boundary is not a closed walk")
             a = b
+        # the ends are given, not derived: a vertex id that no edge names
+        # would pass the Euler count below in place of a merged pair
+        if len({v for ends in edges for v in ends}) != vertex_count:
+            raise ValueError("diagram has a vertex on no edge")
         if vertex_count - len(edges) + len(faces) != 1:
             raise ValueError("diagram must be contractible (Euler characteristic 1)")
 
@@ -297,8 +301,8 @@ def close_walks(edge_count: int, walks: Iterable[Walk]) -> tuple[int, tuple[tupl
     walk steps must share a vertex; unconstrained endpoints stay distinct.
     A reference 0 or beyond ``edge_count`` raises ``ValueError``.
     """
-    # a union-find over the slots, inlined: enumeration closes the walks of
-    # every emitted diagram.  A merge keeps the smaller root, so one
+    # a union-find over the slots, inlined: chain-check closes the walks of
+    # every sampled complex.  A merge keeps the smaller root, so one
     # ascending pass resolves every slot to its root at the end.
     slots = 2 * edge_count
     root = list(range(slots))

@@ -35,24 +35,54 @@ one that also reads letters, under which each two-face class is still grown
 from its earlier seed.  Later steps skip nothing: a letter-blind
 representative need not regrow its whole class.
 
+A state carries its vertex structure: the (tail, head) ends of every edge
+and the vertex count.  A seed's triangle has vertices 0, 1, 2.  A gluing
+joins P, the tail of its arc's first edge, to Q, the head of its last: a
+face along two edges adds one edge P -> Q, a face along one edge adds
+P -> V -> Q through a fresh vertex V, and a mirrored face joins Q to P.  A
+fresh vertex first occurs in the first edge added for it, so the ids are
+the first-appearance numbering that ``close_walks`` would give the walks,
+and no diagram needs a union-find.
+
 Every emitted diagram is a validated ``VanKampenDiagram``, and
 ``isoperimetric_report`` reads its rows off those diagrams, so each row has
-passed every check of the validator.  ``cancel`` is counted from the edge
-degrees, not derived from area and boundary, so ``identity_holds`` compares
-an independent count against them.
+passed every check of the validator.  The validator checks the ends it is
+given rather than deriving them, and three of its checks catch every way a
+grower could misname a vertex.  One vertex whose ends carry two ids (a
+split) leaves some face walk or the boundary unclosed, since the corners
+at a vertex of a disc are linked through those walks.  Two vertices that
+share an id (a merge) keep the walks closed but leave the Euler
+characteristic below 1.  A merge whose count still includes the lost id
+keeps both, but leaves an id on no edge, which the validator refuses.
+``cancel`` is counted from the edge degrees, not derived from area and
+boundary, so ``identity_holds`` compares an independent count against them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .complexes import VanKampenDiagram, Walk, cancel, close_walks, side_trace
+from .complexes import VanKampenDiagram, Walk, cancel, side_trace
 from .presentation import TriangularPresentation, sample_presentation
 from .seeding import derive_seed
 
-# a search state: (letters per edge, ((walk, label), ...), boundary walk)
-_State = tuple[tuple[int, ...], tuple[tuple[Walk, int], ...], Walk]
+# a search state: (letters per edge, ((walk, label), ...), boundary walk,
+# (tail, head) per edge, vertex count)
+_State = tuple[
+    tuple[int, ...],
+    tuple[tuple[Walk, int], ...],
+    Walk,
+    tuple[tuple[int, int], ...],
+    int,
+]
+
+
+def _seed(word: Sequence[int], label: int) -> _State:
+    """The one-face state spelling ``word``, labelled ``label``: a triangle
+    on vertices 0, 1, 2."""
+    return (tuple(word), (((1, 2, 3), label),), (1, 2, 3), ((0, 1), (1, 2), (2, 0)), 3)
 
 
 class DiagramBudget:
@@ -86,8 +116,10 @@ def _attach(
     """Glue a new face spelling relator ``rel_pos`` onto the boundary arc of
     length ``k`` at ``pos``, the glued block occupying word slots
     ``start..start+k-1``; None when letters clash or reducedness fails.
-    ``traces`` is ``_trace_table(relators)``."""
-    letters, faces, boundary = state
+    ``traces`` is ``_trace_table(relators)``.  The fresh edges run from the
+    tail P of the arc's first edge to the head Q of its last (from Q to P
+    when mirrored), through a fresh vertex when the arc has one edge."""
+    letters, faces, boundary, edges, vertex_count = state
     B = len(boundary)
     if k > B:
         return None
@@ -124,10 +156,22 @@ def _attach(
         fresh.append(ref)
     path = tuple(fresh) if not mirror else tuple([-r for r in reversed(fresh)])
     keep = (boundary + boundary)[pos + k : pos + B]
+    a, b = arc[0], arc[-1]
+    P = edges[a - 1][0] if a > 0 else edges[-a - 1][1]
+    Q = edges[b - 1][1] if b > 0 else edges[-b - 1][0]
+    if mirror:
+        P, Q = Q, P
+    if k == 2:
+        edges += ((P, Q),)
+    else:
+        edges += ((P, vertex_count), (vertex_count, Q))
+        vertex_count += 1
     return (
         tuple(new_letters),
         faces + ((tuple(walk), rel_pos + 1),),
         path + keep,
+        edges,
+        vertex_count,
     )
 
 
@@ -161,7 +205,7 @@ def _canonical(state: _State) -> tuple:
     Position 1 is keyed from those roots alone.  A boundary that crosses an
     edge twice, or a face that uses one twice, is refused.
     """
-    _, faces, boundary = state
+    faces, boundary = state[1], state[2]
     B, F = len(boundary), len(faces)
     where = {abs(r): p for p, r in enumerate(boundary)}
     if len(where) != B:
@@ -273,18 +317,9 @@ def _canonical(state: _State) -> tuple:
 
 
 def _to_diagram(state: _State, presentation: TriangularPresentation) -> VanKampenDiagram:
-    letters, faces, boundary = state
+    letters, faces, boundary, edges, vertex_count = state
     walks, labels = zip(*faces)
-    vertex_count, edges = close_walks(len(letters), walks)
-    return VanKampenDiagram(
-        vertex_count=vertex_count,
-        edges=edges,
-        faces=walks,
-        labels=labels,
-        letters=letters,
-        presentation=presentation,
-        boundary=boundary,
-    )
+    return VanKampenDiagram(vertex_count, edges, walks, labels, letters, presentation, boundary)
 
 
 def _slot_index(relators) -> dict[int, list[tuple[int, int]]]:
@@ -311,7 +346,7 @@ def _grow(state: _State, relators, index, traces, ranks=None, least=0) -> Iterat
     is tried, when ``ranks[p] < least``; ``least`` 0 skips none.  An arc
     longer than the boundary (k = 2 on one edge) reaches ``_attach``, which
     refuses it."""
-    letters, _, boundary = state
+    letters, boundary = state[0], state[2]
     B = len(boundary)
     rim = [letters[r - 1] if r > 0 else -letters[-r - 1] for r in boundary]
     for pos in range(B):
@@ -348,7 +383,7 @@ def enumerate_reduced_diagrams(budget: DiagramBudget) -> Iterator[VanKampenDiagr
     traces = _trace_table(relators)
     level: dict[tuple, _State] = {}
     for p, word in enumerate(relators):
-        state: _State = (tuple(word), (((1, 2, 3), p + 1),), (1, 2, 3))
+        state = _seed(word, p + 1)
         level.setdefault(_canonical(state), state)
     # each relator position's seed rank, in the order the loop visits seeds
     ranks = [0] * len(relators)
@@ -386,6 +421,10 @@ def isoperimetric_report(budget: DiagramBudget) -> dict:
     cross-multiplications, and must agree diagram by diagram, via the
     identity 3|D| = |bD| + 2 cancel(D).  ``identity_holds`` checks that
     identity with cancel(D) counted from the edge degrees.
+
+    The report is a function of the multiset of diagrams, not of the order
+    in which they are enumerated: rows are sorted by (area, boundary
+    length, cancel), which fixes every field of a row.
     """
     d = budget.presentation.density
     eps = budget.epsilon
@@ -415,6 +454,7 @@ def isoperimetric_report(budget: DiagramBudget) -> dict:
                 "boundary_ok": boundary_ok,
             }
         )
+    rows.sort(key=itemgetter("area", "boundary_length", "cancel"))
     return {
         "m": budget.presentation.m,
         "density": str(d),

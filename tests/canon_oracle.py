@@ -78,7 +78,7 @@ def _roots(boundary: Walk):
 
 
 def _canonical(state: _State) -> tuple:
-    _, faces, boundary = state
+    faces, boundary = state[1], state[2]
     best = None
     for ids in _roots(boundary):
         enc = (len(boundary),) + _encode_faces(ids, tuple(range(len(faces))), faces)
@@ -89,7 +89,7 @@ def _canonical(state: _State) -> tuple:
 
 def tied_roots(state: _State) -> int:
     """How many roots read the least first face key over all roots."""
-    _, faces, boundary = state
+    faces, boundary = state[1], state[2]
     firsts = [
         min(
             (_translate(walk, rot, ids)[0], label)

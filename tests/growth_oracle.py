@@ -11,7 +11,15 @@ from __future__ import annotations
 from typing import Iterator
 
 from trigroup.complexes import VanKampenDiagram
-from trigroup.enumeration import _State, _canonical, _grow, _slot_index, _to_diagram, _trace_table
+from trigroup.enumeration import (
+    _State,
+    _canonical,
+    _grow,
+    _seed,
+    _slot_index,
+    _to_diagram,
+    _trace_table,
+)
 from trigroup.presentation import TriangularPresentation
 
 
@@ -21,7 +29,7 @@ def diagrams(presentation: TriangularPresentation, max_faces: int) -> Iterator[V
     traces = _trace_table(relators)
     level: dict[tuple, _State] = {}
     for p, word in enumerate(relators):
-        state: _State = (tuple(word), (((1, 2, 3), p + 1),), (1, 2, 3))
+        state = _seed(word, p + 1)
         level.setdefault(_canonical(state), state)
     for canon in sorted(level):
         yield _to_diagram(level[canon], presentation)

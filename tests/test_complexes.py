@@ -61,6 +61,13 @@ class TestStructure:
         assert edges[1][1] == edges[2][0]
         assert edges[2][1] == edges[0][0]
 
+    def test_close_walks_empty_walk_joins_nothing(self):
+        # the complex's validator refuses an empty walk; closing one is a no-op
+        assert close_walks(3, [(), (1, 2, 3)]) == close_walks(3, [(1, 2, 3)])
+        assert close_walks(2, [()]) == close_walks_oracle.close_walks(2, [()]) == (
+            4, ((0, 1), (2, 3)),
+        )
+
     @pytest.mark.parametrize("edge_count, walks, bad", [
         (5, [(1, 2, 6)], 6),  # past the edge count: was a bare IndexError
         (3, [(1, 2, 0)], 0),  # 0: was read as the last edge

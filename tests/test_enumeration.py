@@ -3,13 +3,14 @@
 import functools
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trigroup import enumeration
+from trigroup import complexes, enumeration
 from trigroup.complexes import (
     VanKampenDiagram,
     abstract_from_walks,
@@ -27,6 +28,7 @@ from trigroup.enumeration import (
     _attach,
     _canonical,
     _grow,
+    _seed,
     _slot_index,
     _to_diagram,
     _trace_table,
@@ -124,10 +126,7 @@ def brute_force_diagrams(p, max_faces):
     """Every reachable gluing order, deduplicated by pairwise isomorphism."""
     relators = p.relators
     traces = _trace_table(relators)
-    seeds = [
-        (tuple(word), (((1, 2, 3), i + 1),), (1, 2, 3))
-        for i, word in enumerate(relators)
-    ]
+    seeds = [_seed(word, i + 1) for i, word in enumerate(relators)]
     found = []
     stack = list(seeds)
     states = []
@@ -376,7 +375,7 @@ def relabelled(state, names, flips, order, turns, shift):
     """``state`` with edge e renamed ``names[e-1]`` (reversed where ``flips``
     says so), its faces listed in ``order``, face walks rotated by ``turns``
     and the boundary rotated by ``shift``."""
-    letters, faces, boundary = state
+    letters, faces, boundary, edges, vertex_count = state
 
     def ref(r):
         e = abs(r)
@@ -384,8 +383,10 @@ def relabelled(state, names, flips, order, turns, shift):
         return sign * names[e - 1]
 
     new_letters = [0] * len(letters)
-    for e, c in enumerate(letters, start=1):
+    new_edges = [None] * len(edges)
+    for e, (c, (t, h)) in enumerate(zip(letters, edges), start=1):
         new_letters[names[e - 1] - 1] = -c if flips[e - 1] else c
+        new_edges[names[e - 1] - 1] = (h, t) if flips[e - 1] else (t, h)
     new_faces = []
     for f, t in zip(order, turns):
         walk, label = faces[f]
@@ -395,6 +396,8 @@ def relabelled(state, names, flips, order, turns, shift):
         tuple(new_letters),
         tuple(new_faces),
         tuple(ref(boundary[(shift + j) % B]) for j in range(B)),
+        tuple(new_edges),
+        vertex_count,
     )
 
 
@@ -415,13 +418,13 @@ class TestCanonicalForm:
 
     def test_boundary_crossing_an_edge_twice_refused(self):
         with pytest.raises(ValueError, match="twice"):
-            _canonical(((1, 2, 3), (((1, 2, 3), 1),), (1, 2, 3, -1)))
+            _canonical(((1, 2, 3), (((1, 2, 3), 1),), (1, 2, 3, -1), ((0, 1), (1, 2), (2, 0)), 3))
 
     def test_face_using_an_edge_twice_refused(self):
         # _attach never makes such a face: it glues onto at most two
         # consecutive, distinct boundary edges and mints the rest
         with pytest.raises(ValueError, match="twice"):
-            _canonical(((1, 2), (((1, 2, -2), 1),), (1,)))
+            _canonical(((1, 2), (((1, 2, -2), 1),), (1,), ((0, 0), (0, 0)), 1))
 
     def test_call_count_on_deep_input(self):
         # one call per one-face seed and per grown child; pruning inside a
@@ -534,12 +537,20 @@ class TestGrowth:
 
     def test_arc_longer_than_boundary_refused(self):
         relators, states = one_edge_boundary_states()
-        letters, _, (r,) = states[0]
+        letters, (r,) = states[0][0], states[0][2]
         c = letters[r - 1] if r > 0 else -letters[-r - 1]
         # relator 17 spells c c from slot 1: the letters of the two-edge arc
         # that would read the one boundary edge twice
         assert relators[16][1:] == (c, c)
         assert _attach(states[0], 0, 2, 16, 1, True, relators, _trace_table(relators)) is None
+
+    def test_boundary_edge_in_no_face_refused(self):
+        # a hand-made state whose boundary edge 4 lies in no face: the
+        # reducedness check finds no face side to compare the new face with
+        state = ((1, 2, 3, 4), (((1, 2, 3), 1),), (4, 2, 3), ((0, 1), (1, 2), (2, 0), (0, 1)), 3)
+        relators = ((1, 2, 3), (-4, 1, 2))
+        with pytest.raises(AssertionError, match="boundary edge missing from every face"):
+            _attach(state, 0, 1, 1, 0, False, relators, _trace_table(relators))
 
 
 # ---------------------------------------------------------------------------
@@ -552,69 +563,134 @@ def report_sha256(report):
     return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
 
 
-# the two-face diagram of ABC_ADE: faces abc and Ade share the a-edge
-SHARED = ((1, 2, 3, 4, 5), (((1, 2, 3), 1), ((-1, 4, 5), 2)), (4, 5, 2, 3))
+# the two-face diagram of ABC_ADE: faces abc and Ade share the a-edge, and
+# Ade's fresh vertex 3 sits between its edges 4 and 5
+SHARED = (
+    (1, 2, 3, 4, 5),
+    (((1, 2, 3), 1), ((-1, 4, 5), 2)),
+    (4, 5, 2, 3),
+    ((0, 1), (1, 2), (2, 0), (0, 3), (3, 1)),
+    4,
+)
 # abc and its inverse glued along all three edges: a sphere
 ABC_CBA = pres([(1, 2, 3), (-3, -2, -1)])
-SPHERE = ((1, 2, 3), (((1, 2, 3), 1), ((-3, -2, -1), 2)), ())
+SPHERE = ((1, 2, 3), (((1, 2, 3), 1), ((-3, -2, -1), 2)), (), ((0, 1), (1, 2), (2, 0)), 3)
 
-# hand-corrupted states, one per check of the VanKampenDiagram validator:
+STATE_FIELDS = ("letters", "faces", "boundary", "edges", "vertex_count")
+
+
+def altered(state, **fields):
+    """``state`` with the named fields replaced."""
+    return tuple(fields.get(name, value) for name, value in zip(STATE_FIELDS, state))
+
+
+FACE_0, FACE_1 = SHARED[1]
+# SHARED's ends up to Ade's edges 4 and 5, which the end mutants rename
+SHARED_ABC_ENDS = SHARED[3][:3]
+
+# hand-corrupted states, one per check of the VanKampenDiagram validator,
+# and one per way of misnaming a vertex that the validator must refuse:
 # (presentation, state, the message _to_diagram must raise)
 MUTANTS = {
     "bad-edge-reference": (
-        ABC_ADE, (SHARED[0], (((1, 0, 3), 1), SHARED[1][1]), SHARED[2]),
-        "bad edge reference 0",
+        ABC_ADE, altered(SHARED, faces=(((1, 0, 3), 1), FACE_1)), "bad edge reference 0",
     ),
-    "empty-face-walk": (ABC_ADE, (SHARED[0], SHARED[1] + (((), 1),), SHARED[2]), "empty face walk"),
+    "empty-face-walk": (
+        ABC_ADE, altered(SHARED, faces=(FACE_0, FACE_1, ((), 1))), "empty face walk",
+    ),
     "label-zero": (
-        ABC_ADE, (SHARED[0], (SHARED[1][0], ((-1, 4, 5), 0)), SHARED[2]),
-        "labels must be positive",
+        ABC_ADE, altered(SHARED, faces=(FACE_0, ((-1, 4, 5), 0))), "labels must be positive",
     ),
     "label-past-the-relators": (
-        ABC_ADE, (SHARED[0], (SHARED[1][0], ((-1, 4, 5), 3)), SHARED[2]),
+        ABC_ADE, altered(SHARED, faces=(FACE_0, ((-1, 4, 5), 3))),
         "face 1 labelled with unknown relator position",
     ),
     "two-sided-face": (
-        ABC_ADE, (SHARED[0], (((1, 2), 1), SHARED[1][1]), SHARED[2]),
+        # edge 2 turned back to vertex 0, so that the walk (1, 2) closes
+        ABC_ADE,
+        altered(
+            SHARED, faces=(((1, 2), 1), FACE_1),
+            edges=((0, 1), (1, 0), (2, 0), (0, 3), (3, 1)),
+        ),
         "face 0 walk does not spell its relator",
     ),
-    "zero-letter": (ABC_ADE, ((0, 2, 3, 4, 5),) + SHARED[1:], "letter codes must be nonzero"),
+    "zero-letter": (
+        ABC_ADE, altered(SHARED, letters=(0, 2, 3, 4, 5)), "letter codes must be nonzero",
+    ),
     "flipped-letter": (
-        ABC_ADE, ((1, 2, 3, -4, 5),) + SHARED[1:], "face 1 walk does not spell its relator",
+        ABC_ADE, altered(SHARED, letters=(1, 2, 3, -4, 5)),
+        "face 1 walk does not spell its relator",
     ),
     "edge-in-three-face-sides": (
-        ABC_ADE, (SHARED[0], SHARED[1] + (SHARED[1][0],), SHARED[2]),
+        ABC_ADE, altered(SHARED, faces=(FACE_0, FACE_1, FACE_0)),
         "an edge of a planar diagram lies in at most two face sides",
     ),
     "edge-outside-every-face": (
-        ABC_ADE, (SHARED[0] + (1,),) + SHARED[1:], "diagram has an edge outside every face",
+        ABC_ADE, altered(SHARED, letters=SHARED[0] + (1,), edges=SHARED[3] + ((0, 1),)),
+        "diagram has an edge outside every face",
     ),
     "boundary-missing-an-edge": (
-        ABC_ADE, SHARED[:2] + ((4, 5, 2),),
+        ABC_ADE, altered(SHARED, boundary=(4, 5, 2)),
         "boundary walk must cover each degree-1 edge exactly once",
     ),
-    "unclosed-boundary": (ABC_ADE, SHARED[:2] + ((4, 5, 3, 2),), "boundary is not a closed walk"),
+    "unclosed-boundary": (
+        ABC_ADE, altered(SHARED, boundary=(4, 5, 3, 2)), "boundary is not a closed walk",
+    ),
     "broken-euler-count": (
         ABC_CBA, SPHERE, "diagram must be contractible (Euler characteristic 1)",
     ),
+    "split-vertex": (
+        # edge 5 ends at a vertex of its own, not at Ade's start
+        ABC_ADE,
+        altered(SHARED, edges=SHARED_ABC_ENDS + ((0, 3), (3, 4)), vertex_count=5),
+        "walk (-1, 4, 5) is not a closed path",
+    ),
+    "merged-vertex": (
+        # Ade's fresh vertex given the id of vertex 2
+        ABC_ADE,
+        altered(SHARED, edges=SHARED_ABC_ENDS + ((0, 2), (2, 1)), vertex_count=3),
+        "diagram must be contractible (Euler characteristic 1)",
+    ),
+    "skipped-vertex-id": (
+        # the same, with the fresh vertex still counted
+        ABC_ADE,
+        altered(SHARED, edges=SHARED_ABC_ENDS + ((0, 2), (2, 1))),
+        "diagram has a vertex on no edge",
+    ),
 }
+
+# the trend's seed-1 presentations at its face budget, beside the oracle
+# corpora: the states whose carried ends are checked against close_walks
+ENDS_CORPORA = {**ORACLE_CORPORA, **{name: (p, 2) for name, p in TREND_SEED_1.items()}}
+
+
+def raise_on_call(*args, **kwargs):
+    raise AssertionError("close_walks called")
 
 
 class TestDiagramValidation:
-    @pytest.mark.parametrize("corpus", sorted(ORACLE_CORPORA))
+    @pytest.mark.parametrize("corpus", sorted(ENDS_CORPORA))
     def test_close_walks_matches_oracle(self, corpus):
-        p, max_faces = ORACLE_CORPORA[corpus]
+        # the ends each state carries are the vertices that closing its
+        # walks forces, numbered as close_walks numbers them
+        p, max_faces = ENDS_CORPORA[corpus]
         states = canonicalised_states(p, max_faces)
         assert states
-        for letters, faces, _ in states:
+        for letters, faces, _, edges, vertex_count in states:
             walks = [w for w, _ in faces]
-            assert close_walks(len(letters), walks) == close_walks_oracle.close_walks(
-                len(letters), walks
-            )
+            closed = close_walks(len(letters), walks)
+            assert closed == (vertex_count, edges)
+            assert closed == close_walks_oracle.close_walks(len(letters), walks)
+
+    def test_deep_report_runs_without_close_walks(self, monkeypatch):
+        monkeypatch.setattr(complexes, "close_walks", raise_on_call)
+        monkeypatch.setattr(enumeration, "close_walks", raise_on_call, raising=False)
+        assert isoperimetric_report(DEEP)["total"] == 2649
 
     def test_base_state_is_valid(self):
         D = _to_diagram(SHARED, ABC_ADE)
         assert (D.area, D.boundary_length, cancel(D)) == (2, 4, 1)
+        assert (D.vertex_count, D.edges) == close_walks(5, [FACE_0[0], FACE_1[0]])
 
     @pytest.mark.parametrize("mutant", sorted(MUTANTS))
     def test_mutant_refused(self, mutant):
@@ -627,6 +703,18 @@ class TestDiagramValidation:
         monkeypatch.setattr(enumeration, "cancel", lambda D: cancel(D) + 1)
         rep = isoperimetric_report(DiagramBudget(2, ABC_ADE))
         assert not rep["identity_holds"]
+
+    def test_rows_independent_of_emission_order(self, monkeypatch):
+        # the report reads the multiset of diagrams: the same bytes from
+        # the diagrams in a shuffled order
+        budget = DiagramBudget(3, sample_presentation(3, Fraction(1, 4), 7))
+        expected = json.dumps(isoperimetric_report(budget), sort_keys=True)
+        shuffled = list(enumerate_reduced_diagrams(budget))
+        random.Random(5).shuffle(shuffled)
+        areas = [D.area for D in shuffled]
+        assert areas != sorted(areas)
+        monkeypatch.setattr(enumeration, "enumerate_reduced_diagrams", lambda b: iter(shuffled))
+        assert json.dumps(isoperimetric_report(budget), sort_keys=True) == expected
 
 
 class TestGoldenReports:
