@@ -144,9 +144,38 @@ def _json_safe(value):
     return value
 
 
+def _dumps(report: dict) -> str:
+    """``json.dumps(report, indent=2, sort_keys=True)`` for a report with
+    string keys.  A top-level list that holds some object more than once
+    renders each of its objects once and repeats the text; the memo is by
+    identity, so objects that compare equal but print apart (1, True and
+    1.0) stay apart.  Any other field is rendered whole."""
+
+    def repeats(value) -> bool:
+        return isinstance(value, list) and len(set(map(id, value))) < len(value)
+
+    def block(value, pad: str) -> str:
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+    if not any(map(repeats, report.values())):
+        return json.dumps(report, indent=2, sort_keys=True)
+    fields = []
+    for key in sorted(report):
+        value = report[key]
+        if repeats(value):
+            texts = {i: block(x, "    ") for i, x in {id(x): x for x in value}.items()}
+            text = "[\n    " + ",\n    ".join([texts[id(x)] for x in value]) + "\n  ]"
+        else:
+            text = block(value, "  ")
+        fields.append(f"{json.dumps(key)}: {text}")
+    return "{\n  " + ",\n  ".join(fields) + "\n}"
+
+
 def _emit(payload: dict | BallGraph, args: argparse.Namespace) -> None:
     """Write the report with a ``meta`` block to ``--out`` or stdout; a ball
-    is streamed, in the bytes ``json.dumps`` would give its dict."""
+    is streamed, in the bytes ``json.dumps`` would give its dict.  Any other
+    report goes through ``_dumps``, which renders a top-level list once per
+    object when the list holds some object twice, as enum-diagrams' does."""
     config = {
         key: _json_safe(value)
         for key, value in vars(args).items()
@@ -161,7 +190,7 @@ def _emit(payload: dict | BallGraph, args: argparse.Namespace) -> None:
     if isinstance(payload, BallGraph):
         chunks = ballgraph_chunks(payload, meta)
     else:
-        chunks = [json.dumps({**payload, "meta": meta}, indent=2, sort_keys=True) + "\n"]
+        chunks = [_dumps({**payload, "meta": meta}) + "\n"]
     if args.out:
         _write_chunks(args.out, chunks, "--out")
     else:

@@ -124,9 +124,11 @@ class VanKampenDiagram(LabelledComplex):
 
     Labels are 1-based relator positions (label ``i`` spells relator ``i-1``),
     ``boundary`` is the outer walk (diagram interior kept on its left).
+    ``degrees`` keeps the edge degrees that the validator counted, which
+    ``cancel`` reads instead of walking the faces again.
     """
 
-    __slots__ = ("presentation", "boundary")
+    __slots__ = ("presentation", "boundary", "degrees")
 
     def __init__(
         self, vertex_count, edges, faces, labels, letters,
@@ -142,7 +144,7 @@ class VanKampenDiagram(LabelledComplex):
             spelled = tuple([letters[r - 1] if r > 0 else -letters[-r - 1] for r in walk])
             if spelled != rels[label - 1]:
                 raise ValueError(f"face {f} walk does not spell its relator")
-        degs = edge_degrees(self)
+        self.degrees = degs = edge_degrees(self)
         if max(degs, default=0) > 2:
             raise ValueError("an edge of a planar diagram lies in at most two face sides")
         if 0 in degs:
@@ -187,7 +189,8 @@ def edge_degrees(Y: AbstractLabelledComplex) -> list[int]:
 
 def cancel(Y: AbstractLabelledComplex) -> int:
     """Total edge excess sum((deg(e) - 1)+); counts forced identifications."""
-    return sum(d - 1 for d in edge_degrees(Y) if d > 1)
+    degs = Y.degrees if isinstance(Y, VanKampenDiagram) else edge_degrees(Y)
+    return sum(d - 1 for d in degs if d > 1)
 
 
 def _least_positions(Y: AbstractLabelledComplex) -> dict[int, dict[int, int]]:

@@ -3,6 +3,7 @@
 import json
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,7 @@ from trigroup.complexes import cancel, is_reduced_diagram
 from trigroup.enumeration import DiagramBudget, enumerate_reduced_diagrams, euler_check
 from trigroup.presentation import TriangularPresentation, sample_presentation
 from trigroup.thresholds import delta_hyp
-from trigroup.words import all_letters, word_to_str
+from trigroup.words import all_letters, invert_word, word_to_str
 
 
 def free_presentation(m):
@@ -448,6 +449,47 @@ class TestFoldOracle:
         for relators in cases:
             assert _relator_variants(relators) == fold_oracle._relator_variants(relators)
         assert len(_relator_variants(cases[-1])) == 8
+
+
+# repeated letters: a proper power a^3, and a^2 b with its rotation b a^2
+REPEATED_LETTERS = [
+    ("a3-b2c", TriangularPresentation(m=3, density=Fraction(1, 5), seed=None,
+                                      relators=((1, 1, 1), (2, 2, 3)))),
+    ("a2b-ba2-c2a", TriangularPresentation(m=3, density=Fraction(1, 5), seed=None,
+                                           relators=((1, 1, 2), (2, 1, 1), (3, 3, 1)))),
+]
+
+
+def presentation_twins(p: TriangularPresentation):
+    """Presentations of the same group: generators renamed or inverted, a
+    relator inverted or rotated, the relators reordered."""
+    m, rels = p.m, p.relators
+
+    def with_relators(relators):
+        return TriangularPresentation(m, p.density, p.seed, tuple(relators))
+
+    yield "rename", with_relators([tuple((abs(c) % m + 1) * (1 if c > 0 else -1) for c in r)
+                                   for r in rels])
+    for g in range(1, m + 1):
+        yield f"invert-{g}", with_relators([tuple(-c if abs(c) == g else c for c in r)
+                                            for r in rels])
+    for i, r in enumerate(rels):
+        yield f"invert-relator-{i}", with_relators(rels[:i] + (invert_word(r),) + rels[i + 1:])
+        yield f"rotate-relator-{i}", with_relators(rels[:i] + (r[1:] + r[:1],) + rels[i + 1:])
+    yield "reverse-order", with_relators(rels[::-1])
+
+
+class TestBallMetamorphic:
+    def test_vertices_per_distance_unchanged(self):
+        # the ball of the group, not of its presentation: each twin's ball
+        # has as many vertices at each distance
+        moved = []
+        for name, p in FOLD_CORPUS + REPEATED_LETTERS:
+            counts = Counter(build_ball(p, 4).distances)
+            for change, q in presentation_twins(p):
+                if Counter(build_ball(q, 4).distances) != counts:
+                    moved.append((name, change))
+        assert moved == []
 
 
 class TestVanKampenGate:

@@ -373,6 +373,69 @@ class TestReportBytes:
         assert "lower_bound must be finite" in capsys.readouterr().err
 
 
+# JSON values the renderer may meet, nested and empty containers and
+# non-ASCII strings among them
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def reports_with_shared_rows(draw):
+    """A report whose top-level lists may hold one object many times; the
+    pool always holds rows that compare equal but print apart."""
+    pool = [{"x": 1}, {"x": True}, {"x": 1.0}, {"x": 0.0}, {"x": -0.0}, [], {}]
+    pool += draw(st.lists(JSON_VALUES, max_size=4))
+    picks = st.lists(st.sampled_from(pool), max_size=8)
+    return draw(st.dictionaries(st.text(), JSON_VALUES | picks, max_size=5))
+
+
+class TestRenderer:
+    @given(reports_with_shared_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_json_dumps(self, report):
+        assert cli._dumps(report) == json.dumps(report, indent=2, sort_keys=True)
+
+    def test_shared_rows_rendered_once(self, monkeypatch):
+        row, other = {"area": 1, "ok": True}, {"area": 1, "ok": 1}
+        report = {"rows": [row, other, row, row], "total": 4}
+        expected = json.dumps(report, indent=2, sort_keys=True)
+        rendered = []
+        dumps = json.dumps
+
+        def counted(value, **kwargs):
+            rendered.append(value)
+            return dumps(value, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counted)
+        assert cli._dumps(report) == expected
+        # by identity: row and other compare equal, since 1 == True
+        assert [sum(x is y for x in rendered) for y in (row, other)] == [1, 1]
+
+    @pytest.mark.parametrize("argv", [
+        ("sample", "--m", "3", "--d", "1/4", "--seed", "7"),
+        ("words", "--m", "2", "--list"),
+        ("cancel", "--complex", "{mirror}"),
+        ("red", "--complex", "{mirror}"),
+        ("enum-diagrams", "--presentation", "{pres}", "--max-faces", "3"),
+        ("fulfil", "--complex", "{shared}", "--m", "2", "--exact"),
+        ("pipeline", "--d0", "7/20"),
+        ("sweep", "--d0-grid", "3/10,7/20"),
+        ("ball", "--presentation", "{pres}", "--radius", "2"),
+        ("delta-est", "--graph", "{ball}", "--samples", "50", "--seed", "2"),
+        ("fig1-demo",),
+        ("chain-check", "--count", "50", "--seed", "3"),
+    ], ids=lambda a: a[0])
+    def test_out_is_indented_sorted_json(self, tmp_path, pres_file, ball_file, complex_files,
+                                         argv):
+        argv = [arg.format(pres=pres_file, ball=ball_file, **complex_files) for arg in argv]
+        _, blob = run(tmp_path, *argv)
+        text = blob.decode()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 class TestSweep:
     def test_rows_and_csv(self, tmp_path):
         csv_path = tmp_path / "sweep.csv"
@@ -1228,3 +1291,32 @@ class TestByteDeterminism:
             _, first = run(tmp_path, *argv)
             _, second = run(tmp_path, *argv)
             assert first == second, argv[0]
+
+    def test_identical_across_processes(self, tmp_path):
+        # criterion 12's inputs, for the subcommands whose code reads letter
+        # keys: fresh processes under two string-hash seeds must write the
+        # bytes written in process, so no report follows a set's order
+        pres = tmp_path / "pres.json"
+        assert main(["sample", "--m", "4", "--d", "1/4", "--seed", "11", "--out", str(pres)]) == 0
+        ball = tmp_path / "ball.json"
+        cases = [
+            ("enum-diagrams", "--presentation", str(pres), "--max-faces", "3",
+             "--epsilon", "1/25"),
+            ("ball", "--presentation", str(pres), "--radius", "2"),
+            ("delta-est", "--graph", str(ball), "--samples", "100", "--seed", "2"),
+        ]
+        expected = []
+        for argv in cases:
+            out = ball if argv[0] == "ball" else tmp_path / f"{argv[0]}.json"
+            assert main([*argv, "--out", str(out)]) == 0
+            expected.append(out.read_bytes())
+        procs = {}
+        for hash_seed in ("1", "2"):
+            env = {**package_env(), "PYTHONHASHSEED": hash_seed}
+            for argv, blob in zip(cases, expected):
+                procs[argv[0], hash_seed] = blob, subprocess.Popen(
+                    [sys.executable, "-m", "trigroup.cli", *argv], env=env,
+                    stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+        differ = [key for key, (blob, proc) in procs.items()
+                  if proc.communicate(timeout=60)[0] != blob]
+        assert differ == []

@@ -716,6 +716,26 @@ class TestDiagramValidation:
         monkeypatch.setattr(enumeration, "enumerate_reduced_diagrams", lambda b: iter(shuffled))
         assert json.dumps(isoperimetric_report(budget), sort_keys=True) == expected
 
+    def test_equal_rows_are_one_object(self):
+        # one row object per (area, boundary length, cancel), listed once
+        # per diagram, so a renderer can render each value once
+        rep = isoperimetric_report(DEEP)
+        rows = rep["diagrams"]
+        values = {(r["area"], r["boundary_length"], r["cancel"]) for r in rows}
+        assert len({id(r) for r in rows}) == len(values) == 6
+        assert len(rows) == rep["total"] == 2649
+
+    def test_cancel_reads_the_validators_degrees(self, monkeypatch):
+        # a diagram keeps the edge degrees its validator counted, and cancel
+        # counts from them without walking the faces again
+        diagrams = list(enumerate_reduced_diagrams(DiagramBudget(3, ABC_ADE)))
+        for D in diagrams:
+            assert D.degrees == complexes.edge_degrees(D)
+        expected = [cancel(D) for D in diagrams]
+        monkeypatch.setattr(complexes, "edge_degrees", None)
+        assert [cancel(D) for D in diagrams] == expected
+        assert [sum(d - 1 for d in D.degrees if d > 1) for D in diagrams] == expected
+
 
 class TestGoldenReports:
     """sha256 of ``json.dumps(report, sort_keys=True)``, as the reports read

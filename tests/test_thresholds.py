@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trigroup import thresholds
 from trigroup.thresholds import (
     SLIMNESS_SCALE,
     constants_pipeline,
@@ -236,6 +237,46 @@ class TestMinK:
         grid = [Fraction(n, 100) for n in range(1, 39)]
         ks = [min_k(d0) for d0 in grid]
         assert ks == sorted(ks)
+
+
+class TestInternalChecks:
+    """The four ArithmeticError checks of min_k and constants_pipeline hold
+    by the arithmetic before them; each fires when that arithmetic is
+    broken by a patched input."""
+
+    def test_gap_must_be_positive(self, monkeypatch):
+        # a left side equal to the right side leaves no gap
+        monkeypatch.setattr(thresholds, "_lhs_exact", thresholds._rhs_exact)
+        with pytest.raises(ArithmeticError,
+                           match="^gap should be positive below the critical density$"):
+            min_k(D35)
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_k_must_be_least(self, monkeypatch, shift):
+        # a floor one off either way picks a k other than the least, 3
+        floor = _Q41.floor
+        monkeypatch.setattr(_Q41, "floor", lambda x: floor(x) + shift)
+        with pytest.raises(ArithmeticError,
+                           match=f"^k = {3 + shift} is not the least k with gap > 1/k$"):
+            min_k(D35)
+
+    def test_margin_must_grow(self, monkeypatch):
+        # at 7/20 the per-L margin of k = 1 shrinks as L grows
+        monkeypatch.setattr(thresholds, "min_k", lambda d0: 1)
+        with pytest.raises(ArithmeticError,
+                           match="^per-L margin should grow; k selection is broken$"):
+            constants_pipeline(D35)
+
+    def test_closing_inequality_must_hold(self, monkeypatch):
+        # A1 lifts L above its floor to floor(A3/alpha) + 1; one less makes
+        # the margin alpha*L - A3 negative
+        k = min_k(D35)
+        monkeypatch.setattr(thresholds, "min_k", lambda d0: k)
+        floor = _Q41.floor
+        monkeypatch.setattr(_Q41, "floor", lambda x: floor(x) - 1)
+        with pytest.raises(ArithmeticError,
+                           match="^the closing inequality failed at the chosen L$"):
+            constants_pipeline(D35, A1=Fraction(10**6))
 
 
 class TestDeltaHyp:
