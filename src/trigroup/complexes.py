@@ -5,8 +5,8 @@ A face's boundary walk is a tuple of signed 1-based edge references
 the data, so rotating it gives a different complex.  Faces carry positive
 integer labels.  On top of the structure this module computes:
 
-* ``edge_degrees`` - occurrences of each edge over all walks, with
-  multiplicity;
+* ``degrees`` - occurrences of each edge over all walks, with
+  multiplicity, counted by the validator of every complex;
 * ``cancel`` - the total excess ``sum (deg(e) - 1)+``;
 * ``red`` - the reducedness defect: for each edge and each label, the number
   of tied least-position occurrences beyond the first;
@@ -45,9 +45,10 @@ def ref_edge(ref: int) -> int:
 
 class AbstractLabelledComplex:
     """Vertices 0..vertex_count-1, edges as (tail, head), faces as walks, and
-    a positive integer label per face."""
+    a positive integer label per face.  ``degrees[e]`` counts the walk
+    references to edge ``e``, either orientation, with multiplicity."""
 
-    __slots__ = ("vertex_count", "edges", "faces", "labels")
+    __slots__ = ("vertex_count", "edges", "faces", "labels", "degrees")
 
     def __init__(
         self,
@@ -63,6 +64,7 @@ class AbstractLabelledComplex:
         self.faces = faces
         self.labels = labels
         E = len(edges)
+        self.degrees = degs = [0] * E
         for t, h in edges:
             if not (0 <= t < n and 0 <= h < n):
                 raise ValueError("edge endpoint out of range")
@@ -72,6 +74,7 @@ class AbstractLabelledComplex:
             for r in walk:
                 if r == 0 or not -E <= r <= E:
                     raise ValueError(f"bad edge reference {r}")
+                degs[abs(r) - 1] += 1
             # the head of each step is the tail of the next, cyclically
             a = walk[-1]
             for b in walk:
@@ -124,11 +127,9 @@ class VanKampenDiagram(LabelledComplex):
 
     Labels are 1-based relator positions (label ``i`` spells relator ``i-1``),
     ``boundary`` is the outer walk (diagram interior kept on its left).
-    ``degrees`` keeps the edge degrees that the validator counted, which
-    ``cancel`` reads instead of walking the faces again.
     """
 
-    __slots__ = ("presentation", "boundary", "degrees")
+    __slots__ = ("presentation", "boundary")
 
     def __init__(
         self, vertex_count, edges, faces, labels, letters,
@@ -144,7 +145,7 @@ class VanKampenDiagram(LabelledComplex):
             spelled = tuple([letters[r - 1] if r > 0 else -letters[-r - 1] for r in walk])
             if spelled != rels[label - 1]:
                 raise ValueError(f"face {f} walk does not spell its relator")
-        self.degrees = degs = edge_degrees(self)
+        degs = self.degrees
         if max(degs, default=0) > 2:
             raise ValueError("an edge of a planar diagram lies in at most two face sides")
         if 0 in degs:
@@ -178,19 +179,9 @@ class VanKampenDiagram(LabelledComplex):
 # functionals
 
 
-def edge_degrees(Y: AbstractLabelledComplex) -> list[int]:
-    """Occurrences of each edge over all face walks, either orientation."""
-    degs = [0] * Y.edge_count
-    for walk in Y.faces:
-        for r in walk:
-            degs[abs(r) - 1] += 1
-    return degs
-
-
 def cancel(Y: AbstractLabelledComplex) -> int:
     """Total edge excess sum((deg(e) - 1)+); counts forced identifications."""
-    degs = Y.degrees if isinstance(Y, VanKampenDiagram) else edge_degrees(Y)
-    return sum(d - 1 for d in degs if d > 1)
+    return sum(d - 1 for d in Y.degrees if d > 1)
 
 
 def _least_positions(Y: AbstractLabelledComplex) -> dict[int, dict[int, int]]:
@@ -241,8 +232,7 @@ def forced_counts(walks: Sequence[Sequence[int]], labels: Sequence[int]) -> list
 
 def edges_in_no_face(Y: AbstractLabelledComplex) -> list[int]:
     """Edges that no face walk traverses, in index order."""
-    used = {ref_edge(r) for walk in Y.faces for r in walk}
-    return [e for e in range(Y.edge_count) if e not in used]
+    return [e for e, d in enumerate(Y.degrees) if not d]
 
 
 def chain_report(Y: AbstractLabelledComplex) -> dict:

@@ -10,9 +10,10 @@ support this module computes the per-level probabilities
 * in closed form by inclusion-exclusion over the cyclic-reduction constraints
   (``_counter`` on the complex's incidence structure, see
   ``structure_of``), which scales to a sweep over *all* incidence structures
-  with a bounded number of faces.  The count factors over the 2-connected
-  blocks of the constraint graph (``_block_counts``), so its cost is
-  exponential in the largest block, not in the number of labels,
+  with a bounded number of faces.  Every count factors over the 2-connected
+  blocks of the constraint graph (``_block_counts``), and the kernel
+  ``count_letter_assignments`` counts each distinct block once, so the cost
+  is exponential in the largest block, not in the number of labels,
 * exhaustively (``exact_probabilities``, whose cost grows as
   ((2m-1)^3+1)^n for n labels), kept as the independent oracle the closed
   form is tested against,
@@ -245,8 +246,9 @@ def count_letter_assignments(
     closed under negation and has ``x`` letters (x even, no fixed point of
     negation).  Returns the count for each x in ``sizes``, by
     inclusion-exclusion over constraint subsets with parity tracking: up to
-    2^c terms for c constraints.  This is the whole-graph kernel;
-    :func:`_block_counts` calls it once per 2-connected block.
+    2^c terms for c constraints.  This is the per-block kernel:
+    :func:`_block_counts` calls it once per distinct 2-connected block, and
+    tests call it on a whole graph as the oracle of the factored count.
 
     Including a constraint identifies ``a`` with ``t * b``.  As in
     :func:`_merged_key`, ``link`` maps an absorbed class to ``(class it
@@ -461,12 +463,11 @@ def _counter(classes, signs, sizes, memo):
 
     Closed form: whatever the vertex structure, a consistent tuple is exactly
     a letter assignment to the merged edge classes avoiding the
-    cyclic-reduction relations, counted by inclusion-exclusion.  Counts are
-    kept per key, and in ``memo``, which other structures may share, per
-    merged key.  A set of at most two groups (at most 6 constraints) goes to
-    the kernel whole, where a block search would cost more than it saves;
-    a larger one is counted block by block (:func:`_block_counts`), each
-    block kept in ``memo`` too, since one triangle recurs at every level.
+    cyclic-reduction relations, counted by inclusion-exclusion block by
+    block (:func:`_block_counts`).  Counts are kept per key, and in
+    ``memo``, which other structures may share, per merged key and per
+    block key.  The two kinds of key have one form, so a merged key that is
+    one block is counted once, as is a triangle that recurs at every level.
     """
     shared = {(): (1,) * len(sizes)}  # the empty tuple
 
@@ -479,10 +480,7 @@ def _counter(classes, signs, sizes, memo):
             else:
                 got = memo.get(merged)
                 if got is None:
-                    got = memo[merged] = (
-                        count_letter_assignments(*merged, sizes) if len(key) <= 2
-                        else _block_counts(*merged, sizes, memo)
-                    )
+                    got = memo[merged] = _block_counts(*merged, sizes, memo)
             shared[key] = got
         return got
 

@@ -174,10 +174,10 @@ def test_criterion_06_exact_ratio_oracle(capsys, monkeypatch):
     # p_i/p_{i-1} <= 2m(2m-1)^(2-delta_i)/((2m-1)^3+1) holds on every
     # structure, with equality on that face.  This criterion pins the
     # counterexamples: that they exist, where they start, which family they
-    # fall in, and that brute force confirms them.  Two work counts of the
+    # fall in, and that brute force confirms them.  Three work counts of the
     # same run are pinned too: canonicity tests (one per partition the
-    # orderly generator yields) and counting keys (none for a partition with
-    # a self-cancelling face).
+    # orderly generator yields), counting keys (none for a partition with a
+    # self-cancelling face) and kernel counts (one per distinct block).
     work = Counter()
 
     def counted(name, fn):
@@ -186,7 +186,7 @@ def test_criterion_06_exact_ratio_oracle(capsys, monkeypatch):
             return fn(*args)
         return call
 
-    for name in ("_stabilizer", "_merged_key"):
+    for name in ("_stabilizer", "_merged_key", "count_letter_assignments"):
         monkeypatch.setattr(fulfillment, name, counted(name, getattr(fulfillment, name)))
     start = time.perf_counter()
     report = ratio_sweep(max_faces=3, ms=(1, 2, 3))
@@ -250,7 +250,9 @@ def test_criterion_06_exact_ratio_oracle(capsys, monkeypatch):
             json.dumps(report, sort_keys=True).encode()
         ).hexdigest()
         == "2a3567812fc491293d21dff757fae852021c3b58a7d667878ed380aa74bdb295",
-        "work_counts": work == {"_stabilizer": 120_325, "_merged_key": 320_788},
+        "work_counts": work == {
+            "_stabilizer": 120_325, "_merged_key": 320_788, "count_letter_assignments": 729,
+        },
     }
     elapsed = time.perf_counter() - start
     checks["within_budget"] = elapsed < 300.0

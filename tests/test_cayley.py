@@ -436,6 +436,14 @@ class TestFoldOracle:
         g = build_ball(p, R, _order_seed=order_seed)
         assert g == build_ball(p, R) == fold_oracle.build_ball(p, R)
 
+    @pytest.mark.parametrize("R", [2, 3])
+    def test_back_slot_merge(self, R):
+        # the only case of a 7,875-build sweep where complete's merge behind
+        # a filled back slot changes the ball: without it, 4 slots differ
+        # at R=2 and 36 at R=3
+        p = sample_presentation(6, Fraction(1, 5), 2)
+        assert build_ball(p, R) == fold_oracle.build_ball(p, R)
+
     def test_matches_dict_row_fold_at_radius_5(self):
         p = sample_presentation(4, Fraction(1, 6), 1)
         assert build_ball(p, 5) == fold_oracle.build_ball(p, 5)

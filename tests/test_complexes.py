@@ -21,7 +21,6 @@ from trigroup.complexes import (
     complex_from_json,
     complex_to_json,
     dumps_complex,
-    edge_degrees,
     edges_in_no_face,
     forced_counts,
     is_reduced_diagram,
@@ -83,7 +82,7 @@ class TestStructure:
         # e1 twice in a row forces tail = head, and the corner identifications
         # collapse everything to one vertex
         assert Y.vertex_count == 1
-        assert edge_degrees(Y) == [2, 1]
+        assert Y.degrees == [2, 1]
 
     def test_bad_reference_rejected(self):
         with pytest.raises(ValueError):
@@ -150,11 +149,36 @@ class TestCancel:
 
     def test_degree_counts_multiplicity_and_orientation(self):
         Y = make_abstract([(1, 1, 2), (-1, 3, 4)], (1, 2))
-        assert edge_degrees(Y) == [3, 1, 1, 1]
+        assert Y.degrees == [3, 1, 1, 1]
         assert cancel(Y) == 2
 
     def test_cancel_ignores_labels(self):
         assert cancel(IDENTICAL_PAIR) == cancel(IDENTICAL_PAIR_SPLIT)
+
+    def test_degrees_on_every_complex(self):
+        # every complex counts its degrees as it validates: random draws, and
+        # their JSON round trips, some with added edges in no face, some with
+        # letters
+        kinds = set()
+        for i in range(200):
+            rng = make_rng(37, "degrees", i)
+            Y = random_abstract_complex(rng)
+            obj = complex_to_json(Y)
+            obj["edges"] += [[rng.randrange(Y.vertex_count)] * 2
+                             for _ in range(rng.randint(0, 2))]
+            if rng.random() < 0.5:
+                obj["letters"] = [1] * len(obj["edges"])
+            loaded = complex_from_json(json.loads(json.dumps(obj)))
+            kinds.add((type(loaded), len(obj["edges"]) > Y.edge_count))
+            for Z in (Y, loaded):
+                count = [0] * Z.edge_count
+                for walk in Z.faces:
+                    for r in walk:
+                        count[abs(r) - 1] += 1
+                assert Z.degrees == count
+                assert cancel(Z) == sum(max(c - 1, 0) for c in count)
+                assert edges_in_no_face(Z) == [e for e, c in enumerate(count) if c == 0]
+        assert len(kinds) == 4
 
 
 class TestRed:

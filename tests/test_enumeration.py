@@ -725,16 +725,21 @@ class TestDiagramValidation:
         assert len({id(r) for r in rows}) == len(values) == 6
         assert len(rows) == rep["total"] == 2649
 
-    def test_cancel_reads_the_validators_degrees(self, monkeypatch):
+    def test_cancel_reads_the_validators_degrees(self):
         # a diagram keeps the edge degrees its validator counted, and cancel
         # counts from them without walking the faces again
         diagrams = list(enumerate_reduced_diagrams(DiagramBudget(3, ABC_ADE)))
+        expected = []
         for D in diagrams:
-            assert D.degrees == complexes.edge_degrees(D)
-        expected = [cancel(D) for D in diagrams]
-        monkeypatch.setattr(complexes, "edge_degrees", None)
+            count = [0] * D.edge_count
+            for walk in D.faces:
+                for r in walk:
+                    count[abs(r) - 1] += 1
+            assert D.degrees == count
+            expected.append(sum(c - 1 for c in count if c > 1))
+            D.faces = ()
         assert [cancel(D) for D in diagrams] == expected
-        assert [sum(d - 1 for d in D.degrees if d > 1) for D in diagrams] == expected
+        assert max(expected) > 0
 
 
 class TestGoldenReports:

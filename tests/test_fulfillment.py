@@ -523,9 +523,9 @@ class TestBlockFactoring:
                 *key, self.SIZES), key
 
     def test_path_kernel_sees_only_triangles(self, monkeypatch):
-        # work pin: level 1's triangle and level 2's two-group key go to the
-        # kernel whole; above that only the one new triangle shape is counted,
-        # and every other block is a memo hit
+        # work pin: every key is counted block by block, so the kernel sees
+        # level 1's triangle and the one new triangle shape of level 2, and
+        # every other block is a memo hit
         seen = []
 
         def counted(n_classes, constraints, sizes):
@@ -534,7 +534,7 @@ class TestBlockFactoring:
 
         monkeypatch.setattr(fulfillment, "count_letter_assignments", counted)
         rows = level_checks(structure_of(PATH6), 3)
-        assert seen == [3, 6, 3]
+        assert seen == [3, 3]
         assert [row["count"] for row in rows] == [126 * 21**i for i in range(6)]
 
     @pytest.mark.parametrize("Y", [PATH6, STAR6], ids=["path", "star"])
@@ -668,8 +668,8 @@ class TestSweep:
         # deterministic work of ratio_sweep(2): one canonicity test per
         # partition the orderly generator yields (914 of the 1,550 signed
         # partitions on 1 and 2 faces), one key per distinct group set of a
-        # kept partition with no self-cancelling face, one count per
-        # distinct key
+        # kept partition with no self-cancelling face, one kernel count per
+        # distinct block
         calls = {"stabilizer": 0, "key": 0, "count": 0}
 
         def counted_stabilizer(*args):
@@ -688,7 +688,7 @@ class TestSweep:
         monkeypatch.setattr(fulfillment, "_merged_key", counted_key)
         monkeypatch.setattr(fulfillment, "count_letter_assignments", counted_count)
         ratio_sweep(max_faces=2, ms=(1, 2, 3))
-        assert calls == {"stabilizer": 914, "key": 1_208, "count": 45}
+        assert calls == {"stabilizer": 914, "key": 1_208, "count": 24}
 
     def test_report_hash_two_faces(self):
         # the whole report, byte for byte; criterion 6 pins the three-face one
