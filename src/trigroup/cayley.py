@@ -27,9 +27,17 @@ a vertex, which most of them never are.
 in the bytes of the indented ``json.dumps`` of ``ball_to_json_dict``,
 which stays as its test oracle.
 
-``ball_from_json_dict`` checks a ballgraph's links and distances in its one
-pass over the vertices, by a tally taken at each edge's second end, the slot
-whose target was numbered earlier.  The whole-ball scans ``_check_links`` and
+A ballgraph loads through one of two entry points, which share one pass
+over its vertices.  ``ball_from_json_dict`` takes the decoded JSON object.
+``ball_from_json_text`` takes the text in exactly the layout
+``ballgraph_chunks`` writes, and decodes the header alone and the vertex
+array a slice of about 32 KB at a time, so that the dicts of at most two
+slices are alive at once, never one per vertex of the ball.  It returns
+None for text in any other layout and for anything the dict path would
+refuse; the caller then decodes the whole text for ``ball_from_json_dict``,
+which words every refusal and is the text path's oracle.  The pass checks a
+ballgraph's links and distances by a tally taken at each edge's second end,
+the slot whose target was numbered earlier.  The whole-ball scans ``_check_links`` and
 ``_check_distances``, which reads the slimness probe's ``_search`` from
 vertex 0, run only when the tally cannot accept, to word the refusal;
 ``build_ball`` runs ``_check_links`` on every ball it emits.
@@ -617,6 +625,15 @@ def ball_to_json_dict(g: BallGraph) -> dict:
 
 
 _CHUNK_VERTICES = 4096
+# the layout ballgraph_chunks writes and ball_from_json_text streams: the
+# header members, _VERTICES_OPEN, the vertices joined by _VERTEX_SEP, then
+# _VERTICES_CLOSE.  The separator takes in each vertex's first key, which
+# str.count finds three times as fast as the bare "\n    },\n    {"
+_VERTICES_OPEN = ',\n  "vertices": ['
+_VERTEX_SEP = '\n    },\n    {\n      "closed":'
+_VERTICES_CLOSE = "\n  ]\n}\n"
+# ball_from_json_text decodes about this many characters of vertices at once
+_SLICE_CHARS = 1 << 15
 
 
 def ballgraph_chunks(g: BallGraph, meta: dict) -> Iterator[str]:
@@ -626,11 +643,12 @@ def ballgraph_chunks(g: BallGraph, meta: dict) -> Iterator[str]:
     Only the fields other than ``vertices`` go through ``json.dumps``;
     ``vertices`` sorts after all of them, so its array is spliced in before
     the closing brace, each vertex rendered straight from ``adj`` with one
-    pre-built key fragment per slot, in sorted-key order.
+    pre-built key fragment per slot, in sorted-key order.  This layout is
+    the one ``ball_from_json_text`` streams.
     """
     m, k = g.presentation.m, g.stride
     head = json.dumps({**_ballgraph_header(g), "meta": meta}, indent=2, sort_keys=True)
-    yield head[: -len("\n}")] + ',\n  "vertices": ['
+    yield head[: -len("\n}")] + _VERTICES_OPEN
     keys = [_letter_key(c, m) for c in all_letters(m)]
     fragments = [(s, f'\n        "{keys[s]}": ') for s in sorted(range(k), key=keys.__getitem__)]
     adj, distances, closed = g.adj, g.distances, g.closed
@@ -648,12 +666,89 @@ def ballgraph_chunks(g: BallGraph, meta: dict) -> Iterator[str]:
     for start in range(0, n, _CHUNK_VERTICES):
         rows = map(vertex, range(start, min(start + _CHUNK_VERTICES, n)))
         yield ("," if start else "") + ",".join(rows)
-    yield "\n  ]\n}\n"
+    yield _VERTICES_CLOSE
+
+
+_HEADER_FIELDS = ("m", "density", "relators", "radius")
+
+
+def _ballgraph_presentation(data: dict, fields: tuple[str, ...]) -> TriangularPresentation:
+    """The presentation of a ballgraph, once its format tag and ``fields``
+    are found in ``data``."""
+    if data.get("format") != "ballgraph":
+        raise ValueError("not a ball graph file (missing format tag)")
+    json_require(data, fields)
+    m = json_int(data["m"], "'m'")
+    relators = json_list(data["relators"], "'relators'")
+    try:
+        words = tuple(word_from_json(w) for w in relators)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"'relators': {exc}") from None
+    # null is the seed of a presentation that was not sampled
+    seed = data.get("seed")
+    if seed is not None:
+        json_int(seed, "'seed'")
+    try:
+        density = density_from_str(data["density"])
+    except ValueError as exc:
+        raise ValueError(f"'density': {exc}") from None
+    return TriangularPresentation(m=m, density=density, seed=seed, relators=words)
 
 
 def ball_from_json_dict(data: dict) -> BallGraph:
     """The ball in a ``ballgraph`` JSON object, or a ValueError naming the
-    field that keeps it from being one.
+    field that keeps it from being one."""
+    p = _ballgraph_presentation(data, (*_HEADER_FIELDS, "vertices"))
+    vertices = json_list(data["vertices"], "'vertices'")
+    return _ball_from_vertices(p, data["radius"], vertices, len(vertices))
+
+
+def ball_from_json_text(text: str) -> BallGraph | None:
+    """The ball in a ballgraph's text in the layout ``ballgraph_chunks``
+    writes, decoded a slice of vertices at a time; None for any other layout
+    and for whatever ``ball_from_json_dict`` would refuse.
+
+    Raw newlines cannot sit inside a JSON string, so the header, the text
+    before ``_VERTICES_OPEN``, and slices cut at separators decode to the
+    text's own members and vertices, and the vertex count is the separator
+    count plus one.
+    """
+    head = text.find(_VERTICES_OPEN)
+    if head < 0 or not text.endswith(_VERTICES_CLOSE):
+        return None
+    start, end = head + len(_VERTICES_OPEN), len(text) - len(_VERTICES_CLOSE)
+    n = text.count(_VERTEX_SEP, start, end) + 1
+
+    def slices() -> Iterator[list]:
+        pos, decoded = start, 0
+        while pos < end:
+            cut = text.find(_VERTEX_SEP, pos + _SLICE_CHARS, end)
+            stop = end if cut < 0 else cut + _VERTEX_SEP.index(",")
+            batch = json.loads("[" + text[pos:stop] + "]")
+            decoded += len(batch)
+            # more vertices than the count would overrun adj
+            if decoded > n:
+                raise ValueError("more vertices than separators")
+            yield batch
+            pos = stop + 1
+        if decoded != n:
+            raise ValueError("fewer vertices than separators")
+
+    try:
+        header = json.loads(text[:head] + "\n}")
+        p = _ballgraph_presentation(header, _HEADER_FIELDS)
+        return _ball_from_vertices(
+            p, header["radius"], itertools.chain.from_iterable(slices()), n
+        )
+    except (ValueError, TypeError, KeyError, RecursionError):
+        return None
+
+
+def _ball_from_vertices(
+    p: TriangularPresentation, radius: object, vertices: Iterable, n: int
+) -> BallGraph:
+    """The ball of ``p`` with ``radius`` and the ``n`` ballgraph ``vertices``,
+    or a ValueError naming the field that keeps it from being one.
 
     One pass over the vertices checks each vertex's fields and fills
     ``adj``.  It also tallies the links: slot ``s`` of vertex ``v`` with a
@@ -672,26 +767,7 @@ def ball_from_json_dict(data: dict) -> BallGraph:
     ``_check_distances`` scan the whole ball, to word the refusal; an input
     that passes both is accepted all the same.
     """
-    if data.get("format") != "ballgraph":
-        raise ValueError("not a ball graph file (missing format tag)")
-    json_require(data, ("m", "density", "relators", "radius", "vertices"))
-    m = json_int(data["m"], "'m'")
-    relators = json_list(data["relators"], "'relators'")
-    try:
-        words = tuple(word_from_json(w) for w in relators)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"'relators': {exc}") from None
-    # null is the seed of a presentation that was not sampled
-    seed = data.get("seed")
-    if seed is not None:
-        json_int(seed, "'seed'")
-    try:
-        density = density_from_str(data["density"])
-    except ValueError as exc:
-        raise ValueError(f"'density': {exc}") from None
-    p = TriangularPresentation(m=m, density=density, seed=seed, relators=words)
-    vertices = json_list(data["vertices"], "'vertices'")
-    n, k = len(vertices), 2 * m
+    m, k = p.m, 2 * p.m
     if n * k > MAX_ADJACENCY_SLOTS:
         raise ValueError(
             f"'m' = {m} with {n} vertices needs {n * k} adjacency slots,"
@@ -746,7 +822,7 @@ def ball_from_json_dict(data: dict) -> BallGraph:
         closed_flags.append(closed)
     g = BallGraph(
         presentation=p,
-        radius=json_count(data["radius"], "'radius'"),
+        radius=json_count(radius, "'radius'"),
         distances=tuple(distances),
         closed=tuple(closed_flags),
         adj=tuple(adj),

@@ -38,6 +38,7 @@ from .cayley import (
     DEFAULT_VERTEX_BUDGET,
     BallGraph,
     ball_from_json_dict,
+    ball_from_json_text,
     ballgraph_chunks,
     build_ball,
     fig1_demo,
@@ -99,18 +100,25 @@ def _default_seed() -> int:
         raise ValueError(f"environment variable {SEED_ENV}={raw!r} is not an integer")
 
 
-def _load(path: str, kind: str, parse):
-    """``parse`` applied to the JSON object in the file at ``path``; each
-    failure is a ValueError that names the file."""
+def _read(path: str, kind: str) -> str:
+    """The text of the file at ``path``; each failure is a ValueError that
+    names the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return fh.read()
     except OSError as exc:
         raise ValueError(f"{kind} file {path!r}: {exc.strerror or exc}")
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{kind} file {path!r}: invalid JSON ({exc})")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{kind} file {path!r}: not UTF-8 text ({exc})")
+
+
+def _parse(text: str, path: str, kind: str, parse):
+    """``parse`` applied to the JSON object in ``text``, read from the file at
+    ``path``; each failure is a ValueError that names the file."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{kind} file {path!r}: invalid JSON ({exc})")
     except RecursionError:
         raise ValueError(f"{kind} file {path!r}: JSON nested too deeply")
     except ValueError as exc:  # an integer literal over Python's digit limit
@@ -121,6 +129,10 @@ def _load(path: str, kind: str, parse):
         return parse(data)
     except (ValueError, TypeError) as exc:
         raise ValueError(f"{kind} file {path!r}: {exc}")
+
+
+def _load(path: str, kind: str, parse):
+    return _parse(_read(path, kind), path, kind, parse)
 
 
 def _write_chunks(path: str, chunks: Iterable[str], flag: str) -> None:
@@ -365,7 +377,12 @@ def cmd_ball(args) -> tuple[BallGraph, int]:
 def cmd_delta_est(args) -> tuple[dict, int]:
     if args.samples < 1:
         raise ValueError("--samples must be positive")
-    g = _load(args.graph, "graph", ball_from_json_dict)
+    text = _read(args.graph, "graph")
+    # the streamed loader takes the layout ``ball --out`` writes; the dict
+    # loader takes any other and words every refusal
+    g = ball_from_json_text(text)
+    if g is None:
+        g = _parse(text, args.graph, "graph", ball_from_json_dict)
     estimate = slim_delta_estimate(g, args.samples, args.seed)
     closed = sum(g.closed)
     payload = {

@@ -3,7 +3,7 @@
 A tuple of length-3 words *fulfils* an abstract labelled complex when writing
 word ``i`` along every face of label ``i`` gives each edge a single letter,
 read along the edge's orientation (a backward traversal reads its inverse).
-:func:`fulfils` decides this for one tuple, and ``montecarlo_fulfillment``
+``_letters_agree`` decides this for one tuple, and ``montecarlo_fulfillment``
 samples it.  For words drawn i.i.d. uniformly from the cyclically reduced
 support this module computes the per-level probabilities
 
@@ -72,13 +72,11 @@ def _require_triangles(Y: AbstractLabelledComplex) -> None:
             raise ValueError(f"face {f} has {len(walk)} sides; words are triangles")
 
 
-def fulfils(Y: AbstractLabelledComplex, words: Sequence[Word]) -> bool:
+def _letters_agree(Y: AbstractLabelledComplex, words: Sequence[Word]) -> bool:
     """Does writing ``words[i-1]`` along every face of label ``i`` give each
     edge a single letter (read forward; a backward traversal reads its
-    inverse)?  Each face must be as long as its word."""
-    n = len(_label_groups(Y.labels))
-    if len(words) != n:
-        raise ValueError(f"expected {n} words, one per label")
+    inverse)?  ``words`` must hold a word for every label, each as long as
+    the faces of its label."""
     letters: dict[int, int] = {}
     for walk, label in zip(Y.faces, Y.labels):
         word = words[label - 1]
@@ -156,7 +154,7 @@ def montecarlo_fulfillment(
     rng = make_rng(seed, "montecarlo", m, n)
     hits = 0
     for _ in range(trials):
-        if fulfils(Y, [sample_triangle_word(m, rng) for _ in range(n)]):
+        if _letters_agree(Y, [sample_triangle_word(m, rng) for _ in range(n)]):
             hits += 1
     phat = hits / trials
     z2 = _WILSON_Z**2

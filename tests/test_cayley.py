@@ -20,6 +20,7 @@ from trigroup.cayley import (
     build_ball,
     ball_to_json_dict,
     ball_from_json_dict,
+    ball_from_json_text,
     ballgraph_chunks,
     slim_delta_estimate,
     _check_links,
@@ -654,7 +655,8 @@ class TestLoaderOracle:
 def _cli_ball_matches_dump(tmp_path, capsys, p_json, R) -> str:
     """Assert that the ``ball`` report of ``cli.main``, on stdout and through
     ``--out``, is the text ``json.dumps`` gives the ball's dict with the same
-    meta; return that text."""
+    meta, and that the streamed loader reads the ball back from it; return
+    that text."""
     pres = tmp_path / "pres.json"
     pres.write_text(json.dumps(p_json))
     argv = ["ball", "--presentation", str(pres), "--radius", str(R)]
@@ -667,6 +669,7 @@ def _cli_ball_matches_dump(tmp_path, capsys, p_json, R) -> str:
     oracle = json.dumps({**ball_to_json_dict(g), "meta": meta}, indent=2, sort_keys=True) + "\n"
     assert stdout == oracle
     assert out.read_bytes() == oracle.encode()
+    assert ball_from_json_text(stdout) == g
     return stdout
 
 
@@ -707,6 +710,125 @@ class TestBallgraphWriter:
         p = sample_presentation(4, Fraction(1, 6), 1)
         text = _cli_ball_matches_dump(tmp_path, capsys, p.to_json(), 5)
         assert len(json.loads(text)["vertices"]) == 6365
+
+
+
+def _dict_outcome(text: str) -> BallGraph | None:
+    """The ball ``ball_from_json_dict`` makes of the JSON in ``text``, or
+    None when either step refuses it."""
+    try:
+        return ball_from_json_dict(json.loads(text))
+    except (ValueError, RecursionError):
+        return None
+
+
+def _written(g: BallGraph) -> str:
+    return "".join(ballgraph_chunks(g, {"tool": "trigroup"}))
+
+
+class TestBallFromJsonText:
+    """The streamed loader against ``ball_from_json_dict`` on the same text:
+    each ball it returns is the dict loader's, and it returns None for every
+    text the dict loader refuses."""
+
+    @pytest.fixture(scope="class")
+    def written(self):
+        return _written(build_ball(sample_presentation(4, Fraction(1, 6), 1), 3))
+
+    def test_one_vertex_without_separator(self):
+        g = build_ball(sample_presentation(4, Fraction(1, 6), 1), 0)
+        text = _written(g)
+        assert '"edges": {}' in text and cayley._VERTEX_SEP not in text
+        assert ball_from_json_text(text) == g
+
+    def test_integer_edge_keys(self):
+        g = build_ball(sample_presentation(30, Fraction(1, 10), 2), 1)
+        text = _written(g)
+        assert '"-10": ' in text
+        assert ball_from_json_text(text) == g
+
+    def test_many_slices(self):
+        # 1,265 vertices in about 165 KB: six slices
+        g = build_ball(sample_presentation(4, Fraction(1, 6), 1), 4)
+        text = _written(g)
+        assert len(text) > 5 * cayley._SLICE_CHARS
+        assert ball_from_json_text(text) == g
+
+    def test_separator_text_inside_a_string(self):
+        # json.dumps escapes the newlines of a string, so the header keeps
+        # one raw separator
+        g = build_ball(STRIP_PRESENTATION, 2)
+        meta = {"note": cayley._VERTICES_OPEN + cayley._VERTEX_SEP}
+        text = "".join(ballgraph_chunks(g, meta))
+        assert ball_from_json_text(text) == g
+        # raw newlines inside a string are not JSON
+        raw = text.replace('"note": "', '"note": "' + cayley._VERTEX_SEP, 1)
+        assert _dict_outcome(raw) is None and ball_from_json_text(raw) is None
+
+    def test_unrefused_other_layouts_fall_through(self, written):
+        doc = json.loads(written)
+        # a member after vertices; compact text; no final newline; then one
+        # separator too few: a second vertex with a field before closed, and
+        # two vertices on one line
+        for text in (
+            json.dumps({**doc, "zz": 1}, indent=2, sort_keys=True) + "\n",
+            json.dumps(doc),
+            written[:-1],
+            written.replace('{\n      "closed"', '{\n      "a": 0,\n      "closed"', 2),
+            written.replace(cayley._VERTEX_SEP, '},{"closed":', 1),
+        ):
+            assert ball_from_json_text(text) is None
+            assert _dict_outcome(text) == _dict_outcome(written)
+
+    def test_separator_nested_in_a_vertex(self, written):
+        # the dict loader ignores a vertex's other fields; the extra
+        # separator leaves one vertex fewer than the count
+        nested = '"x": [{"y": 0' + cayley._VERTEX_SEP + ' 1}],\n      "closed":'
+        text = written.replace('"closed":', nested, 1)
+        assert _dict_outcome(text) == _dict_outcome(written)
+        assert ball_from_json_text(text) is None
+
+    def test_second_vertices_key_in_header(self, written):
+        # the last key wins in json.loads, so the array is the ball's
+        text = written.replace('{\n  "density"', '{\n  "vertices": 5,\n  "density"', 1)
+        assert ball_from_json_text(text) == _dict_outcome(written)
+        # a header member in the layout of the array comes first
+        fake = cayley._VERTICES_OPEN + '\n    1\n  ],\n  "w": 0'
+        text = written.replace(cayley._VERTICES_OPEN, fake + cayley._VERTICES_OPEN, 1)
+        assert _dict_outcome(text) == _dict_outcome(written)
+        assert ball_from_json_text(text) is None
+
+    @pytest.mark.parametrize("old, new", [
+        # past the integer digit limit
+        ('"distance": 1,', '"distance": 1' + "0" * 4999 + ","),
+        ('"closed": false', '"closed": ' + "[" * 100_000 + "]" * 100_000),
+        ('"closed": false', '"closed": fals'),
+        ('"closed": false', '"closed": true'),
+        ('"distance": 1,', '"distance": -1,'),
+        ('"radius": 3', '"radius": 2'),
+        ('"m": 4', '"m": 4.5'),
+    ], ids=["digits", "nested", "not-json", "closed", "distance", "radius", "m"])
+    def test_refused_text(self, written, old, new):
+        text = written.replace(old, new, 1)
+        assert text != written
+        assert _dict_outcome(text) is None
+        assert ball_from_json_text(text) is None
+
+    def test_peak_below_half_of_the_dict_path(self):
+        # the bench ball at R=5, 6,365 vertices in 941 KB: the dict path
+        # peaked at 4.11 MB and the streamed one at 1.63 MB
+        g = build_ball(sample_presentation(4, Fraction(1, 6), 1), 5)
+        text = _written(g)
+        peaks = []
+        for load in (lambda: ball_from_json_dict(json.loads(text)),
+                     lambda: ball_from_json_text(text)):
+            tracemalloc.start()
+            try:
+                assert load() == g
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] / 2
 
 
 def _oracle_corpus():

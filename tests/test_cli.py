@@ -7,9 +7,11 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from trigroup.cayley import (
     MAX_ADJACENCY_SLOTS,
     STRIP_PRESENTATION,
     ball_from_json_dict,
+    ball_from_json_text,
     ball_to_json_dict,
     build_ball,
 )
@@ -524,6 +527,12 @@ class TestDeltaEst:
         assert doc["estimate"] >= 0
         assert doc["closed_vertices"] >= 3
 
+    def test_ball_out_is_streamed(self, tmp_path, monkeypatch, ball_file):
+        # the dict loader only words refusals of what ball --out writes
+        monkeypatch.setattr(cli, "ball_from_json_dict", None)
+        status, doc = run_json(tmp_path, "delta-est", "--graph", ball_file, "--samples", "5")
+        assert (status, doc["radius"]) == (0, 2)
+
     def test_format_tag(self, tmp_path, capsys):
         bad = tmp_path / "notball.json"
         bad.write_text('{"vertices": []}')
@@ -758,6 +767,18 @@ def _mutate(data: dict, op: tuple) -> None:
             vertex["edges"].pop(rest[1], None)
 
 
+def _delta_est_outcome(graph, out) -> tuple:
+    """The exit status, stderr with its time masked, and report bytes of a
+    delta-est run on ``graph``."""
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = main(["delta-est", "--graph", str(graph), "--samples", "20",
+                       "--out", str(out)])
+    report = out.read_bytes() if status == 0 else None
+    return status, re.sub(r"^elapsed \S+$", "elapsed", err.getvalue(), flags=re.M), report
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("ballgraph-fuzz")
@@ -779,6 +800,28 @@ class TestBallgraphFuzz:
         assert status in (0, 2)
         if status == 2:
             assert err.getvalue().startswith("error:")
+
+    @settings(max_examples=100, deadline=None)
+    @given(ops=st.lists(MUTATIONS, min_size=1, max_size=4))
+    def test_mutated_ballgraph_in_both_layouts(self, fuzz_dir, ops):
+        # compact, which the streamed loader never takes, and the layout of
+        # ball --out, which it streams
+        data = copy.deepcopy(FUZZ_BASE)
+        for op in ops:
+            _mutate(data, op)
+        for text in (json.dumps(data), json.dumps(data, indent=2, sort_keys=True) + "\n"):
+            try:
+                expected = ball_from_json_dict(json.loads(text))
+            except ValueError:
+                expected = None
+            loaded = ball_from_json_text(text)
+            assert loaded is None or loaded == expected
+            graph = fuzz_dir / "layout.json"
+            graph.write_text(text)
+            streamed = _delta_est_outcome(graph, fuzz_dir / "layout-report.json")
+            with mock.patch.object(cli, "ball_from_json_text", lambda text: None):
+                decoded = _delta_est_outcome(graph, fuzz_dir / "layout-report.json")
+            assert streamed == decoded
 
     def test_unmutated_base_passes(self, fuzz_dir):
         graph = fuzz_dir / "base.json"

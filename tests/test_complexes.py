@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import close_walks_oracle
+from fulfils import fulfils
 from indicator_oracle import is_least_position, is_min_label
 from sweep_oracle import label_forcing_levels
 from union_find import SignedUnionFind, UnionFind
@@ -30,7 +31,6 @@ from trigroup.complexes import (
     ref_edge,
     side_trace,
 )
-from trigroup.fulfillment import fulfils
 from trigroup.presentation import TriangularPresentation
 from trigroup.seeding import make_rng
 from trigroup.words import enumerate_triangle_words

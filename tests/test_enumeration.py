@@ -33,12 +33,12 @@ from trigroup.enumeration import (
     _to_diagram,
     _trace_table,
 )
-from trigroup.fulfillment import fulfils
 from trigroup.presentation import TriangularPresentation, sample_presentation
 from trigroup.seeding import derive_seed
 
 import canon_oracle
 import close_walks_oracle
+from fulfils import fulfils
 import growth_oracle
 from relator_classes import has_proper_power, relators_distinct_up_to_symmetry
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from fulfils import fulfils
 from trigroup.cli import main
 from trigroup.complexes import (
     AbstractLabelledComplex,
@@ -20,7 +21,6 @@ from trigroup import fulfillment
 from trigroup.fulfillment import (
     FaceStructure,
     count_letter_assignments,
-    fulfils,
     level_checks,
     montecarlo_fulfillment,
     ratio_sweep,
